@@ -70,7 +70,7 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    metrics = run_simulation(_config_from(args))
+    metrics = run_simulation(args.config)
     paths = write_outputs(metrics, args.out)
     print(f"run complete: {args.rounds} rounds, {args.participants} participants")
     print(f"asymmetric ratchets per session: {metrics.asymmetric_ratchets}")
@@ -98,7 +98,7 @@ def _cmd_export_ledger(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
-        metrics = run_simulation(_config_from(args))
+        metrics = run_simulation(args.config)
         text = "\n".join(metrics.events) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -143,6 +143,11 @@ def main(argv: list[str] | None = None) -> int:
     ver_p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
+    if hasattr(args, "participants"):   # subcommands that take sim flags
+        try:
+            args.config = _config_from(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -2,8 +2,10 @@
 
 Every operation that needs randomness takes it explicitly (a seed, coins, or a
 DeterministicRng), so complete protocol runs replay bit-for-bit from a single
-root seed.  Classical primitives are OpenSSL-backed; the lattice KEM lives in
-`mlkem` because it must accept injected coins.
+root seed.  Classical primitives are OpenSSL-backed.  The lattice KEM lives in
+`mlkem`: keygen and decapsulation are library-backed, and encapsulation is
+pure numpy because it must accept injected coins.  A signing pair carries its
+OpenSSL key object, built once at keygen, so signing does not rebuild it.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses and nonces; SHA-384 inside HKDF for key derivation.
@@ -12,7 +14,7 @@ addresses and nonces; SHA-384 inside HKDF for key derivation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -89,6 +91,7 @@ class DhKeyPair:
 class SigKeyPair:
     public: bytes   # uncompressed point
     secret: bytes   # 32-byte big-endian scalar
+    key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
 
 
 def digest(data: bytes) -> bytes:
@@ -158,13 +161,12 @@ def sig_keygen(rng: DeterministicRng) -> SigKeyPair:
     k = _scalar(rng, order)
     priv = ec.derive_private_key(k, ec.SECP256K1())
     pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-    return SigKeyPair(public=pub, secret=k.to_bytes(32, "big"))
+    return SigKeyPair(public=pub, secret=k.to_bytes(32, "big"), key=priv)
 
 
-def sign(secret: bytes, message: bytes) -> bytes:
+def sign(pair: SigKeyPair, message: bytes) -> bytes:
     """Deterministic ECDSA over SHA-256 (RFC 6979), DER-encoded."""
-    priv = ec.derive_private_key(int.from_bytes(secret, "big"), ec.SECP256K1())
-    return priv.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+    return pair.key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

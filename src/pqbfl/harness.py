@@ -71,6 +71,10 @@ class SimConfig:
             raise ValueError("participants must be at least 1")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        if self.rounds > 255:
+            raise ValueError(
+                "rounds must be at most 255: the ledger prices a round number as one byte"
+            )
         lengths = (
             (self.ratchet_range,)
             if isinstance(self.ratchet_range, int)

@@ -1,33 +1,41 @@
-"""ML-KEM-768 (FIPS 203) in pure Python.
+"""ML-KEM-768 (FIPS 203): library keygen/decaps, numpy encapsulation.
 
-Deterministic by construction: key generation takes the 64-byte (d, z) seed
-pair and encapsulation takes its 32-byte randomness m explicitly, so callers
-that need replayable runs can drive both from an injected generator.  This is
-the reason the module exists instead of binding an OpenSSL KEM: OpenSSL offers
-no way to inject encapsulation coins.
+Key generation and decapsulation bind the `cryptography` ML-KEM-768.  The
+decapsulation key is the 64-byte FIPS 203 seed d||z, the library's raw
+private form, so `keygen` is deterministic in its seed.
 
-Sizes: encapsulation key 1184 B, decapsulation key 2400 B, ciphertext 1088 B,
-shared secret 32 B.  Not constant-time; intended for simulation and testing,
-not for protecting real traffic.
+Encapsulation is implemented here, vectorised with numpy, because it must take
+its 32-byte randomness m explicitly so that runs replay from an injected
+generator; OpenSSL offers no way to inject encapsulation coins.  The parsed
+encapsulation key (t-hat, the transposed matrix A-hat and H(ek)) is cached for
+the most recent key, since every participant encapsulates to the same server
+key on a rotation.  The cache holds public data only.
+
+Sizes: encapsulation key 1184 B, decapsulation key (seed) 64 B, ciphertext
+1088 B, shared secret 32 B.  The encapsulation is not constant-time; it is
+intended for simulation and testing, not for protecting real traffic.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
+
+import numpy as np
+from cryptography.hazmat.primitives.asymmetric.mlkem import MLKEM768PrivateKey
 
 Q = 3329
 N = 256
 K = 3
-ETA1 = 2
-ETA2 = 2
+ETA = 2                      # eta1 = eta2 = 2 for ML-KEM-768
 DU = 10
 DV = 4
 
 EK_BYTES = 384 * K + 32      # 1184
-DK_BYTES = 768 * K + 96      # 2400
+SEED_BYTES = 64              # d || z
+DK_BYTES = SEED_BYTES
 CT_BYTES = 32 * (DU * K + DV)  # 1088
 SS_BYTES = 32
-SEED_BYTES = 64              # d || z
 
 
 def _bitrev7(n: int) -> int:
@@ -38,10 +46,24 @@ def _bitrev7(n: int) -> int:
     return r
 
 
-# 17 is a primitive 256th root of unity mod q.
-_ZETAS = [pow(17, _bitrev7(i), Q) for i in range(128)]
-# Per-pair roots for the degree-one base multiplications.
-_GAMMAS = [pow(17, 2 * _bitrev7(i) + 1, Q) for i in range(128)]
+def _powers(g: int) -> list[int]:
+    out = [1]
+    for _ in range(N // 2 - 1):
+        out.append(out[-1] * g % Q)
+    return out
+
+
+# The NTT evaluates the even and odd halves of f at the 128 roots
+# gamma_i = 17^(2 bitrev7(i) + 1), i.e. ntt(f)[2i + b] = sum_j gamma_i^j f[2j + b],
+# so both directions are one 128x128 matrix over pairs.
+_GAMMAS = np.array([pow(17, 2 * _bitrev7(i) + 1, Q) for i in range(N // 2)], dtype=np.int64)
+_NTT = np.array([_powers(int(g)) for g in _GAMMAS], dtype=np.int64)
+# 3303 = 128^-1 mod q
+_NTT_INV = np.array(
+    [[3303 * p % Q for p in _powers(pow(int(g), -1, Q))] for g in _GAMMAS], dtype=np.int64
+).T
+# eta = 2: each PRF nibble is one coefficient, (b0 + b1) - (b2 + b3) mod q
+_CBD = np.array([(n & 1) + (n >> 1 & 1) - (n >> 2 & 1) - (n >> 3) for n in range(16)]) % Q
 
 
 def _g(data: bytes) -> tuple[bytes, bytes]:
@@ -53,226 +75,115 @@ def _h(data: bytes) -> bytes:
     return hashlib.sha3_256(data).digest()
 
 
-def _j(data: bytes) -> bytes:
-    return hashlib.shake_256(data).digest(32)
+def _prf(s: bytes, b: int) -> bytes:
+    return hashlib.shake_256(s + bytes([b])).digest(64 * ETA)
 
 
-def _prf(eta: int, s: bytes, b: int) -> bytes:
-    return hashlib.shake_256(s + bytes([b])).digest(64 * eta)
+def _byte_encode(d: int, f: np.ndarray) -> bytes:
+    """Pack d-bit coefficients little-endian, lowest coefficient first."""
+    bits = (f.reshape(-1, 1) >> np.arange(d)) & 1
+    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
 
 
-def _sample_ntt(seed: bytes) -> list[int]:
-    """Rejection-sample a uniform polynomial from a SHAKE-128 stream."""
-    xof = hashlib.shake_128(seed)
-    out = []
-    length = 840
-    offset = 0
-    buf = xof.digest(length)
-    while len(out) < N:
-        if offset + 3 > length:
-            length *= 2
-            buf = xof.digest(length)
-        b0, b1, b2 = buf[offset], buf[offset + 1], buf[offset + 2]
-        offset += 3
-        d1 = b0 + 256 * (b1 & 0xF)
-        d2 = (b1 >> 4) + 16 * b2
-        if d1 < Q:
-            out.append(d1)
-        if d2 < Q and len(out) < N:
-            out.append(d2)
-    return out
-
-
-def _sample_cbd(eta: int, buf: bytes) -> list[int]:
-    bits = []
-    for byte in buf:
-        for t in range(8):
-            bits.append((byte >> t) & 1)
-    f = []
-    for i in range(N):
-        x = sum(bits[2 * i * eta + k] for k in range(eta))
-        y = sum(bits[2 * i * eta + eta + k] for k in range(eta))
-        f.append((x - y) % Q)
-    return f
-
-
-def _byte_encode(d: int, f: list[int]) -> bytes:
-    acc = 0
-    for i in range(N - 1, -1, -1):
-        acc = (acc << d) | f[i]
-    return acc.to_bytes(32 * d, "little")
-
-
-def _byte_decode(d: int, b: bytes) -> list[int]:
-    acc = int.from_bytes(b, "little")
-    mask = (1 << d) - 1
-    return [(acc >> (d * i)) & mask for i in range(N)]
-
-
-def _compress(d: int, x: int) -> int:
+def _compress(d: int, x: np.ndarray) -> np.ndarray:
     return (((x << d) + (Q - 1) // 2) // Q) & ((1 << d) - 1)
 
 
-def _decompress(d: int, y: int) -> int:
-    return (Q * y + (1 << (d - 1))) >> d
+def _decode12(buf: bytes) -> np.ndarray:
+    """Split each 3 bytes into two 12-bit little-endian values."""
+    b = np.frombuffer(buf, dtype=np.uint8).astype(np.int64).reshape(-1, 3)
+    low = b[:, 0] | (b[:, 1] & 0xF) << 8
+    high = b[:, 1] >> 4 | b[:, 2] << 4
+    return np.stack([low, high], axis=1).ravel()
 
 
-def _ntt(f: list[int]) -> list[int]:
-    f = f[:]
-    i = 1
-    length = 128
-    while length >= 2:
-        for start in range(0, N, 2 * length):
-            zeta = _ZETAS[i]
-            i += 1
-            for j in range(start, start + length):
-                t = zeta * f[j + length] % Q
-                f[j + length] = (f[j] - t) % Q
-                f[j] = (f[j] + t) % Q
-        length >>= 1
-    return f
+def _sample_ntt(seed: bytes) -> np.ndarray:
+    """Rejection-sample a uniform polynomial from a SHAKE-128 stream."""
+    xof = hashlib.shake_128(seed)
+    length = 840
+    while True:
+        candidates = _decode12(xof.digest(length))
+        out = candidates[candidates < Q]
+        if len(out) >= N:
+            return out[:N]
+        length *= 2
 
 
-def _ntt_inv(f: list[int]) -> list[int]:
-    f = f[:]
-    i = 127
-    length = 2
-    while length <= 128:
-        for start in range(0, N, 2 * length):
-            zeta = _ZETAS[i]
-            i -= 1
-            for j in range(start, start + length):
-                t = f[j]
-                f[j] = (t + f[j + length]) % Q
-                f[j + length] = zeta * (f[j + length] - t) % Q
-        length <<= 1
-    # 3303 = 128^-1 mod q
-    return [x * 3303 % Q for x in f]
+def _sample_cbd(buf: bytes) -> np.ndarray:
+    """Centered binomial polynomials, one per 64*ETA bytes of buf."""
+    b = np.frombuffer(buf, dtype=np.uint8)
+    return _CBD[np.stack([b & 0xF, b >> 4], axis=1)].reshape(-1, N)
 
 
-def _mul_ntt(f: list[int], g: list[int]) -> list[int]:
-    h = [0] * N
-    for i in range(128):
-        a0, a1 = f[2 * i], f[2 * i + 1]
-        b0, b1 = g[2 * i], g[2 * i + 1]
-        h[2 * i] = (a0 * b0 + a1 * b1 % Q * _GAMMAS[i]) % Q
-        h[2 * i + 1] = (a0 * b1 + a1 * b0) % Q
+def _apply(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
+    pairs = f.reshape(*f.shape[:-1], N // 2, 2)
+    return (np.matmul(matrix, pairs) % Q).reshape(f.shape)
+
+
+def _ntt(f: np.ndarray) -> np.ndarray:
+    return _apply(_NTT, f)
+
+
+def _ntt_inv(f: np.ndarray) -> np.ndarray:
+    return _apply(_NTT_INV, f)
+
+
+def _mul_ntt(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Base multiplication in the NTT domain, broadcast over leading axes."""
+    a0, a1 = f[..., 0::2], f[..., 1::2]
+    b0, b1 = g[..., 0::2], g[..., 1::2]
+    h = np.empty(np.broadcast_shapes(f.shape, g.shape), dtype=np.int64)
+    h[..., 0::2] = (a0 * b0 + a1 * b1 % Q * _GAMMAS) % Q
+    h[..., 1::2] = (a0 * b1 + a1 * b0) % Q
     return h
 
 
-def _poly_add(f: list[int], g: list[int]) -> list[int]:
-    return [(a + b) % Q for a, b in zip(f, g)]
-
-
-def _poly_sub(f: list[int], g: list[int]) -> list[int]:
-    return [(a - b) % Q for a, b in zip(f, g)]
-
-
-def _expand_matrix(rho: bytes) -> list[list[list[int]]]:
-    return [
-        [_sample_ntt(rho + bytes([j]) + bytes([i])) for j in range(K)]
-        for i in range(K)
-    ]
-
-
-def _pke_keygen(d: bytes) -> tuple[bytes, bytes]:
-    rho, sigma = _g(d + bytes([K]))
-    a_hat = _expand_matrix(rho)
-    n = 0
-    s = []
-    for _ in range(K):
-        s.append(_sample_cbd(ETA1, _prf(ETA1, sigma, n)))
-        n += 1
-    e = []
-    for _ in range(K):
-        e.append(_sample_cbd(ETA1, _prf(ETA1, sigma, n)))
-        n += 1
-    s_hat = [_ntt(p) for p in s]
-    e_hat = [_ntt(p) for p in e]
-    t_hat = []
-    for i in range(K):
-        acc = e_hat[i]
-        for j in range(K):
-            acc = _poly_add(acc, _mul_ntt(a_hat[i][j], s_hat[j]))
-        t_hat.append(acc)
-    ek = b"".join(_byte_encode(12, p) for p in t_hat) + rho
-    dk = b"".join(_byte_encode(12, p) for p in s_hat)
-    return ek, dk
-
-
-def _pke_encrypt(ek: bytes, m: bytes, r: bytes) -> bytes:
-    t_hat = [_byte_decode(12, ek[384 * i : 384 * (i + 1)]) for i in range(K)]
+@lru_cache(maxsize=1)
+def _parse_ek(ek: bytes) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """(t-hat, transposed A-hat, H(ek)) for an ek that passes the modulus check."""
+    t_hat = _decode12(ek[: 384 * K]).reshape(K, N)
+    if (t_hat >= Q).any():
+        raise ValueError("malformed encapsulation key")
     rho = ek[384 * K :]
-    a_hat = _expand_matrix(rho)
-    n = 0
-    y = []
-    for _ in range(K):
-        y.append(_sample_cbd(ETA1, _prf(ETA1, r, n)))
-        n += 1
-    e1 = []
-    for _ in range(K):
-        e1.append(_sample_cbd(ETA2, _prf(ETA2, r, n)))
-        n += 1
-    e2 = _sample_cbd(ETA2, _prf(ETA2, r, n))
-    y_hat = [_ntt(p) for p in y]
-    u = []
-    for i in range(K):
-        acc = [0] * N
-        for j in range(K):
-            acc = _poly_add(acc, _mul_ntt(a_hat[j][i], y_hat[j]))
-        u.append(_poly_add(_ntt_inv(acc), e1[i]))
-    mu = [_decompress(1, b) for b in _byte_decode(1, m)]
-    acc = [0] * N
-    for j in range(K):
-        acc = _poly_add(acc, _mul_ntt(t_hat[j], y_hat[j]))
-    v = _poly_add(_poly_add(_ntt_inv(acc), e2), mu)
-    c1 = b"".join(_byte_encode(DU, [_compress(DU, x) for x in p]) for p in u)
-    c2 = _byte_encode(DV, [_compress(DV, x) for x in v])
-    return c1 + c2
-
-
-def _pke_decrypt(dk: bytes, c: bytes) -> bytes:
-    split = 32 * DU * K
-    u = [
-        [_decompress(DU, y) for y in _byte_decode(DU, c[32 * DU * i : 32 * DU * (i + 1)])]
-        for i in range(K)
-    ]
-    v = [_decompress(DV, y) for y in _byte_decode(DV, c[split:])]
-    s_hat = [_byte_decode(12, dk[384 * i : 384 * (i + 1)]) for i in range(K)]
-    acc = [0] * N
-    for i in range(K):
-        acc = _poly_add(acc, _mul_ntt(s_hat[i], _ntt(u[i])))
-    w = _poly_sub(v, _ntt_inv(acc))
-    return _byte_encode(1, [_compress(1, x) for x in w])
+    a_hat_t = np.array(
+        [[_sample_ntt(rho + bytes([i, j])) for j in range(K)] for i in range(K)]
+    )
+    # every encapsulation to this key shares the cached arrays
+    t_hat.flags.writeable = a_hat_t.flags.writeable = False
+    return t_hat, a_hat_t, _h(ek)
 
 
 def keygen(seed: bytes) -> tuple[bytes, bytes]:
-    """Derive an (ek, dk) pair from the 64-byte d||z seed."""
+    """Derive (ek, dk) from the 64-byte d||z seed; dk is the seed itself."""
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-    d, z = seed[:32], seed[32:]
-    ek, dk_pke = _pke_keygen(d)
-    dk = dk_pke + ek + _h(ek) + z
-    return ek, dk
+    key = MLKEM768PrivateKey.from_seed_bytes(seed)
+    return key.public_key().public_bytes_raw(), bytes(seed)
 
 
 def encaps(ek: bytes, m: bytes) -> tuple[bytes, bytes]:
     """Encapsulate with explicit 32-byte randomness m.
 
     Returns (shared_secret, ciphertext).  Rejects encapsulation keys of the
-    wrong length or with out-of-range coefficients (re-encoding check).
+    wrong length or with out-of-range coefficients (modulus check).
     """
     if len(ek) != EK_BYTES:
         raise ValueError(f"encapsulation key must be {EK_BYTES} bytes, got {len(ek)}")
     if len(m) != 32:
         raise ValueError("encapsulation randomness must be 32 bytes")
-    for i in range(K):
-        chunk = ek[384 * i : 384 * (i + 1)]
-        if _byte_encode(12, [x % Q for x in _byte_decode(12, chunk)]) != chunk:
-            raise ValueError("malformed encapsulation key")
-    k, r = _g(m + _h(ek))
-    c = _pke_encrypt(ek, m, r)
-    return k, c
+    t_hat, a_hat_t, h_ek = _parse_ek(ek)
+    k, r = _g(m + h_ek)
+    noise = _sample_cbd(b"".join(_prf(r, n) for n in range(2 * K + 1)))
+    y_hat = _ntt(noise[:K])
+    w = _ntt_inv(np.concatenate([
+        _mul_ntt(a_hat_t, y_hat).sum(axis=1) % Q,
+        _mul_ntt(t_hat, y_hat).sum(axis=0, keepdims=True) % Q,
+    ]))
+    u = (w[:K] + noise[K : 2 * K]) % Q
+    m_bits = np.unpackbits(np.frombuffer(m, dtype=np.uint8), bitorder="little")
+    mu = m_bits.astype(np.int64) * ((Q + 1) // 2)
+    v = (w[K] + noise[2 * K] + mu) % Q
+    return k, _byte_encode(DU, _compress(DU, u)) + _byte_encode(DV, _compress(DV, v))
 
 
 def decaps(dk: bytes, c: bytes) -> bytes:
@@ -281,14 +192,4 @@ def decaps(dk: bytes, c: bytes) -> bytes:
         raise ValueError(f"decapsulation key must be {DK_BYTES} bytes, got {len(dk)}")
     if len(c) != CT_BYTES:
         raise ValueError(f"ciphertext must be {CT_BYTES} bytes, got {len(c)}")
-    dk_pke = dk[: 384 * K]
-    ek = dk[384 * K : 768 * K + 32]
-    hek = dk[768 * K + 32 : 768 * K + 64]
-    z = dk[768 * K + 64 :]
-    m = _pke_decrypt(dk_pke, c)
-    k, r = _g(m + hek)
-    k_bar = _j(z + c)
-    c_prime = _pke_encrypt(ek, m, r)
-    if c != c_prime:
-        return k_bar
-    return k
+    return MLKEM768PrivateKey.from_seed_bytes(dk).decapsulate(c)

@@ -294,7 +294,7 @@ def build_envelope(
         sender_address=crypto.address_of(sig_pair.public),
         sender_public=sig_pair.public, payload=payload, signature=b"",
     )
-    sig = crypto.sign(sig_pair.secret, partial.signing_bytes())
+    sig = crypto.sign(sig_pair, partial.signing_bytes())
     return SignedEnvelope(
         version=partial.version, msg_type=partial.msg_type, round=partial.round,
         timestamp=partial.timestamp, sender_address=partial.sender_address,

@@ -145,15 +145,24 @@ def test_dh_keygen_deterministic():
 def test_sign_verify_roundtrip_and_determinism():
     pair = crypto.sig_keygen(crypto.DeterministicRng(b"sig"))
     msg = b"attest this"
-    sig = crypto.sign(pair.secret, msg)
+    sig = crypto.sign(pair, msg)
     assert crypto.verify(pair.public, msg, sig)
-    assert crypto.sign(pair.secret, msg) == sig  # deterministic nonces
+    assert crypto.sign(pair, msg) == sig  # deterministic nonces
+
+
+def test_sig_pair_equality_and_repr_ignore_key_object():
+    p1 = crypto.sig_keygen(crypto.DeterministicRng(b"sig"))
+    p2 = crypto.sig_keygen(crypto.DeterministicRng(b"sig"))
+    assert p1.key is not p2.key
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert repr(p1) == repr(p2)
+    assert "key=" not in repr(p1)
 
 
 def test_verify_rejects_mutation():
     pair = crypto.sig_keygen(crypto.DeterministicRng(b"sig2"))
     msg = b"payload"
-    sig = crypto.sign(pair.secret, msg)
+    sig = crypto.sign(pair, msg)
     assert not crypto.verify(pair.public, msg + b"x", sig)
     assert not crypto.verify(pair.public, msg, sig[:-1])
     other = crypto.sig_keygen(crypto.DeterministicRng(b"sig3"))
@@ -165,7 +174,7 @@ def test_verify_rejects_mutation():
 @given(st.binary(min_size=0, max_size=128))
 def test_sign_verify_property(msg):
     pair = crypto.sig_keygen(crypto.DeterministicRng(b"sig-prop"))
-    assert crypto.verify(pair.public, msg, crypto.sign(pair.secret, msg))
+    assert crypto.verify(pair.public, msg, crypto.sign(pair, msg))
 
 
 # --- addresses ----------------------------------------------------------------

@@ -164,6 +164,16 @@ def test_config_validation():
         SimConfig(participants=1, rounds=1, ratchet_range=0)
 
 
+def test_rounds_beyond_one_byte_rejected_up_front(capsys):
+    # the ledger prices a round number as one byte
+    with pytest.raises(ValueError, match="at most 255"):
+        SimConfig(rounds=256)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--rounds", "256", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "at most 255" in capsys.readouterr().err
+
+
 # --- command line ------------------------------------------------------------
 
 def test_cli_honest_run_exit_zero(tmp_path, capsys):

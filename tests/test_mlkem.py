@@ -65,7 +65,7 @@ def test_we_decapsulate_library_ciphertext():
 def test_sizes():
     ek, dk = mlkem.keygen(bytes(64))
     assert len(ek) == mlkem.EK_BYTES == 1184
-    assert len(dk) == mlkem.DK_BYTES == 2400
+    assert len(dk) == mlkem.DK_BYTES == 64
     ss, ct = mlkem.encaps(ek, bytes(32))
     assert len(ct) == mlkem.CT_BYTES == 1088
     assert len(ss) == mlkem.SS_BYTES == 32
