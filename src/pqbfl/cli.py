@@ -18,7 +18,9 @@ import argparse
 import os
 import sys
 
-from .harness import SCENARIOS, SimConfig, run_simulation, verify_transcripts, write_outputs
+from .harness import (
+    SCENARIO_FLAGS, SCENARIOS, SimConfig, run_simulation, verify_transcripts, write_outputs,
+)
 
 
 def _parse_ratchet_range(text: str) -> int | tuple[int, ...]:
@@ -62,10 +64,7 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
         deposit=args.deposit,
         noise_scale=args.noise_scale,
         skew_bound=args.skew,
-        replay_attack=args.scenario == "replay",
-        tamper_attack=args.scenario == "tamper",
-        mitm_key_swap=args.scenario == "mitm_key_swap",
-        free_ride=args.scenario == "free_ride",
+        **{flag: args.scenario == name for name, flag in SCENARIO_FLAGS.items()},
     )
 
 
@@ -93,7 +92,8 @@ def _cmd_export_ledger(args: argparse.Namespace) -> int:
     if args.run:
         path = f"{args.run}/ledger.txt"
         try:
-            text = open(path).read()
+            with open(path) as fh:
+                text = fh.read()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

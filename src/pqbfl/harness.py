@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,14 @@ from .protocol import (
     SignedEnvelope,
 )
 
-SCENARIOS = ("honest", "replay", "tamper", "mitm_key_swap", "free_ride")
+# each fault scenario and the SimConfig flag that arms it, in arming order
+SCENARIO_FLAGS = {
+    "replay": "replay_attack",
+    "tamper": "tamper_attack",
+    "mitm_key_swap": "mitm_key_swap",
+    "free_ride": "free_ride",
+}
+SCENARIOS = ("honest", *SCENARIO_FLAGS)
 
 METRICS_HEADER = (
     "round", "party", "offchain_bytes", "onchain_bytes",
@@ -88,16 +95,7 @@ class SimConfig:
             raise ValueError("free_ride needs a second participant to compare against")
 
     def scenario_names(self) -> list[str]:
-        out = []
-        if self.replay_attack:
-            out.append("replay")
-        if self.tamper_attack:
-            out.append("tamper")
-        if self.mitm_key_swap:
-            out.append("mitm_key_swap")
-        if self.free_ride:
-            out.append("free_ride")
-        return out
+        return [name for name, flag in SCENARIO_FLAGS.items() if getattr(self, flag)]
 
 
 @dataclass(frozen=True)
@@ -162,43 +160,25 @@ class Channel:
         self.participants = participants
         self.captured: list[bytes] = []
         self.records: list[InjectionRecord] = []
-        self.replay = self.tamper = self.mitm = self.free_ride = False
-        self._plans: dict[str, dict] = {}
+        self.plans: dict[str, dict] = {}     # armed scenario -> its injection plan
 
     def _draw(self, modulus: int) -> int:
         return int.from_bytes(self.rng.bytes(4), "big") % modulus
 
     def arm(self, scenario: str) -> None:
-        if scenario == "replay":
-            self.replay = True
-            self._plans["replay"] = {
+        if scenario in ("replay", "tamper"):
+            self.plans[scenario] = {
                 "round": 1 + self._draw(self.rounds),
                 "phase": ("task", "update")[self._draw(2)],
                 "victim": self._draw(self.participants),
             }
-            if self._plans["replay"]["round"] > self.rounds:
-                self._plans["replay"]["round"] = self.rounds
-        elif scenario == "tamper":
-            self.tamper = True
-            self._plans["tamper"] = {
-                "round": 1 + self._draw(self.rounds),
-                "phase": ("task", "update")[self._draw(2)],
-                "victim": self._draw(self.participants),
-            }
-            if self._plans["tamper"]["round"] > self.rounds:
-                self._plans["tamper"]["round"] = self.rounds
         elif scenario == "mitm_key_swap":
-            self.mitm = True
-            self._plans["mitm_key_swap"] = {"victim": self._draw(self.participants)}
+            self.plans[scenario] = {"victim": self._draw(self.participants)}
         elif scenario == "free_ride":
-            self.free_ride = True
             # the last participant rides free if there is anyone else to carry it
-            self._plans["free_ride"] = {"victim": self.participants - 1}
+            self.plans[scenario] = {"victim": self.participants - 1}
         else:
             raise ValueError(f"unknown scenario {scenario!r}")
-
-    def plan(self, scenario: str) -> dict:
-        return self._plans[scenario]
 
     def _attempt(self, scenario, phase, round, victim, blob, deliver, expected) -> None:
         try:
@@ -220,20 +200,14 @@ class Channel:
         pos = self._draw(len(payload))
         bit = self._draw(8)
         payload[pos] ^= 1 << bit
-        forged = SignedEnvelope(
-            version=env.version, msg_type=env.msg_type, round=env.round,
-            timestamp=env.timestamp, sender_address=env.sender_address,
-            sender_public=env.sender_public, payload=bytes(payload),
-            signature=env.signature,
-        )
-        return forged.encode()
+        return replace(env, payload=bytes(payload)).encode()
 
     # delivery entry points; `deliver` takes wire bytes and runs the handler
 
     def announcement(self, env: SignedEnvelope, victim: int, deliver, forge):
         blob = env.encode()
         self.captured.append(blob)
-        if self.mitm and victim == self._plans["mitm_key_swap"]["victim"]:
+        if self.plans.get("mitm_key_swap") == {"victim": victim}:
             forged = forge()
             self.captured.append(forged)
             self._attempt(
@@ -247,36 +221,18 @@ class Channel:
         self.captured.append(blob)
         return deliver(blob)
 
-    def task(self, env: SignedEnvelope, round: int, victim: int, deliver):
+    def round_message(self, phase: str, env: SignedEnvelope, round: int, victim: int, deliver):
+        """Carry a round's task or update (`phase`) for participant `victim`."""
         blob = env.encode()
         self.captured.append(blob)
         name = f"client-{victim + 1}"
-        if self.tamper:
-            p = self._plans["tamper"]
-            if p["phase"] == "task" and p["round"] == round and p["victim"] == victim:
-                self._attempt("tamper", "task", round, name,
-                              self._flip_payload_bit(env), deliver, AuthFailure)
+        target = {"round": round, "phase": phase, "victim": victim}
+        if self.plans.get("tamper") == target:
+            self._attempt("tamper", phase, round, name,
+                          self._flip_payload_bit(env), deliver, AuthFailure)
         result = deliver(blob)
-        if self.replay:
-            p = self._plans["replay"]
-            if p["phase"] == "task" and p["round"] == round and p["victim"] == victim:
-                self._attempt("replay", "task", round, name, blob, deliver, ReplayDetected)
-        return result
-
-    def update(self, env: SignedEnvelope, round: int, victim: int, deliver):
-        blob = env.encode()
-        self.captured.append(blob)
-        name = f"client-{victim + 1}"
-        if self.tamper:
-            p = self._plans["tamper"]
-            if p["phase"] == "update" and p["round"] == round and p["victim"] == victim:
-                self._attempt("tamper", "update", round, name,
-                              self._flip_payload_bit(env), deliver, AuthFailure)
-        result = deliver(blob)
-        if self.replay:
-            p = self._plans["replay"]
-            if p["phase"] == "update" and p["round"] == round and p["victim"] == victim:
-                self._attempt("replay", "update", round, name, blob, deliver, ReplayDetected)
+        if self.plans.get("replay") == target:
+            self._attempt("replay", phase, round, name, blob, deliver, ReplayDetected)
         return result
 
     def scan_for_leak(self, plaintexts: list[bytes], victim: int) -> None:
@@ -295,12 +251,6 @@ class Channel:
         )
 
 
-def scenario_inject(channel: Channel, scenario: str) -> Channel:
-    """Arm one adversarial scenario on the channel and return it."""
-    channel.arm(scenario)
-    return channel
-
-
 def run_simulation(config: SimConfig) -> RunMetrics:
     """Execute one full lifecycle and collect metrics.
 
@@ -315,7 +265,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     rconfig = ratchet.RatchetConfig(config.ratchet_range)
     channel = Channel(root.fork("channel"), config.rounds, config.participants)
     for name in config.scenario_names():
-        scenario_inject(channel, name)
+        channel.arm(name)
 
     server = protocol.Server(
         root.fork("server"), ledger, clock,
@@ -350,10 +300,10 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     def drain_blocks():
         nonlocal cursor
         while cursor < len(ledger.blocks):
-            tx = ledger.blocks[cursor].tx
-            name = names.get(tx.sender)
+            block = ledger.blocks[cursor]
+            name = names.get(block.sender)
             if name is not None:
-                onchain[name] += payload_size(tx)
+                onchain[name] += payload_size(block.event)
             cursor += 1
 
     rows: list[MetricsRow] = []
@@ -361,15 +311,10 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     def snapshot(round: int):
         drain_blocks()
         for name, party in parties:
-            c = party.counters
             rows.append(
                 MetricsRow(
-                    round=round, party=name,
-                    offchain_bytes=c.offchain_bytes, onchain_bytes=onchain[name],
-                    keygen=c.keygen, encap=c.encap, decap=c.decap,
-                    derive=c.derive, sign=c.sign, verify=c.verify,
-                    offchain_recv_bytes=c.offchain_recv_bytes,
-                    key_material_bytes=c.key_material_bytes,
+                    round=round, party=name, onchain_bytes=onchain[name],
+                    **party.counters.snapshot(),
                 )
             )
 
@@ -411,7 +356,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     snapshot(0)
 
     plaintexts: list[bytes] = []
-    free_rider = channel.plan("free_ride")["victim"] if channel.free_ride else None
+    free_rider = channel.plans.get("free_ride", {}).get("victim")
 
     for rnd in range(1, config.rounds + 1):
         clock.advance(60)
@@ -419,8 +364,8 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         plaintexts.append(fl.serialize_model(global_model))
         collected = []
         for i, p in enumerate(participants):
-            got = channel.task(
-                envelopes[p.address], rnd, i,
+            got = channel.round_message(
+                "task", envelopes[p.address], rnd, i,
                 deliver=lambda blob, p=p: p.handle_task(SignedEnvelope.decode(blob)),
             )
             local = fl.local_train(
@@ -431,8 +376,8 @@ def run_simulation(config: SimConfig) -> RunMetrics:
                 continue
             plaintexts.append(fl.serialize_model(local))
             upd = p.send_update(local)
-            _, model = channel.update(
-                upd, rnd, i,
+            _, model = channel.round_message(
+                "update", upd, rnd, i,
                 deliver=lambda blob: server.handle_update(SignedEnvelope.decode(blob)),
             )
             collected.append((p.address, model))
@@ -443,10 +388,8 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             server.finish()
         snapshot(rnd)
 
-    if channel.free_ride:
-        channel.scan_for_leak(
-            plaintexts, channel.plan("free_ride")["victim"]
-        )
+    if free_rider is not None:
+        channel.scan_for_leak(plaintexts, free_rider)
 
     transcripts: dict[str, list[str]] = {"server": []}
     for i, p in enumerate(participants):
@@ -533,6 +476,11 @@ def _parse_transcript_line(line: str) -> dict[str, str]:
     return out
 
 
+def _read_lines(path: str) -> list[str]:
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
 def verify_transcripts(run_dir: str) -> list[str]:
     """Cross-check server vs participant transcripts and the ledger export.
 
@@ -543,7 +491,7 @@ def verify_transcripts(run_dir: str) -> list[str]:
     if not os.path.exists(server_path):
         return [f"missing {server_path}"]
     sessions: dict[str, list[str]] = {}
-    for line in open(server_path).read().splitlines():
+    for line in _read_lines(server_path):
         fields = _parse_transcript_line(line)
         name = fields.pop("session", None)
         if name is None:
@@ -554,7 +502,7 @@ def verify_transcripts(run_dir: str) -> list[str]:
     ledger_path = os.path.join(run_dir, "ledger.txt")
     chain_digests = set()
     if os.path.exists(ledger_path):
-        for line in open(ledger_path).read().splitlines():
+        for line in _read_lines(ledger_path):
             fields = _parse_transcript_line(line)
             for key in ("h_info", "h_model", "h_keys", "h_key"):
                 if fields.get(key):
@@ -567,7 +515,7 @@ def verify_transcripts(run_dir: str) -> list[str]:
         if not os.path.exists(client_path):
             problems.append(f"missing {client_path}")
             continue
-        client_lines = open(client_path).read().splitlines()
+        client_lines = _read_lines(client_path)
         if server_lines != client_lines:
             limit = min(len(server_lines), len(client_lines))
             at = next(

@@ -4,16 +4,18 @@ Six transaction kinds drive a project's life cycle: the server registers a
 project with an escrowed deposit and a key commitment, clients register with
 their own key commitments, then each round publishes a task, collects model
 updates, and scores them; finishing the project releases the escrow.  Every
-accepted transaction forms one block and emits one event; events are the
-source of truth, and replaying them under the same configuration reconstructs
-the full ledger state (balances included).
+accepted transaction emits one event and forms one block holding its sender
+and that event; events are the source of truth, and replaying them under the
+same configuration reconstructs the full ledger state (balances included).
 
-Payload accounting prices only the fields a real contract call would carry as
-calldata: 32-byte hashes, 2-byte identifiers/counters/scores/deadlines, 1-byte
-round numbers and termination flags.  Sender addresses and block timestamps
-are envelope overhead, priced zero.  A project registration plus one client
-registration totals exactly 100 bytes; a publish/update/feedback round totals
-exactly 148, plus 32 per key-commitment hash on key-rotation rounds.
+Payload accounting prices each event by the fields a real contract call would
+carry as calldata: 32-byte hashes, 2-byte identifiers/counters/scores/
+deadlines, 1-byte round numbers and termination flags.  Sender addresses,
+block numbers and timestamps are envelope overhead, and fields the contract
+fills in itself are not calldata; both are priced zero.  A project
+registration plus one client registration totals exactly 100 bytes; a
+publish/update/feedback round totals exactly 148, plus 32 per key-commitment
+hash on key-rotation rounds.
 """
 
 from __future__ import annotations
@@ -91,93 +93,6 @@ class SimClock:
         if seconds < 0:
             raise ValueError("clock cannot run backwards")
         self._now += int(seconds)
-
-
-# --- transactions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegisterProject:
-    sender: bytes
-    project_id: int
-    capacity: int
-    h_model: bytes
-    h_keys: bytes
-
-
-@dataclass(frozen=True)
-class RegisterClient:
-    sender: bytes
-    project_id: int
-    h_key: bytes
-
-
-@dataclass(frozen=True)
-class PublishTask:
-    sender: bytes
-    round: int
-    h_info: bytes
-    h_keys: bytes            # empty except on key-rotation rounds
-    project_id: int
-    task_id: int
-    deadline_window: int     # seconds from publication, 2-byte range
-
-
-@dataclass(frozen=True)
-class UpdateModel:
-    sender: bytes
-    round: int
-    h_info: bytes
-    h_ct_key: bytes          # empty except on key-rotation rounds
-    project_id: int
-    task_id: int
-
-
-@dataclass(frozen=True)
-class FeedbackModel:
-    sender: bytes
-    round: int
-    project_id: int
-    task_id: int
-    client: bytes
-    score: int
-    terminate: int
-    h_model: bytes
-    h_keys: bytes
-
-
-@dataclass(frozen=True)
-class FinishProject:
-    sender: bytes
-    project_id: int
-
-
-Transaction = (
-    RegisterProject
-    | RegisterClient
-    | PublishTask
-    | UpdateModel
-    | FeedbackModel
-    | FinishProject
-)
-
-
-def payload_size(tx: Transaction) -> int:
-    """Priced calldata bytes for one transaction (see module docstring)."""
-    if isinstance(tx, RegisterProject):
-        return HASH_BYTES + HASH_BYTES + 2 + 2
-    if isinstance(tx, RegisterClient):
-        # The project reference duplicates the registration topic; priced zero
-        # so a server+client registration pair costs exactly 100 bytes.
-        return HASH_BYTES
-    if isinstance(tx, PublishTask):
-        return 1 + HASH_BYTES + (HASH_BYTES if tx.h_keys else 0) + 2 + 2 + 2
-    if isinstance(tx, UpdateModel):
-        return 1 + HASH_BYTES + (HASH_BYTES if tx.h_ct_key else 0) + 2 + 2
-    if isinstance(tx, FeedbackModel):
-        return 1 + HASH_BYTES + HASH_BYTES + 2 + 2 + 2 + 1
-    if isinstance(tx, FinishProject):
-        return 2
-    raise TypeError(f"not a transaction: {tx!r}")
 
 
 # --- events ---------------------------------------------------------------
@@ -268,6 +183,26 @@ _EVENT_KINDS = {
 }
 
 
+def payload_size(event: LedgerEvent) -> int:
+    """Priced calldata bytes of the transaction that emitted `event` (see
+    module docstring); a task's client count is filled in by the contract."""
+    if isinstance(event, RegProjectEvent):
+        return HASH_BYTES + HASH_BYTES + 2 + 2
+    if isinstance(event, RegClientEvent):
+        # The project reference duplicates the registration topic; priced zero
+        # so a server+client registration pair costs exactly 100 bytes.
+        return HASH_BYTES
+    if isinstance(event, TaskEvent):
+        return 1 + HASH_BYTES + (HASH_BYTES if event.h_keys else 0) + 2 + 2 + 2
+    if isinstance(event, UpdateEvent):
+        return 1 + HASH_BYTES + (HASH_BYTES if event.h_ct_key else 0) + 2 + 2
+    if isinstance(event, FeedbackEvent):
+        return 1 + HASH_BYTES + HASH_BYTES + 2 + 2 + 2 + 1
+    if isinstance(event, ProjectTerminateEvent):
+        return 2
+    raise TypeError(f"not a ledger event: {event!r}")
+
+
 def event_kind(event: LedgerEvent) -> str:
     return _EVENT_KINDS[type(event)]
 
@@ -310,9 +245,10 @@ class _Project:
 
 @dataclass(frozen=True)
 class Block:
-    index: int
-    time: int
-    tx: Transaction
+    """One accepted transaction; its index and time are fields of the event."""
+
+    sender: bytes
+    event: LedgerEvent
 
 
 @dataclass(frozen=True)
@@ -369,8 +305,9 @@ class Ledger:
         except KeyError:
             raise UnknownProject(f"no project {project_id}") from None
 
-    def _append(self, tx: Transaction, event: LedgerEvent) -> LedgerEvent:
-        self.blocks.append(Block(index=len(self.blocks), time=self.clock.now(), tx=tx))
+    def _commit(self, sender: bytes, event: LedgerEvent) -> LedgerEvent:
+        self._apply(event)
+        self.blocks.append(Block(sender, event))
         self.events.append(event)
         return event
 
@@ -397,7 +334,6 @@ class Ledger:
         self, sender: bytes, project_id: int, capacity: int,
         h_model: bytes, h_keys: bytes,
     ) -> RegProjectEvent:
-        tx = RegisterProject(sender, project_id, capacity, h_model, h_keys)
         self._check_address(sender)
         self._check_u16("project_id", project_id)
         self._check_u16("capacity", capacity)
@@ -411,16 +347,13 @@ class Ledger:
             raise InsufficientDeposit(
                 f"deposit {self.config.deposit} exceeds balance {self.balance_of(sender)}"
             )
-        event = RegProjectEvent(
+        return self._commit(sender, RegProjectEvent(
             block=len(self.blocks), time=self.clock.now(),
             project_id=project_id, capacity=capacity, server=sender,
             h_model=h_model, h_keys=h_keys,
-        )
-        self._apply(event)
-        return self._append(tx, event)
+        ))
 
     def register_client(self, sender: bytes, project_id: int, h_key: bytes) -> RegClientEvent:
-        tx = RegisterClient(sender, project_id, h_key)
         self._check_address(sender)
         self._check_hash("h_key", h_key)
         p = self._project(project_id)
@@ -430,18 +363,15 @@ class Ledger:
             raise DuplicateClient("client already registered")
         if len(p.clients) >= p.capacity:
             raise ProjectFull(f"project {project_id} has {p.capacity} clients")
-        event = RegClientEvent(
+        return self._commit(sender, RegClientEvent(
             block=len(self.blocks), time=self.clock.now(),
             project_id=project_id, client=sender, h_key=h_key,
-        )
-        self._apply(event)
-        return self._append(tx, event)
+        ))
 
     def publish_task(
         self, sender: bytes, round: int, h_info: bytes, h_keys: bytes,
         project_id: int, task_id: int, deadline_window: int,
     ) -> TaskEvent:
-        tx = PublishTask(sender, round, h_info, h_keys, project_id, task_id, deadline_window)
         self._check_address(sender)
         self._check_u8("round", round)
         self._check_u16("task_id", task_id)
@@ -455,20 +385,17 @@ class Ledger:
             raise NotProjectOwner("only the registering server publishes tasks")
         if task_id in p.tasks:
             raise DuplicateTask(f"task {task_id} already published")
-        event = TaskEvent(
+        return self._commit(sender, TaskEvent(
             block=len(self.blocks), time=self.clock.now(),
             round=round, h_info=h_info, h_keys=h_keys,
             project_id=project_id, task_id=task_id,
             client_count=len(p.clients), deadline_window=deadline_window,
-        )
-        self._apply(event)
-        return self._append(tx, event)
+        ))
 
     def update_model(
         self, sender: bytes, round: int, h_info: bytes, h_ct_key: bytes,
         project_id: int, task_id: int,
     ) -> UpdateEvent:
-        tx = UpdateModel(sender, round, h_info, h_ct_key, project_id, task_id)
         self._check_address(sender)
         self._check_u8("round", round)
         self._check_hash("h_info", h_info)
@@ -485,21 +412,16 @@ class Ledger:
             raise BadField(f"task {task_id} is for round {task.round}, not {round}")
         if self.clock.now() > task.deadline:
             raise DeadlineExceeded(f"task {task_id} closed at {task.deadline}")
-        event = UpdateEvent(
+        return self._commit(sender, UpdateEvent(
             block=len(self.blocks), time=self.clock.now(),
             round=round, h_info=h_info, h_ct_key=h_ct_key,
             project_id=project_id, task_id=task_id, client=sender,
-        )
-        self._apply(event)
-        return self._append(tx, event)
+        ))
 
     def feedback_model(
         self, sender: bytes, round: int, project_id: int, task_id: int,
         client: bytes, score: int, terminate: int, h_model: bytes, h_keys: bytes,
     ) -> FeedbackEvent:
-        tx = FeedbackModel(
-            sender, round, project_id, task_id, client, score, terminate, h_model, h_keys
-        )
         self._check_address(sender)
         self._check_u8("round", round)
         if not -0x8000 <= score <= 0x7FFF:
@@ -517,29 +439,24 @@ class Ledger:
             raise UnregisteredClient("scored client is not registered")
         if task_id not in p.tasks:
             raise UnknownTask(f"no task {task_id} in project {project_id}")
-        event = FeedbackEvent(
+        return self._commit(sender, FeedbackEvent(
             block=len(self.blocks), time=self.clock.now(),
             round=round, project_id=project_id, task_id=task_id,
             h_model=h_model, h_keys=h_keys, client=client,
             score=score, terminate=terminate,
-        )
-        self._apply(event)
-        return self._append(tx, event)
+        ))
 
     def finish_project(self, sender: bytes, project_id: int) -> ProjectTerminateEvent:
-        tx = FinishProject(sender, project_id)
         self._check_address(sender)
         p = self._project(project_id)
         if p.done:
             raise ProjectDone(f"project {project_id} already finished")
         if p.server != sender:
             raise NotProjectOwner("only the registering server finishes the project")
-        event = ProjectTerminateEvent(
+        return self._commit(sender, ProjectTerminateEvent(
             block=len(self.blocks), time=self.clock.now(),
             project_id=project_id, server=sender,
-        )
-        self._apply(event)
-        return self._append(tx, event)
+        ))
 
     # -- state transition shared by live execution and replay
 
@@ -611,7 +528,7 @@ class Ledger:
         return len(self._balances)
 
     def onchain_bytes(self) -> int:
-        return sum(payload_size(b.tx) for b in self.blocks)
+        return sum(payload_size(b.event) for b in self.blocks)
 
     def subscribe(
         self, kinds: Iterable[str] | None = None, from_start: bool = True
@@ -625,13 +542,7 @@ class Ledger:
             "balances": dict(self._balances),
             "projects": {
                 pid: {
-                    "server": p.server,
-                    "capacity": p.capacity,
-                    "h_model": p.h_model,
-                    "h_keys": p.h_keys,
-                    "escrow": p.escrow,
-                    "done": p.done,
-                    "clients": {a: (c.h_key, c.score) for a, c in p.clients.items()},
+                    **self.project_info(pid),
                     "tasks": {t: (k.round, k.deadline, k.h_info) for t, k in p.tasks.items()},
                 }
                 for pid, p in self._projects.items()

@@ -27,7 +27,7 @@ part of the rotation's fixed cost and are not separately counted.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import crypto, fl, ratchet
 from .crypto import AuthFailure
@@ -294,12 +294,7 @@ def build_envelope(
         sender_address=crypto.address_of(sig_pair.public),
         sender_public=sig_pair.public, payload=payload, signature=b"",
     )
-    sig = crypto.sign(sig_pair, partial.signing_bytes())
-    return SignedEnvelope(
-        version=partial.version, msg_type=partial.msg_type, round=partial.round,
-        timestamp=partial.timestamp, sender_address=partial.sender_address,
-        sender_public=partial.sender_public, payload=partial.payload, signature=sig,
-    )
+    return replace(partial, signature=crypto.sign(sig_pair, partial.signing_bytes()))
 
 
 def check_envelope(
@@ -333,13 +328,7 @@ class OpCounters:
     key_material_bytes: int = 0   # public keys and KEM ciphertexts sent
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "keygen": self.keygen, "encap": self.encap, "decap": self.decap,
-            "derive": self.derive, "sign": self.sign, "verify": self.verify,
-            "offchain_bytes": self.offchain_bytes,
-            "offchain_recv_bytes": self.offchain_recv_bytes,
-            "key_material_bytes": self.key_material_bytes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import conftest
 from conftest import establish, rewire, run_round
 from pqbfl import crypto, fl, ratchet
 from pqbfl.harness import SimConfig, run_simulation, write_outputs
-from pqbfl.ledger import payload_size
+from pqbfl.ledger import event_kind, payload_size
 
 OPS = ("keygen", "encap", "decap", "derive", "sign", "verify")
 
@@ -38,9 +38,9 @@ def op_diff(counters, before):
 def test_criterion_01_registration_byte_cost():
     t0 = time.monotonic()
     server, _, ledger, _, _ = establish(n=1, seed=b"c1")
-    kinds = [type(b.tx).__name__ for b in ledger.blocks]
-    total = sum(payload_size(b.tx) for b in ledger.blocks)
-    ok = kinds == ["RegisterProject", "RegisterClient"] and total == 100
+    kinds = [event_kind(b.event) for b in ledger.blocks]
+    total = sum(payload_size(b.event) for b in ledger.blocks)
+    ok = kinds == ["RegProject", "RegClient"] and total == 100
     record(1, "registration byte cost", ok, time.monotonic() - t0, 1.0)
 
 
@@ -50,8 +50,8 @@ def test_criterion_02_round_byte_cost():
     before = ledger.onchain_bytes()
     run_round(server, parts, clock, model)
     delta = ledger.onchain_bytes() - before
-    kinds = [type(b.tx).__name__ for b in ledger.blocks[-3:]]
-    ok = delta == 148 and kinds == ["PublishTask", "UpdateModel", "FeedbackModel"]
+    kinds = [event_kind(b.event) for b in ledger.blocks[-3:]]
+    ok = delta == 148 and kinds == ["Task", "Update", "Feedback"]
     record(2, "round byte cost", ok, time.monotonic() - t0, 1.0)
 
 

@@ -17,6 +17,9 @@ CONFIGS = {
     "mixed-epochs": dict(participants=3, rounds=12, ratchet_range=(2, 5, 3), seed=5),
     "mitm_key_swap": dict(participants=2, rounds=4, ratchet_range=2, seed=7, mitm_key_swap=True),
     "tamper": dict(participants=2, rounds=4, ratchet_range=2, seed=9, tamper_attack=True),
+    # injects on the round-4 update
+    "replay": dict(participants=2, rounds=4, ratchet_range=2, seed=13, replay_attack=True),
+    "free_ride": dict(participants=3, rounds=4, ratchet_range=2, seed=17, free_ride=True),
 }
 
 GOLDEN = {
@@ -58,6 +61,23 @@ GOLDEN = {
         "transcript-client-1.txt": "8f99317e961c4df61c78868ea5dafe51dea162bb8fdfd27c80946dbaf19dce49",
         "transcript-client-2.txt": "d96b3ce6ff84b97447cf90587e5ba64afef2a486562cd1cf1aa468a23ec7b082",
         "transcript-server.txt": "f270301233d66299383f1d8db0f5671c73a88334b53ed61ac070c5ee4262a4d5",
+    },
+    "replay": {
+        "ledger.txt": "fa859be3468cfb4a49d40dca4b0fdf1a8e8b575877d1eef04da6ccf5d8150225",
+        "metrics.csv": "558bb81b215275e0ed5974297ecd3bc769a3295c9e572d9a211e21a8fa47e00a",
+        "run.json": "d28fd852c3bf2b1745f50d28b6c0e2c1eb8556847d0953209d7e1a1018740e79",
+        "transcript-client-1.txt": "20c516993db32621815fa66c041cbc03fc19372e0e9959918b36ae2cc5cfbda5",
+        "transcript-client-2.txt": "16ef7d175dbc7cae53601f49bb822152ae88dd2b24d5cb537b6e80c5671d4320",
+        "transcript-server.txt": "459d67bbd499a333bae89a334fdcedfd04521c348fd0a21469c45940374607f2",
+    },
+    "free_ride": {
+        "ledger.txt": "d8c800b5dad80025d6a80d075e8c62b7f9980f3ad25f797e9bba0b8924eda10c",
+        "metrics.csv": "c3c55c47e059c0b2497b4057313a8e5412f6152354657e308f377025cfa61203",
+        "run.json": "42a6cbf328ff16b266dd89c704477450e4d7d5e4d5bf1ce2621ca2e9d48367a8",
+        "transcript-client-1.txt": "55138d85eb8ff9bebbdbc2d70e53a2709ef66059707d786c306e37e324894a2b",
+        "transcript-client-2.txt": "6f34204f1115b9e3d4bc1eddb98423056991d31e7fe5463e4e93df017f15054d",
+        "transcript-client-3.txt": "dcfcefb29361ca2a791d3ceba83ecabe620f3da135b5de1c0ef69e6ee5cabcf1",
+        "transcript-server.txt": "69de99ece132978cf293e91c00a503c4e3787937a2c0617fe4909d75945c643e",
     },
 }
 

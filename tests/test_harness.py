@@ -3,13 +3,14 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
 from pqbfl.cli import main
 from pqbfl.harness import (
     METRICS_HEADER,
-    SCENARIOS,
+    SCENARIO_FLAGS,
     RunMetrics,
     SimConfig,
     run_simulation,
@@ -109,6 +110,16 @@ def test_transcript_corruption_detected(tmp_path):
     assert verify_transcripts(str(run_dir)) != []
 
 
+def test_reading_a_run_dir_closes_its_files(tmp_path):
+    run_dir = tmp_path / "run"
+    write_outputs(run_simulation(small()), str(run_dir))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert verify_transcripts(str(run_dir)) == []
+        assert main(["export-ledger", "--run", str(run_dir)]) == 0
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_missing_transcript_reported(tmp_path):
     run_dir = tmp_path / "run"
     write_outputs(run_simulation(small()), str(run_dir))
@@ -129,15 +140,9 @@ def test_key_material_shrinks_with_longer_epochs():
 
 # --- fault injection ---------------------------------------------------------
 
-@pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s != "honest"])
+@pytest.mark.parametrize("scenario", list(SCENARIO_FLAGS))
 def test_each_scenario_is_rejected(scenario):
-    flags = {
-        "replay": "replay_attack",
-        "tamper": "tamper_attack",
-        "mitm_key_swap": "mitm_key_swap",
-        "free_ride": "free_ride",
-    }
-    m = run_simulation(small(seed=29, **{flags[scenario]: True}))
+    m = run_simulation(small(seed=29, **{SCENARIO_FLAGS[scenario]: True}))
     mine = [a for a in m.attacks if a.scenario == scenario]
     assert mine, "scenario left no injection record"
     assert all(a.rejected for a in mine)

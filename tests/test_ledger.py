@@ -10,22 +10,17 @@ from pqbfl.ledger import (
     DuplicateClient,
     DuplicateProject,
     DuplicateTask,
-    FeedbackModel,
-    FinishProject,
     InsufficientDeposit,
     Ledger,
     LedgerConfig,
     NotProjectOwner,
     ProjectDone,
     ProjectFull,
-    PublishTask,
-    RegisterClient,
-    RegisterProject,
     SimClock,
     UnknownProject,
     UnknownTask,
     UnregisteredClient,
-    UpdateModel,
+    event_kind,
     payload_size,
 )
 
@@ -48,32 +43,37 @@ def register_pair(ledger):
 # --- payload pricing ----------------------------------------------------------
 
 def test_payload_size_table():
-    assert payload_size(RegisterProject(SERVER, 1, 4, H32, H32)) == 68
-    assert payload_size(RegisterClient(CLIENT, 1, H32)) == 32
-    assert payload_size(PublishTask(SERVER, 1, H32, b"", 1, 1, 600)) == 39
-    assert payload_size(PublishTask(SERVER, 1, H32, H32, 1, 1, 600)) == 71
-    assert payload_size(UpdateModel(CLIENT, 1, H32, b"", 1, 1)) == 37
-    assert payload_size(UpdateModel(CLIENT, 1, H32, H32, 1, 1)) == 69
-    assert payload_size(FeedbackModel(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32)) == 72
-    assert payload_size(FinishProject(SERVER, 1)) == 2
+    ledger, _ = fresh()
+    events = [
+        ledger.register_project(SERVER, 1, 4, H32, H32),
+        ledger.register_client(CLIENT, 1, H32),
+        ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600),
+        ledger.publish_task(SERVER, 2, H32, H32, 1, 2, 600),
+        ledger.update_model(CLIENT, 1, H32, b"", 1, 1),
+        ledger.update_model(CLIENT, 2, H32, H32, 1, 2),
+        ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32),
+        ledger.finish_project(SERVER, 1),
+    ]
+    assert [payload_size(e) for e in events] == [68, 32, 39, 71, 37, 69, 72, 2]
 
 
 def test_registration_and_round_totals():
-    assert payload_size(RegisterProject(SERVER, 1, 4, H32, H32)) + payload_size(
-        RegisterClient(CLIENT, 1, H32)
-    ) == 100
-    round_total = (
-        payload_size(PublishTask(SERVER, 1, H32, b"", 1, 1, 600))
-        + payload_size(UpdateModel(CLIENT, 1, H32, b"", 1, 1))
-        + payload_size(FeedbackModel(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32))
-    )
-    assert round_total == 148
-    rotation_total = (
-        payload_size(PublishTask(SERVER, 1, H32, H32, 1, 1, 600))
-        + payload_size(UpdateModel(CLIENT, 1, H32, H32, 1, 1))
-        + payload_size(FeedbackModel(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32))
-    )
-    assert rotation_total == 212
+    ledger, _ = fresh()
+    registration = [
+        ledger.register_project(SERVER, 1, 4, H32, H32),
+        ledger.register_client(CLIENT, 1, H32),
+    ]
+    assert [event_kind(e) for e in registration] == ["RegProject", "RegClient"]
+    assert sum(payload_size(e) for e in registration) == 100
+    # a plain round, then a key-rotation round carrying two commitment hashes
+    for rnd, h_keys, total in ((1, b"", 148), (2, H32, 212)):
+        events = [
+            ledger.publish_task(SERVER, rnd, H32, h_keys, 1, rnd, 600),
+            ledger.update_model(CLIENT, rnd, H32, h_keys, 1, rnd),
+            ledger.feedback_model(SERVER, rnd, 1, rnd, CLIENT, 1, 0, H32, H32),
+        ]
+        assert [event_kind(e) for e in events] == ["Task", "Update", "Feedback"]
+        assert sum(payload_size(e) for e in events) == total
 
 
 def test_onchain_bytes_accumulates():
