@@ -8,13 +8,16 @@ clock is simulated.  Sessions run in lockstep round by round and metrics are
 snapshotted at round boundaries, so output files are reproducible
 byte for byte.
 
-The channel's fault model is four scenarios: `replay` re-delivers a captured
-envelope, `tamper` flips a bit inside a sealed payload, `mitm_key_swap`
-replaces announced keys in transit (re-signed, modeling a compromised
-signing oracle), and `free_ride` withholds one participant's final update
-while eavesdropping on everything.  Injections ride alongside the honest
-copies, so an attacked run still completes and terminates; every injection
-and its rejection lands in the attack log.
+Every delivery is envelope wire bytes handed from a send call through
+`Channel.carry` straight to the receiving handler.  The channel's fault
+model is four scenarios: `replay` re-delivers a captured envelope, `tamper`
+flips a bit inside a sealed payload, `mitm_key_swap` replaces announced keys
+in transit (re-signed, modeling a compromised signing oracle), and
+`free_ride` withholds one participant's final update while eavesdropping on
+everything.  The first three each target one (round, phase, participant)
+delivery; injections ride alongside the honest copies, so an attacked run
+still completes and terminates, and every injection and its rejection lands
+in the attack log.
 
 Metrics rows are cumulative per party, one row per (round, party) starting
 at round 0 (registration plus establishment), so every counter column is
@@ -150,8 +153,9 @@ class RunMetrics:
 class Channel:
     """Instrumented delivery path between server and participants.
 
-    Captures every envelope it carries; armed scenarios add forged, replayed,
-    or tampered deliveries next to the honest ones.
+    Carries envelope wire bytes and captures every envelope it carries.  An
+    armed scenario targets one (round, phase, participant) delivery and adds
+    a forged, tampered or replayed copy next to the honest one.
     """
 
     def __init__(self, rng: crypto.DeterministicRng, rounds: int, participants: int):
@@ -173,7 +177,9 @@ class Channel:
                 "victim": self._draw(self.participants),
             }
         elif scenario == "mitm_key_swap":
-            self.plans[scenario] = {"victim": self._draw(self.participants)}
+            self.plans[scenario] = {
+                "round": 0, "phase": "establish", "victim": self._draw(self.participants),
+            }
         elif scenario == "free_ride":
             # the last participant rides free if there is anyone else to carry it
             self.plans[scenario] = {"victim": self.participants - 1}
@@ -195,41 +201,32 @@ class Channel:
             )
         )
 
-    def _flip_payload_bit(self, env: SignedEnvelope) -> bytes:
+    def _flip_payload_bit(self, blob: bytes) -> bytes:
+        env = SignedEnvelope.decode(blob)
         payload = bytearray(env.payload)
         pos = self._draw(len(payload))
         bit = self._draw(8)
         payload[pos] ^= 1 << bit
         return replace(env, payload=bytes(payload)).encode()
 
-    # delivery entry points; `deliver` takes wire bytes and runs the handler
+    def carry(self, phase: str, blob: bytes, round: int, victim: int, deliver, forge=None):
+        """Deliver `blob` for participant `victim` and return the handler's result.
 
-    def announcement(self, env: SignedEnvelope, victim: int, deliver, forge):
-        blob = env.encode()
-        self.captured.append(blob)
-        if self.plans.get("mitm_key_swap") == {"victim": victim}:
-            forged = forge()
-            self.captured.append(forged)
-            self._attempt(
-                "mitm_key_swap", "establish", 0, f"client-{victim + 1}",
-                forged, deliver, CommitmentMismatch,
-            )
-        return deliver(blob)
-
-    def response(self, env: SignedEnvelope, deliver):
-        blob = env.encode()
-        self.captured.append(blob)
-        return deliver(blob)
-
-    def round_message(self, phase: str, env: SignedEnvelope, round: int, victim: int, deliver):
-        """Carry a round's task or update (`phase`) for participant `victim`."""
-        blob = env.encode()
+        `phase` is "establish" (key announcement), "response", "task" or
+        "update"; `deliver` is the receiving handler and `forge` builds the
+        key-swapped announcement a `mitm_key_swap` plan injects.
+        """
         self.captured.append(blob)
         name = f"client-{victim + 1}"
         target = {"round": round, "phase": phase, "victim": victim}
+        if self.plans.get("mitm_key_swap") == target:
+            forged = forge()
+            self.captured.append(forged)
+            self._attempt("mitm_key_swap", phase, round, name,
+                          forged, deliver, CommitmentMismatch)
         if self.plans.get("tamper") == target:
             self._attempt("tamper", phase, round, name,
-                          self._flip_payload_bit(env), deliver, AuthFailure)
+                          self._flip_payload_bit(blob), deliver, AuthFailure)
         result = deliver(blob)
         if self.plans.get("replay") == target:
             self._attempt("replay", phase, round, name, blob, deliver, ReplayDetected)
@@ -343,42 +340,34 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         return env.encode()
 
     for i, p in enumerate(participants):
-        ann = server.send_keys(p.address)
-        resp = channel.announcement(
-            ann, i,
-            deliver=lambda blob, p=p: p.handle_keys(SignedEnvelope.decode(blob)),
+        resp = channel.carry(
+            "establish", server.send_keys(p.address), 0, i, p.handle_keys,
             forge=forge_announcement,
         )
-        channel.response(
-            resp,
-            deliver=lambda blob: server.handle_key_response(SignedEnvelope.decode(blob)),
-        )
+        channel.carry("response", resp, 0, i, server.handle_key_response)
     snapshot(0)
 
-    plaintexts: list[bytes] = []
     free_rider = channel.plans.get("free_ride", {}).get("victim")
+    plaintexts: list[bytes] = []   # serialized models, kept only for the leak scan
 
     for rnd in range(1, config.rounds + 1):
         clock.advance(60)
         _, envelopes = server.publish_round(global_model)
-        plaintexts.append(fl.serialize_model(global_model))
+        if free_rider is not None:
+            plaintexts.append(fl.serialize_model(global_model))
         collected = []
         for i, p in enumerate(participants):
-            got = channel.round_message(
-                "task", envelopes[p.address], rnd, i,
-                deliver=lambda blob, p=p: p.handle_task(SignedEnvelope.decode(blob)),
-            )
+            got = channel.carry("task", envelopes[p.address], rnd, i, p.handle_task)
             local = fl.local_train(
                 got, train_seeds[i], config.noise_scale, rnd, tag=f"client-{i + 1}"
             )
             if free_rider == i and rnd == config.rounds:
                 # withheld update: trained but never sent, never scored
                 continue
-            plaintexts.append(fl.serialize_model(local))
-            upd = p.send_update(local)
-            _, model = channel.round_message(
-                "update", upd, rnd, i,
-                deliver=lambda blob: server.handle_update(SignedEnvelope.decode(blob)),
+            if free_rider is not None:
+                plaintexts.append(fl.serialize_model(local))
+            _, model = channel.carry(
+                "update", p.send_update(local), rnd, i, server.handle_update
             )
             collected.append((p.address, model))
         global_model = fl.aggregate([m for _, m in collected])

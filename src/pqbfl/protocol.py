@@ -14,9 +14,11 @@ update carries the participant's KEM ciphertext and fresh ECDH key, both
 committed on chain, and the next epoch's keys take effect the following
 round.
 
-Handlers are atomic: every check (freshness, signature, replay, on-chain
-commitment, AEAD) runs before any session state changes, so a rejected
-delivery leaves the session exactly as it was.
+Wire bytes are the delivery unit: every send returns the signed envelope's
+bytes, encoded once, and every handler takes those bytes, counts them and
+decodes them once.  Handlers are atomic: every check (freshness, signature,
+replay, on-chain commitment, AEAD) runs before any session state changes, so
+a rejected delivery leaves the session exactly as it was.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly.  `derive` counts the two per-round symmetric chain
@@ -27,7 +29,7 @@ part of the rotation's fixed cost and are not separately counted.
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import crypto, fl, ratchet
 from .crypto import AuthFailure
@@ -328,7 +330,7 @@ class OpCounters:
     key_material_bytes: int = 0   # public keys and KEM ciphertexts sent
 
     def snapshot(self) -> dict[str, int]:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -351,6 +353,64 @@ _KEY_ANNOUNCE_BYTES = crypto.KEM_PUBLIC_BYTES + crypto.DH_PUBLIC_BYTES
 _KEY_RESPONSE_BYTES = crypto.KEM_CIPHERTEXT_BYTES + crypto.DH_PUBLIC_BYTES
 
 
+# --- parties ---------------------------------------------------------------
+
+_SEALED = {DIR_TASK: ("task", TaskPayload), DIR_UPDATE: ("update", UpdatePayload)}
+
+
+class _Party:
+    """What the server and a participant share: a signer, a clock, counters,
+    and the one send path, receive check and seal/open pair of both sides."""
+
+    def __init__(self, rng, ledger, clock, config, max_skew, key_log):
+        self.rng = rng
+        self.ledger = ledger
+        self.clock = clock
+        self.config = config
+        self.max_skew = max_skew
+        self.counters = OpCounters()
+        self.key_log = key_log
+        self._sig = crypto.sig_keygen(rng.fork("sig"))
+        self.address = crypto.address_of(self._sig.public)
+
+    def _send(self, msg_type: int, round: int, payload: bytes) -> bytes:
+        """Sign `payload` into an envelope and return its wire bytes."""
+        env = build_envelope(msg_type, round, payload, self._sig, self.clock.now())
+        blob = env.encode()
+        self.counters.sign += 1
+        self.counters.offchain_bytes += len(blob)
+        return blob
+
+    def _check(self, env: SignedEnvelope, sender: bytes, msg_type: int, what: str) -> None:
+        check_envelope(env, sender, self.clock.now(), self.max_skew)
+        self.counters.verify += 1
+        if env.msg_type != msg_type:
+            raise MalformedMessage(f"expected {what}")
+
+    def _seal(
+        self, key: ratchet.ModelKey, round: int, direction: int, plaintext: bytes
+    ) -> bytes:
+        key.mark_used(direction)
+        aad = seal_aad(self.project_id, round, round, direction)
+        return crypto.aead_seal(key.key, seal_nonce(round, direction), aad, plaintext)
+
+    def _open(
+        self, key: ratchet.ModelKey, env: SignedEnvelope, direction: int, h_info: bytes
+    ) -> TaskPayload | UpdatePayload:
+        """Open a sealed round payload and check it against its on-chain hash."""
+        what, codec = _SEALED[direction]
+        aad = seal_aad(self.project_id, env.round, env.round, direction)
+        plaintext = crypto.aead_open(
+            key.key, seal_nonce(env.round, direction), aad, env.payload
+        )
+        if crypto.digest(plaintext) != h_info:
+            raise CommitmentMismatch(f"{what} bytes do not match the on-chain hash")
+        msg = codec.decode(plaintext)
+        if msg.project_id != self.project_id or msg.round != env.round or msg.task_id != env.round:
+            raise MalformedMessage("payload identifiers disagree with envelope")
+        return msg
+
+
 # --- server ----------------------------------------------------------------
 
 @dataclass
@@ -365,7 +425,7 @@ class _ServerSession:
     transcript: list[TranscriptRow] = field(default_factory=list)
 
 
-class Server:
+class Server(_Party):
     """Project owner: registers, establishes sessions, runs rounds, scores."""
 
     def __init__(
@@ -385,23 +445,15 @@ class Server:
             raise ValueError("capacity must be at least 1")
         if rounds_planned < 1:
             raise ValueError("rounds_planned must be at least 1")
-        self.rng = rng
-        self.ledger = ledger
-        self.clock = clock
+        super().__init__(rng, ledger, clock, config, max_skew, key_log)
         self.project_id = project_id
         self.capacity = capacity
         self.rounds_planned = rounds_planned
-        self.config = config
         self.deadline_window = deadline_window
-        self.max_skew = max_skew
-        self.counters = OpCounters()
-        self.key_log = key_log
         self.sessions: dict[bytes, _ServerSession] = {}
         self.round = 0
         self.finished = False
         self.registration_block: int | None = None
-        self._sig = crypto.sig_keygen(rng.fork("sig"))
-        self.address = crypto.address_of(self._sig.public)
         self._kem: crypto.KemKeyPair | None = None
         self._dh: crypto.DhKeyPair | None = None
         self._pending_dh_secret: bytes | None = None  # fresh secret during rotation
@@ -441,41 +493,33 @@ class Server:
             fresh.append(ev.client)
         return fresh
 
-    def send_keys(self, participant: bytes) -> SignedEnvelope:
+    def send_keys(self, participant: bytes) -> bytes:
         """Announce the project keys to one registered participant."""
         if self.registration_block is None:
             raise SessionNotReady("bootstrap first")
         if participant not in self.sessions:
             raise UnknownClient("participant has not registered")
-        msg = KeyAnnouncement(
+        payload = KeyAnnouncement(
             project_id=self.project_id,
             registration_block=self.registration_block,
             kem_public=self._kem.public,
             dh_public=self._dh.public,
-        )
-        env = build_envelope(
-            MSG_KEY_ANNOUNCEMENT, 0, msg.encode(), self._sig, self.clock.now()
-        )
-        self.counters.sign += 1
-        blob = env.encode()
-        self.counters.offchain_bytes += len(blob)
+        ).encode()
+        blob = self._send(MSG_KEY_ANNOUNCEMENT, 0, payload)
         self.counters.key_material_bytes += _KEY_ANNOUNCE_BYTES
-        session = self.sessions[participant]
-        session.transcript.append(
-            TranscriptRow(0, 1, 0, "s2p", crypto.digest(env.payload), self.registration_block)
+        self.sessions[participant].transcript.append(
+            TranscriptRow(0, 1, 0, "s2p", crypto.digest(payload), self.registration_block)
         )
-        return env
+        return blob
 
-    def handle_key_response(self, env: SignedEnvelope) -> None:
+    def handle_key_response(self, blob: bytes) -> None:
         """Complete establishment for the responding participant."""
-        self.counters.offchain_recv_bytes += len(env.encode())
+        self.counters.offchain_recv_bytes += len(blob)
+        env = SignedEnvelope.decode(blob)
         session = self.sessions.get(env.sender_address)
         if session is None:
             raise UnknownClient("response from unregistered address")
-        check_envelope(env, session.participant, self.clock.now(), self.max_skew)
-        self.counters.verify += 1
-        if env.msg_type != MSG_KEY_RESPONSE:
-            raise MalformedMessage("expected a key response")
+        self._check(env, session.participant, MSG_KEY_RESPONSE, "a key response")
         if session.established:
             raise ReplayDetected("session already established")
         msg = KeyResponse.decode(env.payload)
@@ -503,10 +547,11 @@ class Server:
             self.key_log.append(("server", session.participant, key.round, key.epoch, key.step, key.key))
         return key
 
-    def publish_round(self, model: fl.ModelVector) -> tuple[TaskEvent, dict[bytes, SignedEnvelope]]:
+    def publish_round(self, model: fl.ModelVector) -> tuple[TaskEvent, dict[bytes, bytes]]:
         """Advance every session one round and seal the global model to each.
 
-        On the epoch's last round (when more rounds remain) fresh keys ride in
+        Returns the task event and each participant's envelope wire bytes.  On
+        the epoch's last round (when more rounds remain) fresh keys ride in
         the payload and their hash in the task transaction.
         """
         if self.finished:
@@ -545,22 +590,16 @@ class Server:
         event = self.ledger.publish_task(
             self.address, rnd, h_info, h_keys, self.project_id, rnd, self.deadline_window
         )
-        envelopes: dict[bytes, SignedEnvelope] = {}
-        nonce = seal_nonce(rnd, DIR_TASK)
-        aad = seal_aad(self.project_id, rnd, rnd, DIR_TASK)
+        envelopes: dict[bytes, bytes] = {}
         for addr, session in self.sessions.items():
             key = self._advance(session)
-            key.mark_used(DIR_TASK)
-            sealed = crypto.aead_seal(key.key, nonce, aad, plaintext)
-            env = build_envelope(MSG_TASK, rnd, sealed, self._sig, self.clock.now())
-            self.counters.sign += 1
-            blob = env.encode()
-            self.counters.offchain_bytes += len(blob)
+            envelopes[addr] = self._send(
+                MSG_TASK, rnd, self._seal(key, rnd, DIR_TASK, plaintext)
+            )
             session.current_key = key
             session.transcript.append(
                 TranscriptRow(rnd, key.epoch, key.step, "s2p", h_info, event.block)
             )
-            envelopes[addr] = env
         if rotate:
             self.counters.key_material_bytes += _KEY_ANNOUNCE_BYTES * len(self.sessions)
             self._kem, self._dh = fresh_kem, fresh_dh
@@ -569,16 +608,14 @@ class Server:
         self.round = rnd
         return event, envelopes
 
-    def handle_update(self, env: SignedEnvelope) -> tuple[bytes, fl.ModelVector]:
+    def handle_update(self, blob: bytes) -> tuple[bytes, fl.ModelVector]:
         """Verify, open, and absorb one participant's sealed update."""
-        self.counters.offchain_recv_bytes += len(env.encode())
+        self.counters.offchain_recv_bytes += len(blob)
+        env = SignedEnvelope.decode(blob)
         session = self.sessions.get(env.sender_address)
         if session is None or not session.established:
             raise UnknownClient("update from an unknown session")
-        check_envelope(env, session.participant, self.clock.now(), self.max_skew)
-        self.counters.verify += 1
-        if env.msg_type != MSG_UPDATE:
-            raise MalformedMessage("expected an update")
+        self._check(env, session.participant, MSG_UPDATE, "an update")
         if env.round <= session.last_update_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.round:
@@ -591,14 +628,7 @@ class Server:
         key = session.current_key
         if key is None or key.round != env.round:
             raise SessionNotReady("no model key staged for this round")
-        nonce = seal_nonce(env.round, DIR_UPDATE)
-        aad = seal_aad(self.project_id, env.round, env.round, DIR_UPDATE)
-        plaintext = crypto.aead_open(key.key, nonce, aad, env.payload)
-        if crypto.digest(plaintext) != chain.h_info:
-            raise CommitmentMismatch("update bytes do not match the on-chain hash")
-        msg = UpdatePayload.decode(plaintext)
-        if msg.project_id != self.project_id or msg.round != env.round or msg.task_id != env.round:
-            raise MalformedMessage("payload identifiers disagree with envelope")
+        msg = self._open(key, env, DIR_UPDATE, chain.h_info)
         rotating = self._rotation_round == env.round
         if rotating != bool(msg.kem_ciphertext):
             raise CommitmentMismatch("key rotation material missing or unexpected")
@@ -641,7 +671,7 @@ class Server:
 
 # --- participant -----------------------------------------------------------
 
-class Participant:
+class Participant(_Party):
     """Registered client: establishes a session, trains, returns sealed updates."""
 
     def __init__(
@@ -653,15 +683,7 @@ class Participant:
         max_skew: int = MAX_SKEW_SECONDS,
         key_log: list | None = None,
     ):
-        self.rng = rng
-        self.ledger = ledger
-        self.clock = clock
-        self.config = config
-        self.max_skew = max_skew
-        self.counters = OpCounters()
-        self.key_log = key_log
-        self._sig = crypto.sig_keygen(rng.fork("sig"))
-        self.address = crypto.address_of(self._sig.public)
+        super().__init__(rng, ledger, clock, config, max_skew, key_log)
         self._dh: crypto.DhKeyPair | None = None
         self.project_id: int | None = None
         self.server_address: bytes | None = None
@@ -675,7 +697,6 @@ class Participant:
         self._task_events = ledger.subscribe(kinds=["Task"])
         self._seen_tasks: dict[int, TaskEvent] = {}
         self._active: dict | None = None       # open task awaiting an update
-        self._staged_rotation: tuple[bytes, bytes] | None = None
 
     def join(self, project_id: int) -> RegClientEvent:
         """Locate the project on chain and register a key commitment for it."""
@@ -703,15 +724,15 @@ class Participant:
         self.registration_block = event.block
         return event
 
-    def handle_keys(self, env: SignedEnvelope) -> SignedEnvelope:
+    def handle_keys(self, blob: bytes) -> bytes:
         """Check the announced keys against the chain and derive the root key."""
-        self.counters.offchain_recv_bytes += len(env.encode())
+        self.counters.offchain_recv_bytes += len(blob)
+        env = SignedEnvelope.decode(blob)
         if self.project_id is None:
             raise SessionNotReady("join a project first")
-        check_envelope(env, self.server_address, self.clock.now(), self.max_skew)
-        self.counters.verify += 1
-        if env.msg_type != MSG_KEY_ANNOUNCEMENT:
-            raise MalformedMessage("expected a key announcement")
+        self._check(
+            env, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement"
+        )
         if self.established:
             raise ReplayDetected("session already established")
         msg = KeyAnnouncement.decode(env.payload)
@@ -729,13 +750,8 @@ class Participant:
             registration_block=self.registration_block,
             kem_ciphertext=ct,
             dh_public=self._dh.public,
-        )
-        out = build_envelope(
-            MSG_KEY_RESPONSE, 0, reply.encode(), self._sig, self.clock.now()
-        )
-        self.counters.sign += 1
-        blob = out.encode()
-        self.counters.offchain_bytes += len(blob)
+        ).encode()
+        out = self._send(MSG_KEY_RESPONSE, 0, reply)
         self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
         self.ratchet = ratchet.init_root(ss_kem, ss_dh, self.config)
         self.established = True
@@ -743,19 +759,17 @@ class Participant:
             TranscriptRow(0, 1, 0, "s2p", crypto.digest(env.payload), msg.registration_block)
         )
         self.transcript.append(
-            TranscriptRow(0, 1, 0, "p2s", crypto.digest(out.payload), self.registration_block)
+            TranscriptRow(0, 1, 0, "p2s", crypto.digest(reply), self.registration_block)
         )
         return out
 
-    def handle_task(self, env: SignedEnvelope) -> fl.ModelVector:
+    def handle_task(self, blob: bytes) -> fl.ModelVector:
         """Verify a round's task against the chain and return the global model."""
-        self.counters.offchain_recv_bytes += len(env.encode())
+        self.counters.offchain_recv_bytes += len(blob)
+        env = SignedEnvelope.decode(blob)
         if not self.established:
             raise SessionNotReady("session not established")
-        check_envelope(env, self.server_address, self.clock.now(), self.max_skew)
-        self.counters.verify += 1
-        if env.msg_type != MSG_TASK:
-            raise MalformedMessage("expected a task")
+        self._check(env, self.server_address, MSG_TASK, "a task")
         if env.round <= self.last_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.last_round + 1:
@@ -771,14 +785,7 @@ class Participant:
         if self.clock.now() > chain.time + chain.deadline_window:
             raise StaleDeadline(f"task deadline passed at {chain.time + chain.deadline_window}")
         new_state, key = ratchet.advance_symmetric(self.ratchet)
-        nonce = seal_nonce(env.round, DIR_TASK)
-        aad = seal_aad(self.project_id, env.round, env.round, DIR_TASK)
-        plaintext = crypto.aead_open(key.key, nonce, aad, env.payload)
-        if crypto.digest(plaintext) != chain.h_info:
-            raise CommitmentMismatch("task bytes do not match the on-chain hash")
-        msg = TaskPayload.decode(plaintext)
-        if msg.project_id != self.project_id or msg.round != env.round or msg.task_id != env.round:
-            raise MalformedMessage("payload identifiers disagree with envelope")
+        msg = self._open(key, env, DIR_TASK, chain.h_info)
         if bool(msg.kem_public) != bool(chain.h_keys):
             raise CommitmentMismatch("key rotation material missing or unexpected")
         if msg.kem_public and crypto.digest(msg.kem_public + msg.dh_public) != chain.h_keys:
@@ -800,7 +807,7 @@ class Participant:
         )
         return model
 
-    def send_update(self, model: fl.ModelVector) -> SignedEnvelope:
+    def send_update(self, model: fl.ModelVector) -> bytes:
         """Commit the local update on chain and seal it to the server."""
         if self._active is None:
             raise NoActiveTask("no task to answer")
@@ -828,14 +835,7 @@ class Participant:
         event = self.ledger.update_model(
             self.address, rnd, h_info, h_ct_key, self.project_id, rnd
         )
-        nonce = seal_nonce(rnd, DIR_UPDATE)
-        aad = seal_aad(self.project_id, rnd, rnd, DIR_UPDATE)
-        key.mark_used(DIR_UPDATE)
-        sealed = crypto.aead_seal(key.key, nonce, aad, plaintext)
-        env = build_envelope(MSG_UPDATE, rnd, sealed, self._sig, self.clock.now())
-        self.counters.sign += 1
-        blob = env.encode()
-        self.counters.offchain_bytes += len(blob)
+        blob = self._send(MSG_UPDATE, rnd, self._seal(key, rnd, DIR_UPDATE, plaintext))
         if rotation is not None:
             self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
             self.ratchet = ratchet.advance_asymmetric(self.ratchet, *rotation)
@@ -843,4 +843,4 @@ class Participant:
             TranscriptRow(rnd, key.epoch, key.step, "p2s", h_info, event.block)
         )
         self._active = None
-        return env
+        return blob

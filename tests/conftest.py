@@ -5,7 +5,7 @@ import numpy as np
 from pqbfl import fl, protocol
 from pqbfl.crypto import DeterministicRng
 from pqbfl.ledger import Ledger, LedgerConfig, SimClock
-from pqbfl.protocol import Participant, Server, SignedEnvelope
+from pqbfl.protocol import Participant, Server
 from pqbfl.ratchet import RatchetConfig
 
 CRITERION_LINES: list[str] = []
@@ -16,11 +16,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
-
-
-def rewire(env: SignedEnvelope) -> SignedEnvelope:
-    """Force a wire round-trip so handlers see exactly what was sent."""
-    return SignedEnvelope.decode(env.encode())
 
 
 def establish(
@@ -48,8 +43,8 @@ def establish(
         participants.append(p)
     server.admit_clients()
     for p in participants:
-        response = p.handle_keys(rewire(server.send_keys(p.address)))
-        server.handle_key_response(rewire(response))
+        response = p.handle_keys(server.send_keys(p.address))
+        server.handle_key_response(response)
     return server, participants, ledger, clock, model
 
 
@@ -59,10 +54,10 @@ def run_round(server, participants, clock, model, train_seed=77):
     _, envelopes = server.publish_round(model)
     collected = []
     for p in participants:
-        got = p.handle_task(rewire(envelopes[p.address]))
+        got = p.handle_task(envelopes[p.address])
         local = fl.local_train(got, train_seed, 0.01, got.round + 1)
         update = p.send_update(local)
-        _, received = server.handle_update(rewire(update))
+        _, received = server.handle_update(update)
         collected.append(received)
     new_global = fl.aggregate(collected)
     for p in participants:

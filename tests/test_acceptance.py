@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import conftest
-from conftest import establish, rewire, run_round
+from conftest import establish, run_round
 from pqbfl import crypto, fl, ratchet
 from pqbfl.harness import SimConfig, run_simulation, write_outputs
 from pqbfl.ledger import event_kind, payload_size
@@ -134,10 +134,10 @@ def test_criterion_06_compromise_window():
     for _ in range(10):
         clock.advance(60)
         _, envs = server.publish_round(model)
-        got = p.handle_task(rewire(envs[p.address]))
+        got = p.handle_task(envs[p.address])
         captures[server.round] = ratchet.serialize_state(p.ratchet)
         local = fl.local_train(got, 7, 0.01, got.round + 1)
-        _, received = server.handle_update(rewire(p.send_update(local)))
+        _, received = server.handle_update(p.send_update(local))
         model = fl.aggregate([received])
         server.feedback(p.address, 1, 1 if server.round == 10 else 0, model)
 

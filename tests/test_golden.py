@@ -20,6 +20,12 @@ CONFIGS = {
     # injects on the round-4 update
     "replay": dict(participants=2, rounds=4, ratchet_range=2, seed=13, replay_attack=True),
     "free_ride": dict(participants=3, rounds=4, ratchet_range=2, seed=17, free_ride=True),
+    # mitm at establishment, replay on the round-3 update, tamper on the
+    # round-4 task, and the free-ride leak scan, all in one run
+    "all-scenarios": dict(
+        participants=3, rounds=4, ratchet_range=2, seed=19, replay_attack=True,
+        tamper_attack=True, mitm_key_swap=True, free_ride=True,
+    ),
 }
 
 GOLDEN = {
@@ -78,6 +84,15 @@ GOLDEN = {
         "transcript-client-2.txt": "6f34204f1115b9e3d4bc1eddb98423056991d31e7fe5463e4e93df017f15054d",
         "transcript-client-3.txt": "dcfcefb29361ca2a791d3ceba83ecabe620f3da135b5de1c0ef69e6ee5cabcf1",
         "transcript-server.txt": "69de99ece132978cf293e91c00a503c4e3787937a2c0617fe4909d75945c643e",
+    },
+    "all-scenarios": {
+        "ledger.txt": "da69e836ce4bab9e02d8b1ce5b0dcfb5e6156096075d40c96a521a8507403fb2",
+        "metrics.csv": "6b1b81db204b68d58468014c0a1c600f93b19e06915b841c6b8d0f85a9bfa0b8",
+        "run.json": "44c881667b388e6611f20b9ca51006211d174d6d78aaf3697b29829d54a4e172",
+        "transcript-client-1.txt": "2f1a09207adaf3f349327125c13b94c9589e91f37221bb523ed3e3ff26ef3f52",
+        "transcript-client-2.txt": "bee839d34d316daccc708ace20ba00f75131710f2f0704dfc4a1d8aa45190b4f",
+        "transcript-client-3.txt": "d85b95eb696ad9af19241156185427cfab4c90c31f699afb146d6d23b7cd5df6",
+        "transcript-server.txt": "b5a93b0258754f47f12d7b9b0099afdc2e351a69f880ad48723c726c50918642",
     },
 }
 

@@ -3,10 +3,14 @@
 import csv
 import json
 import os
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from pqbfl import protocol
 from pqbfl.cli import main
 from pqbfl.harness import (
     METRICS_HEADER,
@@ -138,6 +142,33 @@ def test_key_material_shrinks_with_longer_epochs():
     assert sizes[-1] < sizes[0]
 
 
+def test_each_delivery_is_encoded_once(monkeypatch):
+    counts = {"encode": 0, "delivery": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(
+        protocol.SignedEnvelope, "encode",
+        counting(protocol.SignedEnvelope.encode, "encode"),
+    )
+    for cls, handler in (
+        (protocol.Server, "handle_key_response"), (protocol.Server, "handle_update"),
+        (protocol.Participant, "handle_keys"), (protocol.Participant, "handle_task"),
+    ):
+        monkeypatch.setattr(cls, handler, counting(getattr(cls, handler), "delivery"))
+    cfg = small(participants=3, rounds=5)
+    m = run_simulation(cfg)
+    # an announcement, a response, and one task and one update per round
+    assert counts["delivery"] == 2 * cfg.participants * (cfg.rounds + 1)
+    assert counts["encode"] == counts["delivery"]
+    final = [r for r in m.rows if r.round == cfg.rounds]
+    assert sum(r.offchain_recv_bytes for r in final) == sum(r.offchain_bytes for r in final)
+
+
 # --- fault injection ---------------------------------------------------------
 
 @pytest.mark.parametrize("scenario", list(SCENARIO_FLAGS))
@@ -180,6 +211,20 @@ def test_rounds_beyond_one_byte_rejected_up_front(capsys):
 
 
 # --- command line ------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack_drill.py", "--trials", "2"],
+    ["cost_sweep.py", "--participants", "2", "--rounds", "4", "--intervals", "1", "2"],
+])
+def test_script_exits_zero(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 def test_cli_honest_run_exit_zero(tmp_path, capsys):
     out = tmp_path / "run"

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import establish, rewire, run_round
+from conftest import establish, run_round
 from pqbfl import crypto, fl, protocol, ratchet
 from pqbfl.crypto import AuthFailure, DeterministicRng
 from pqbfl.protocol import (
@@ -49,20 +49,20 @@ def test_announcement_key_swap_is_caught():
     )
     victim.join(1)
     server.admit_clients()
-    env = server.send_keys(victim.address)
-    msg = KeyAnnouncement.decode(env.payload)
+    blob = server.send_keys(victim.address)
+    msg = KeyAnnouncement.decode(SignedEnvelope.decode(blob).payload)
     attacker = crypto.kem_keygen(b"\xEE" * 32)
     forged_msg = KeyAnnouncement(
         msg.project_id, msg.registration_block, attacker.public, msg.dh_public
     )
     forged = build_envelope(
         protocol.MSG_KEY_ANNOUNCEMENT, 0, forged_msg.encode(), server._sig, clock.now()
-    )
+    ).encode()
     with pytest.raises(CommitmentMismatch):
-        victim.handle_keys(rewire(forged))
+        victim.handle_keys(forged)
     # the honest copy still establishes: the failure left no state behind
-    response = victim.handle_keys(rewire(env))
-    server.handle_key_response(rewire(response))
+    response = victim.handle_keys(blob)
+    server.handle_key_response(response)
     assert server.sessions[victim.address].established
 
 
@@ -71,18 +71,18 @@ def test_response_key_swap_is_caught():
     p = protocol.Participant(DeterministicRng(b"p2"), ledger, clock, server.config)
     p.join(1)
     server.admit_clients()
-    response = p.handle_keys(rewire(server.send_keys(p.address)))
-    msg = KeyResponse.decode(response.payload)
+    response = p.handle_keys(server.send_keys(p.address))
+    msg = KeyResponse.decode(SignedEnvelope.decode(response).payload)
     other_dh = crypto.dh_keygen(DeterministicRng(b"not-registered"))
     forged_msg = KeyResponse(
         msg.project_id, msg.registration_block, msg.kem_ciphertext, other_dh.public
     )
     forged = build_envelope(
         protocol.MSG_KEY_RESPONSE, 0, forged_msg.encode(), p._sig, clock.now()
-    )
+    ).encode()
     with pytest.raises(CommitmentMismatch):
-        server.handle_key_response(rewire(forged))
-    server.handle_key_response(rewire(response))
+        server.handle_key_response(forged)
+    server.handle_key_response(response)
     assert server.sessions[p.address].established
 
 
@@ -90,20 +90,18 @@ def test_establishment_replay_rejected():
     server, (p,), _, clock, _ = establish(seed=b"replay-est")
     ann = server.send_keys(p.address)
     with pytest.raises(ReplayDetected):
-        p.handle_keys(rewire(ann))
+        p.handle_keys(ann)
     response = build_envelope(
         protocol.MSG_KEY_RESPONSE, 0, b"", p._sig, clock.now()
     )
     # even a fresh-looking response is a replay once the session exists
     with pytest.raises(ReplayDetected):
         server.handle_key_response(
-            rewire(
-                build_envelope(
-                    protocol.MSG_KEY_RESPONSE, 0,
-                    KeyResponse(1, p.registration_block, b"\x00" * 1088, p._dh.public).encode(),
-                    p._sig, clock.now(),
-                )
-            )
+            build_envelope(
+                protocol.MSG_KEY_RESPONSE, 0,
+                KeyResponse(1, p.registration_block, b"\x00" * 1088, p._dh.public).encode(),
+                p._sig, clock.now(),
+            ).encode()
         )
 
 
@@ -112,7 +110,7 @@ def test_wrong_registration_reference_rejected():
     p = protocol.Participant(DeterministicRng(b"pref"), ledger, clock, server.config)
     p.join(1)
     server.admit_clients()
-    env = server.send_keys(p.address)
+    env = SignedEnvelope.decode(server.send_keys(p.address))
     msg = KeyAnnouncement.decode(env.payload)
     forged = build_envelope(
         protocol.MSG_KEY_ANNOUNCEMENT, 0,
@@ -120,9 +118,9 @@ def test_wrong_registration_reference_rejected():
             msg.project_id, msg.registration_block + 1, msg.kem_public, msg.dh_public
         ).encode(),
         server._sig, clock.now(),
-    )
+    ).encode()
     with pytest.raises(BadReference):
-        p.handle_keys(rewire(forged))
+        p.handle_keys(forged)
 
 
 def test_unknown_sender_and_address_binding():
@@ -130,8 +128,8 @@ def test_unknown_sender_and_address_binding():
     imposter = crypto.sig_keygen(DeterministicRng(b"imposter"))
     env = build_envelope(protocol.MSG_KEY_ANNOUNCEMENT, 0, b"x", imposter, clock.now())
     with pytest.raises(BadSignature):
-        p.handle_keys(rewire(env))  # not the server's address
-    honest = server.send_keys(p.address)
+        p.handle_keys(env.encode())  # not the server's address
+    honest = SignedEnvelope.decode(server.send_keys(p.address))
     lying = SignedEnvelope(
         version=honest.version, msg_type=honest.msg_type, round=honest.round,
         timestamp=honest.timestamp, sender_address=honest.sender_address,
@@ -139,7 +137,7 @@ def test_unknown_sender_and_address_binding():
         signature=honest.signature,
     )
     with pytest.raises(BadSignature):
-        p.handle_keys(rewire(lying))  # declared key does not hash to the address
+        p.handle_keys(lying.encode())  # declared key does not hash to the address
 
 
 def test_stale_timestamp_rejected():
@@ -147,7 +145,7 @@ def test_stale_timestamp_rejected():
     env = server.send_keys(p.address)
     clock.advance(protocol.MAX_SKEW_SECONDS + 1)
     with pytest.raises(StaleTimestamp):
-        p.handle_keys(rewire(env))
+        p.handle_keys(env)
 
 
 # --- rounds ------------------------------------------------------------------
@@ -180,22 +178,23 @@ def test_task_replay_rejected_state_intact():
     clock.advance(60)
     _, envs = server.publish_round(model)
     env = envs[p.address]
-    p.handle_task(rewire(env))
+    p.handle_task(env)
     with pytest.raises(ReplayDetected):
-        p.handle_task(rewire(env))
+        p.handle_task(env)
     # the open task survives the replay attempt
     local = fl.local_train(model, 1, 0.01, 1)
     update = p.send_update(local)
-    server.handle_update(rewire(update))
+    server.handle_update(update)
     with pytest.raises(ReplayDetected):
-        server.handle_update(rewire(update))
+        server.handle_update(update)
 
 
 def test_tampered_ciphertext_fails_signature():
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"tamper")
     clock.advance(60)
     _, envs = server.publish_round(model)
-    env = envs[p.address]
+    blob = envs[p.address]
+    env = SignedEnvelope.decode(blob)
     mangled = bytearray(env.payload)
     mangled[0] ^= 0x80
     forged = SignedEnvelope(
@@ -203,8 +202,8 @@ def test_tampered_ciphertext_fails_signature():
         env.sender_address, env.sender_public, bytes(mangled), env.signature,
     )
     with pytest.raises(BadSignature):
-        p.handle_task(rewire(forged))
-    assert p.handle_task(rewire(env)).round == 0  # still accepts the honest copy
+        p.handle_task(forged.encode())
+    assert p.handle_task(blob).round == 0  # still accepts the honest copy
 
 
 def test_tamper_with_signing_oracle_fails_aead():
@@ -213,15 +212,16 @@ def test_tamper_with_signing_oracle_fails_aead():
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"aead")
     clock.advance(60)
     _, envs = server.publish_round(model)
-    env = envs[p.address]
+    blob = envs[p.address]
+    env = SignedEnvelope.decode(blob)
     mangled = bytearray(env.payload)
     mangled[-1] ^= 0x01
     resigned = build_envelope(
         env.msg_type, env.round, bytes(mangled), server._sig, clock.now()
-    )
+    ).encode()
     with pytest.raises(AuthFailure):
-        p.handle_task(rewire(resigned))
-    got = p.handle_task(rewire(env))
+        p.handle_task(resigned)
+    got = p.handle_task(blob)
     assert got.round == 0
 
 
@@ -248,7 +248,7 @@ def test_onchain_payload_hash_binds_task():
     )
     env = build_envelope(protocol.MSG_TASK, 1, sealed, server._sig, clock.now())
     with pytest.raises(CommitmentMismatch):
-        p.handle_task(rewire(env))
+        p.handle_task(env.encode())
 
 
 def test_deadline_expiry_rejected():
@@ -259,7 +259,7 @@ def test_deadline_expiry_rejected():
     _, envs = server.publish_round(model)
     clock.advance(150)  # past deadline yet within signature skew
     with pytest.raises(StaleDeadline):
-        p.handle_task(rewire(envs[p.address]))
+        p.handle_task(envs[p.address])
 
 
 def test_update_requires_open_task():
@@ -275,7 +275,7 @@ def test_update_from_stranger_rejected():
     stranger = crypto.sig_keygen(DeterministicRng(b"nobody"))
     env = build_envelope(protocol.MSG_UPDATE, 1, b"zz", stranger, clock.now())
     with pytest.raises(protocol.UnknownClient):
-        server.handle_update(rewire(env))
+        server.handle_update(env.encode())
 
 
 # --- rotation schedule ----------------------------------------------------------
