@@ -4,8 +4,10 @@ Every operation that needs randomness takes it explicitly (a seed, coins, or a
 DeterministicRng), so complete protocol runs replay bit-for-bit from a single
 root seed.  Classical primitives are OpenSSL-backed.  The lattice KEM lives in
 `mlkem`: keygen and decapsulation are library-backed, and encapsulation is
-pure numpy because it must accept injected coins.  A signing pair carries its
-OpenSSL key object, built once at keygen, so signing does not rebuild it.
+pure numpy because it must accept injected coins.  Signing and ECDH pairs
+carry their OpenSSL key object, built once at keygen, so signing and key
+agreement do not rebuild it.  Hashing, sealing, opening and verification take
+any bytes-like input, so callers can pass views of larger buffers.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses and nonces; SHA-384 inside HKDF for key derivation.
@@ -85,6 +87,7 @@ class KemKeyPair:
 class DhKeyPair:
     public: bytes   # uncompressed point
     secret: bytes   # 32-byte big-endian scalar
+    key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -131,10 +134,6 @@ def _scalar(rng: DeterministicRng, order: int) -> int:
             return x
 
 
-def _dh_private(secret: bytes) -> ec.EllipticCurvePrivateKey:
-    return ec.derive_private_key(int.from_bytes(secret, "big"), ec.SECP256R1())
-
-
 def _point(public: bytes, curve: ec.EllipticCurve) -> ec.EllipticCurvePublicKey:
     return ec.EllipticCurvePublicKey.from_encoded_point(curve, public)
 
@@ -145,14 +144,12 @@ def dh_keygen(rng: DeterministicRng) -> DhKeyPair:
     k = _scalar(rng, order)
     priv = ec.derive_private_key(k, ec.SECP256R1())
     pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-    return DhKeyPair(public=pub, secret=k.to_bytes(32, "big"))
+    return DhKeyPair(public=pub, secret=k.to_bytes(32, "big"), key=priv)
 
 
-def dh_agree(secret: bytes, peer_public: bytes) -> bytes:
+def dh_agree(pair: DhKeyPair, peer_public: bytes) -> bytes:
     """ECDH shared secret: 32-byte x-coordinate."""
-    priv = _dh_private(secret)
-    peer = _point(peer_public, ec.SECP256R1())
-    return priv.exchange(ec.ECDH(), peer)
+    return pair.key.exchange(ec.ECDH(), _point(peer_public, ec.SECP256R1()))
 
 
 def sig_keygen(rng: DeterministicRng) -> SigKeyPair:

@@ -37,9 +37,6 @@ class ModelVector:
             raise ValueError("tag must encode to 1..255 bytes")
         self.values = v
 
-    def copy_for_round(self, round: int, tag: str) -> "ModelVector":
-        return ModelVector(self.values.copy(), round, tag)
-
 
 def local_train(
     global_model: ModelVector,
@@ -85,22 +82,21 @@ def aggregate(models: list[ModelVector], weights: list[float] | None = None) -> 
 def serialize_model(model: ModelVector) -> bytes:
     """(length u32, round u32, tag_len u8, tag, values f64 big-endian)."""
     tag = model.tag.encode()
-    return (
-        struct.pack(">IIB", model.values.size, model.round, len(tag))
-        + tag
-        + model.values.astype(">f8").tobytes()
-    )
+    header = struct.pack(">IIB", model.values.size, model.round, len(tag))
+    return b"".join([header, tag, model.values.astype(">f8")])
 
 
-def deserialize_model(blob: bytes) -> ModelVector:
-    if len(blob) < 9:
+def deserialize_model(blob) -> ModelVector:
+    """Decode any bytes-like blob; the values are copied once, into native order.
+
+    `ModelVector` rejects non-finite entries.
+    """
+    view = memoryview(blob)
+    if len(view) < 9:
         raise ValueError("truncated model header")
-    size, round, tag_len = struct.unpack(">IIB", blob[:9])
-    body = blob[9:]
-    if len(body) != tag_len + 8 * size:
+    size, round, tag_len = struct.unpack_from(">IIB", view)
+    if len(view) != 9 + tag_len + 8 * size:
         raise ValueError("model length does not match header")
-    tag = body[:tag_len].decode()
-    values = np.frombuffer(body[tag_len:], dtype=">f8").astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError("model entries must be finite")
+    tag = bytes(view[9 : 9 + tag_len]).decode()
+    values = np.frombuffer(view, dtype=">f8", offset=9 + tag_len).astype(np.float64)
     return ModelVector(values, round, tag)

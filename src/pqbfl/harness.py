@@ -10,14 +10,15 @@ byte for byte.
 
 Every delivery is envelope wire bytes handed from a send call through
 `Channel.carry` straight to the receiving handler.  The channel's fault
-model is four scenarios: `replay` re-delivers a captured envelope, `tamper`
-flips a bit inside a sealed payload, `mitm_key_swap` replaces announced keys
-in transit (re-signed, modeling a compromised signing oracle), and
-`free_ride` withholds one participant's final update while eavesdropping on
-everything.  The first three each target one (round, phase, participant)
-delivery; injections ride alongside the honest copies, so an attacked run
-still completes and terminates, and every injection and its rejection lands
-in the attack log.
+model is four scenarios: `replay` re-delivers the envelope it just carried,
+`tamper` flips a bit inside a sealed payload, `mitm_key_swap` replaces
+announced keys in transit (re-signed, modeling a compromised signing
+oracle), and `free_ride` withholds one participant's final update while
+eavesdropping on everything.  The first three each target one (round, phase,
+participant) delivery; injections ride alongside the honest copies, so an
+attacked run still completes and terminates, and every injection and its
+rejection lands in the attack log.  Only the `free_ride` eavesdropper keeps
+the envelopes it sees; otherwise the channel keeps no delivery past its hop.
 
 Metrics rows are cumulative per party, one row per (round, party) starting
 at round 0 (registration plus establishment), so every counter column is
@@ -153,9 +154,11 @@ class RunMetrics:
 class Channel:
     """Instrumented delivery path between server and participants.
 
-    Carries envelope wire bytes and captures every envelope it carries.  An
-    armed scenario targets one (round, phase, participant) delivery and adds
-    a forged, tampered or replayed copy next to the honest one.
+    Carries envelope wire bytes.  An armed scenario targets one (round,
+    phase, participant) delivery and adds a forged, tampered or replayed copy
+    next to the honest one.  With a `free_ride` plan armed, which must happen
+    before the first delivery, the channel captures every envelope it carries
+    for the leak scan; otherwise `captured` stays empty.
     """
 
     def __init__(self, rng: crypto.DeterministicRng, rounds: int, participants: int):
@@ -216,12 +219,15 @@ class Channel:
         "update"; `deliver` is the receiving handler and `forge` builds the
         key-swapped announcement a `mitm_key_swap` plan injects.
         """
-        self.captured.append(blob)
+        eavesdrop = "free_ride" in self.plans
+        if eavesdrop:
+            self.captured.append(blob)
         name = f"client-{victim + 1}"
         target = {"round": round, "phase": phase, "victim": victim}
         if self.plans.get("mitm_key_swap") == target:
             forged = forge()
-            self.captured.append(forged)
+            if eavesdrop:
+                self.captured.append(forged)
             self._attempt("mitm_key_swap", phase, round, name,
                           forged, deliver, CommitmentMismatch)
         if self.plans.get("tamper") == target:
@@ -350,14 +356,16 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     free_rider = channel.plans.get("free_ride", {}).get("victim")
     plaintexts: list[bytes] = []   # serialized models, kept only for the leak scan
 
-    for rnd in range(1, config.rounds + 1):
+    def play_round(rnd: int, global_model: fl.ModelVector) -> fl.ModelVector:
+        # one call per round, so a round's envelopes and models are freed
+        # before the next round's are built
         clock.advance(60)
         _, envelopes = server.publish_round(global_model)
         if free_rider is not None:
             plaintexts.append(fl.serialize_model(global_model))
         collected = []
         for i, p in enumerate(participants):
-            got = channel.carry("task", envelopes[p.address], rnd, i, p.handle_task)
+            got = channel.carry("task", envelopes.pop(p.address), rnd, i, p.handle_task)
             local = fl.local_train(
                 got, train_seeds[i], config.noise_scale, rnd, tag=f"client-{i + 1}"
             )
@@ -373,6 +381,10 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         global_model = fl.aggregate([m for _, m in collected])
         for addr, _ in collected:
             server.feedback(addr, 1, 1 if rnd == config.rounds else 0, global_model)
+        return global_model
+
+    for rnd in range(1, config.rounds + 1):
+        global_model = play_round(rnd, global_model)
         if rnd == config.rounds:
             server.finish()
         snapshot(rnd)

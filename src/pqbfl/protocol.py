@@ -16,9 +16,13 @@ round.
 
 Wire bytes are the delivery unit: every send returns the signed envelope's
 bytes, encoded once, and every handler takes those bytes, counts them and
-decodes them once.  Handlers are atomic: every check (freshness, signature,
-replay, on-chain commitment, AEAD) runs before any session state changes, so
-a rejected delivery leaves the session exactly as it was.
+decodes them once.  A model is the bulk of a round's bytes, so it is copied
+only where the protocol needs new bytes: a send joins the signed bytes once
+and the wire bytes once; a receive decodes through views of the wire bytes,
+verifies the signature over their signed prefix, and copies the model once,
+into the decoded vector.  Handlers are atomic: every check (freshness,
+signature, replay, on-chain commitment, AEAD) runs before any session state
+changes, so a rejected delivery leaves the session exactly as it was.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly.  `derive` counts the two per-round symmetric chain
@@ -105,21 +109,31 @@ class MalformedMessage(ProtocolError):
 
 # --- wire helpers ----------------------------------------------------------
 
-def _lp(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
+def _lp(data) -> list:
+    """A length-prefixed field, as parts for one `b"".join`."""
+    return [struct.pack(">I", len(data)), data]
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self._b = blob
+    """Reads fields from any bytes-like blob through a memoryview.
+
+    Small fields are returned as bytes; `lp_view` returns a bulk field as a
+    view into the blob, without copying it.
+    """
+
+    def __init__(self, blob):
+        self._b = memoryview(blob)
         self._i = 0
 
-    def take(self, n: int) -> bytes:
+    def view(self, n: int) -> memoryview:
         if self._i + n > len(self._b):
             raise MalformedMessage("truncated message")
         out = self._b[self._i : self._i + n]
         self._i += n
         return out
+
+    def take(self, n: int) -> bytes:
+        return bytes(self.view(n))
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -135,6 +149,9 @@ class _Reader:
 
     def lp(self) -> bytes:
         return self.take(self.u32())
+
+    def lp_view(self) -> memoryview:
+        return self.view(self.u32())
 
     def done(self) -> None:
         if self._i != len(self._b):
@@ -160,11 +177,10 @@ class KeyAnnouncement:
     dh_public: bytes
 
     def encode(self) -> bytes:
-        return (
-            struct.pack(">HI", self.project_id, self.registration_block)
-            + _lp(self.kem_public)
-            + _lp(self.dh_public)
-        )
+        return b"".join([
+            struct.pack(">HI", self.project_id, self.registration_block),
+            *_lp(self.kem_public), *_lp(self.dh_public),
+        ])
 
     @classmethod
     def decode(cls, blob: bytes) -> "KeyAnnouncement":
@@ -182,11 +198,10 @@ class KeyResponse:
     dh_public: bytes
 
     def encode(self) -> bytes:
-        return (
-            struct.pack(">HI", self.project_id, self.registration_block)
-            + _lp(self.kem_ciphertext)
-            + _lp(self.dh_public)
-        )
+        return b"".join([
+            struct.pack(">HI", self.project_id, self.registration_block),
+            *_lp(self.kem_ciphertext), *_lp(self.dh_public),
+        ])
 
     @classmethod
     def decode(cls, blob: bytes) -> "KeyResponse":
@@ -202,28 +217,28 @@ class TaskPayload:
     task_id: int
     round: int
     deadline_window: int
-    model: bytes                 # serialized global model
+    model: bytes                 # serialized global model; a view once decoded
     kem_public: bytes = b""      # fresh keys on rotation rounds
     dh_public: bytes = b""
 
     def encode(self) -> bytes:
         fresh = 1 if self.kem_public else 0
-        out = struct.pack(
+        parts = [struct.pack(
             ">HHIHB", self.project_id, self.task_id, self.round,
             self.deadline_window, fresh,
-        )
+        )]
         if fresh:
-            out += _lp(self.kem_public) + _lp(self.dh_public)
-        return out + _lp(self.model)
+            parts += _lp(self.kem_public) + _lp(self.dh_public)
+        return b"".join(parts + _lp(self.model))
 
     @classmethod
-    def decode(cls, blob: bytes) -> "TaskPayload":
+    def decode(cls, blob) -> "TaskPayload":
         r = _Reader(blob)
         project, task, rnd, window, fresh = r.u16(), r.u16(), r.u32(), r.u16(), r.u8()
         kem_public = dh_public = b""
         if fresh:
             kem_public, dh_public = r.lp(), r.lp()
-        model = r.lp()
+        model = r.lp_view()
         r.done()
         return cls(project, task, rnd, window, model, kem_public, dh_public)
 
@@ -233,25 +248,25 @@ class UpdatePayload:
     project_id: int
     task_id: int
     round: int
-    model: bytes                 # serialized local model
+    model: bytes                 # serialized local model; a view once decoded
     kem_ciphertext: bytes = b""  # rotation reply on rotation rounds
     dh_public: bytes = b""
 
     def encode(self) -> bytes:
         fresh = 1 if self.kem_ciphertext else 0
-        out = struct.pack(">HHIB", self.project_id, self.task_id, self.round, fresh)
+        parts = [struct.pack(">HHIB", self.project_id, self.task_id, self.round, fresh)]
         if fresh:
-            out += _lp(self.kem_ciphertext) + _lp(self.dh_public)
-        return out + _lp(self.model)
+            parts += _lp(self.kem_ciphertext) + _lp(self.dh_public)
+        return b"".join(parts + _lp(self.model))
 
     @classmethod
-    def decode(cls, blob: bytes) -> "UpdatePayload":
+    def decode(cls, blob) -> "UpdatePayload":
         r = _Reader(blob)
         project, task, rnd, fresh = r.u16(), r.u16(), r.u32(), r.u8()
         kem_ciphertext = dh_public = b""
         if fresh:
             kem_ciphertext, dh_public = r.lp(), r.lp()
-        model = r.lp()
+        model = r.lp_view()
         r.done()
         return cls(project, task, rnd, model, kem_ciphertext, dh_public)
 
@@ -264,26 +279,26 @@ class SignedEnvelope:
     timestamp: int
     sender_address: bytes
     sender_public: bytes
-    payload: bytes
+    payload: bytes               # a view into the wire bytes once decoded
     signature: bytes
 
-    def signing_bytes(self) -> bytes:
-        return (
-            struct.pack(">BBIQ", self.version, self.msg_type, self.round, self.timestamp)
-            + self.sender_address
-            + _lp(self.sender_public)
-            + _lp(self.payload)
-        )
+    def _signed_parts(self) -> list:
+        """The fields the signature covers, in wire order; the signature
+        field follows them."""
+        return [
+            struct.pack(">BBIQ", self.version, self.msg_type, self.round, self.timestamp),
+            self.sender_address, *_lp(self.sender_public), *_lp(self.payload),
+        ]
 
     def encode(self) -> bytes:
-        return self.signing_bytes() + _lp(self.signature)
+        return b"".join(self._signed_parts() + _lp(self.signature))
 
     @classmethod
-    def decode(cls, blob: bytes) -> "SignedEnvelope":
+    def decode(cls, blob) -> "SignedEnvelope":
         r = _Reader(blob)
         version, msg_type, rnd, ts = r.u8(), r.u8(), r.u32(), r.u64()
         addr = r.take(crypto.ADDRESS_BYTES)
-        pub, payload, sig = r.lp(), r.lp(), r.lp()
+        pub, payload, sig = r.lp(), r.lp_view(), r.lp()
         r.done()
         return cls(version, msg_type, rnd, ts, addr, pub, payload, sig)
 
@@ -296,13 +311,21 @@ def build_envelope(
         sender_address=crypto.address_of(sig_pair.public),
         sender_public=sig_pair.public, payload=payload, signature=b"",
     )
-    return replace(partial, signature=crypto.sign(sig_pair, partial.signing_bytes()))
+    signed = b"".join(partial._signed_parts())
+    return replace(partial, signature=crypto.sign(sig_pair, signed))
 
 
 def check_envelope(
-    env: SignedEnvelope, expected_sender: bytes, now: int, max_skew: int = MAX_SKEW_SECONDS
+    env: SignedEnvelope, blob, expected_sender: bytes, now: int,
+    max_skew: int = MAX_SKEW_SECONDS,
 ) -> None:
-    """Freshness, address binding, and signature.  Raises; never mutates."""
+    """Freshness, address binding, and signature.  Raises; never mutates.
+
+    `blob` is the wire bytes `env` was decoded from.  The signature covers
+    every byte before the signature field, so it is checked over that prefix
+    of `blob`: `decode` accepts only the one layout, so the prefix is byte for
+    byte what the sender signed.
+    """
     if env.version != WIRE_VERSION:
         raise MalformedMessage(f"unsupported wire version {env.version}")
     if abs(now - env.timestamp) > max_skew:
@@ -311,7 +334,8 @@ def check_envelope(
         raise BadSignature("declared key does not match sender address")
     if env.sender_address != expected_sender:
         raise BadSignature("sender is not the expected peer")
-    if not crypto.verify(env.sender_public, env.signing_bytes(), env.signature):
+    signed = memoryview(blob)[: len(blob) - 4 - len(env.signature)]
+    if not crypto.verify(env.sender_public, signed, env.signature):
         raise BadSignature("envelope signature invalid")
 
 
@@ -381,8 +405,10 @@ class _Party:
         self.counters.offchain_bytes += len(blob)
         return blob
 
-    def _check(self, env: SignedEnvelope, sender: bytes, msg_type: int, what: str) -> None:
-        check_envelope(env, sender, self.clock.now(), self.max_skew)
+    def _check(
+        self, env: SignedEnvelope, blob, sender: bytes, msg_type: int, what: str
+    ) -> None:
+        check_envelope(env, blob, sender, self.clock.now(), self.max_skew)
         self.counters.verify += 1
         if env.msg_type != msg_type:
             raise MalformedMessage(f"expected {what}")
@@ -456,11 +482,13 @@ class Server(_Party):
         self.registration_block: int | None = None
         self._kem: crypto.KemKeyPair | None = None
         self._dh: crypto.DhKeyPair | None = None
-        self._pending_dh_secret: bytes | None = None  # fresh secret during rotation
+        self._pending_dh: crypto.DhKeyPair | None = None  # fresh pair during rotation
         self._rotation_round: int = 0
         self._client_events = ledger.subscribe(kinds=["RegClient"])
         self._update_events = ledger.subscribe(kinds=["Update"])
+        # on-chain updates not yet matched by an accepted delivery
         self._seen_updates: dict[tuple[int, bytes], UpdateEvent] = {}
+        self._anchored: tuple[fl.ModelVector, bytes] | None = None  # feedback model, hash
 
     # establishment ---------------------------------------------------------
 
@@ -519,7 +547,7 @@ class Server(_Party):
         session = self.sessions.get(env.sender_address)
         if session is None:
             raise UnknownClient("response from unregistered address")
-        self._check(env, session.participant, MSG_KEY_RESPONSE, "a key response")
+        self._check(env, blob, session.participant, MSG_KEY_RESPONSE, "a key response")
         if session.established:
             raise ReplayDetected("session already established")
         msg = KeyResponse.decode(env.payload)
@@ -531,7 +559,7 @@ class Server(_Party):
             raise CommitmentMismatch("ECDH key does not match the registered commitment")
         ss_kem = crypto.kem_decap(self._kem.secret, msg.kem_ciphertext)
         self.counters.decap += 1
-        ss_dh = crypto.dh_agree(self._dh.secret, msg.dh_public)
+        ss_dh = crypto.dh_agree(self._dh, msg.dh_public)
         session.ratchet = ratchet.init_root(ss_kem, ss_dh, self.config)
         session.established = True
         session.transcript.append(
@@ -603,7 +631,7 @@ class Server(_Party):
         if rotate:
             self.counters.key_material_bytes += _KEY_ANNOUNCE_BYTES * len(self.sessions)
             self._kem, self._dh = fresh_kem, fresh_dh
-            self._pending_dh_secret = fresh_dh.secret
+            self._pending_dh = fresh_dh
             self._rotation_round = rnd
         self.round = rnd
         return event, envelopes
@@ -615,7 +643,7 @@ class Server(_Party):
         session = self.sessions.get(env.sender_address)
         if session is None or not session.established:
             raise UnknownClient("update from an unknown session")
-        self._check(env, session.participant, MSG_UPDATE, "an update")
+        self._check(env, blob, session.participant, MSG_UPDATE, "an update")
         if env.round <= session.last_update_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.round:
@@ -637,10 +665,11 @@ class Server(_Party):
         model = fl.deserialize_model(msg.model)
         # all checks passed; commit state changes
         key.mark_used(DIR_UPDATE)
+        del self._seen_updates[(env.round, session.participant)]
         if rotating:
             ss_kem = crypto.kem_decap(self._kem.secret, msg.kem_ciphertext)
             self.counters.decap += 1
-            ss_dh = crypto.dh_agree(self._pending_dh_secret, msg.dh_public)
+            ss_dh = crypto.dh_agree(self._pending_dh, msg.dh_public)
             session.ratchet = ratchet.advance_asymmetric(session.ratchet, ss_kem, ss_dh)
         session.last_update_round = env.round
         session.current_key = None
@@ -652,10 +681,16 @@ class Server(_Party):
     def feedback(
         self, participant: bytes, score: int, terminate: int, global_model: fl.ModelVector
     ):
-        """Score one participant's round and anchor the new global model."""
+        """Score one participant's round and anchor the new global model.
+
+        The model is serialized and hashed once, at its first feedback; pass
+        the same, unmodified model object for every participant of a round.
+        """
         if participant not in self.sessions:
             raise UnknownClient("no such participant")
-        h_model = crypto.digest(fl.serialize_model(global_model))
+        if self._anchored is None or self._anchored[0] is not global_model:
+            self._anchored = (global_model, crypto.digest(fl.serialize_model(global_model)))
+        h_model = self._anchored[1]
         h_keys = self.ledger.project_info(self.project_id)["h_keys"]
         return self.ledger.feedback_model(
             self.address, self.round, self.project_id, self.round,
@@ -695,7 +730,7 @@ class Participant(_Party):
         self.last_round = 0
         self.transcript: list[TranscriptRow] = []
         self._task_events = ledger.subscribe(kinds=["Task"])
-        self._seen_tasks: dict[int, TaskEvent] = {}
+        self._seen_tasks: dict[int, TaskEvent] = {}   # not yet accepted
         self._active: dict | None = None       # open task awaiting an update
 
     def join(self, project_id: int) -> RegClientEvent:
@@ -731,7 +766,7 @@ class Participant(_Party):
         if self.project_id is None:
             raise SessionNotReady("join a project first")
         self._check(
-            env, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement"
+            env, blob, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement"
         )
         if self.established:
             raise ReplayDetected("session already established")
@@ -744,7 +779,7 @@ class Participant(_Party):
             raise CommitmentMismatch("announced keys do not match the on-chain commitment")
         ct, ss_kem = crypto.kem_encap(msg.kem_public, self.rng.bytes(32))
         self.counters.encap += 1
-        ss_dh = crypto.dh_agree(self._dh.secret, msg.dh_public)
+        ss_dh = crypto.dh_agree(self._dh, msg.dh_public)
         reply = KeyResponse(
             project_id=self.project_id,
             registration_block=self.registration_block,
@@ -769,7 +804,7 @@ class Participant(_Party):
         env = SignedEnvelope.decode(blob)
         if not self.established:
             raise SessionNotReady("session not established")
-        self._check(env, self.server_address, MSG_TASK, "a task")
+        self._check(env, blob, self.server_address, MSG_TASK, "a task")
         if env.round <= self.last_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.last_round + 1:
@@ -797,6 +832,7 @@ class Participant(_Party):
         if self.key_log is not None:
             self.key_log.append(("participant", self.address, key.round, key.epoch, key.step, key.key))
         key.mark_used(DIR_TASK)
+        del self._seen_tasks[env.round]
         self.last_round = env.round
         self._active = {
             "round": env.round, "key": key,
@@ -822,7 +858,7 @@ class Participant(_Party):
             self.counters.keygen += 1
             ct, ss_kem = crypto.kem_encap(kem_public, self.rng.bytes(32))
             self.counters.encap += 1
-            ss_dh = crypto.dh_agree(fresh_dh.secret, server_dh_public)
+            ss_dh = crypto.dh_agree(fresh_dh, server_dh_public)
             dh_pub = fresh_dh.public
             h_ct_key = crypto.digest(ct + dh_pub)
             rotation = (ss_kem, ss_dh)

@@ -115,12 +115,12 @@ def test_dh_agree_matches_scalar_mult_oracle():
     rng = crypto.DeterministicRng(b"dh-oracle")
     a = crypto.dh_keygen(rng)
     b = crypto.dh_keygen(rng)
-    ours = crypto.dh_agree(a.secret, b.public)
+    ours = crypto.dh_agree(a, b.public)
     bx = int.from_bytes(b.public[1:33], "big")
     by = int.from_bytes(b.public[33:65], "big")
     point = _ec_mul(int.from_bytes(a.secret, "big"), (bx, by))
     assert ours == point[0].to_bytes(32, "big")
-    assert crypto.dh_agree(b.secret, a.public) == ours
+    assert crypto.dh_agree(b, a.public) == ours
 
 
 def test_dh_public_point_is_on_curve():
@@ -151,12 +151,13 @@ def test_sign_verify_roundtrip_and_determinism():
 
 
 def test_sig_pair_equality_and_repr_ignore_key_object():
-    p1 = crypto.sig_keygen(crypto.DeterministicRng(b"sig"))
-    p2 = crypto.sig_keygen(crypto.DeterministicRng(b"sig"))
-    assert p1.key is not p2.key
-    assert p1 == p2 and hash(p1) == hash(p2)
-    assert repr(p1) == repr(p2)
-    assert "key=" not in repr(p1)
+    for keygen in (crypto.sig_keygen, crypto.dh_keygen):
+        p1 = keygen(crypto.DeterministicRng(b"sig"))
+        p2 = keygen(crypto.DeterministicRng(b"sig"))
+        assert p1.key is not p2.key
+        assert p1 == p2 and hash(p1) == hash(p2)
+        assert repr(p1) == repr(p2)
+        assert "key=" not in repr(p1)
 
 
 def test_verify_rejects_mutation():

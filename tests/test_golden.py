@@ -102,8 +102,8 @@ def test_artifacts_match_golden_digests(name, tmp_path):
     metrics = run_simulation(SimConfig(**CONFIGS[name]))
     assert metrics.terminated and metrics.all_attacks_rejected()
     paths = write_outputs(metrics, str(tmp_path))
-    got = {
-        os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
-        for path in paths.values()
-    }
+    got = {}
+    for path in paths.values():
+        with open(path, "rb") as fh:
+            got[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN[name]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pqbfl import protocol
+from pqbfl import harness, protocol
 from pqbfl.cli import main
 from pqbfl.harness import (
     METRICS_HEADER,
@@ -167,6 +167,30 @@ def test_each_delivery_is_encoded_once(monkeypatch):
     assert counts["encode"] == counts["delivery"]
     final = [r for r in m.rows if r.round == cfg.rounds]
     assert sum(r.offchain_recv_bytes for r in final) == sum(r.offchain_bytes for r in final)
+
+
+def test_only_a_leak_scan_captures_envelopes(monkeypatch):
+    channels = []
+    init = harness.Channel.__init__
+
+    def remember(channel, *args):
+        init(channel, *args)
+        channels.append(channel)
+
+    monkeypatch.setattr(harness.Channel, "__init__", remember)
+    run_simulation(small())
+    assert channels[-1].captured == []
+    cfg = small(free_ride=True)
+    m = run_simulation(cfg)
+    p, r = cfg.participants, cfg.rounds
+    # every delivery but the withheld final update, and every model sent in
+    # the clear: one global model and P local models a round, less that update
+    envelopes, models = 2 * p * (r + 1) - 1, r + p * r - 1
+    assert len(channels[-1].captured) == envelopes
+    (scan,) = [a for a in m.attacks if a.phase == "eavesdrop"]
+    assert scan.detail == (
+        f"scanned {envelopes} captured envelopes for {models} plaintext models"
+    )
 
 
 # --- fault injection ---------------------------------------------------------

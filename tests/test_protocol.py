@@ -173,6 +173,29 @@ def test_model_keys_lockstep_across_sides():
     assert len(slog) == 6
 
 
+def test_seen_maps_do_not_grow_with_rounds():
+    server, parts, _, clock, model = establish(n=2, rounds=8, length=3, seed=b"seen")
+    sizes = []
+    for _ in range(8):
+        model = run_round(server, parts, clock, model)
+        sizes.append((len(server._seen_updates), [len(p._seen_tasks) for p in parts]))
+    assert sizes == [sizes[0]] * 8
+
+
+def test_feedback_hashes_the_global_model_once_per_round(monkeypatch):
+    server, parts, _, clock, model = establish(n=3, rounds=2, length=5, seed=b"fb")
+    hashed = []
+    real = crypto.digest
+
+    def counting(data):
+        hashed.append(bytes(data))
+        return real(data)
+
+    monkeypatch.setattr(crypto, "digest", counting)
+    new_global = run_round(server, parts, clock, model)
+    assert hashed.count(fl.serialize_model(new_global)) == 1
+
+
 def test_task_replay_rejected_state_intact():
     server, (p,), _, clock, model = establish(rounds=3, length=5, seed=b"trep")
     clock.advance(60)
