@@ -59,6 +59,13 @@ METRICS_HEADER = (
     "keygen", "encap", "decap", "derive", "sign", "verify",
 )
 
+# A numpy Gaussian draw stays below 16 sigma (its ziggurat tail is drawn from
+# 53-bit uniforms and ends near 12.2 sigma), and a round moves the global model
+# by at most one averaged draw.  So over at most 255 rounds every local model
+# entry stays below 256 * 16 * noise_scale, which is finite in float64
+# (max 1.8e308) for noise_scale < 4.4e304; round down.
+MAX_NOISE_SCALE = 1e304
+
 
 @dataclass
 class SimConfig:
@@ -95,6 +102,21 @@ class SimConfig:
             raise ValueError("ratchet range entries must be at least 1")
         if self.model_dim < 1:
             raise ValueError("model_dim must be at least 1")
+        if self.participants > 0xFFFF:
+            raise ValueError(
+                "participants must be at most 65535: the ledger prices a capacity as two bytes"
+            )
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not 0 <= self.deposit <= LedgerConfig().initial_balance:
+            raise ValueError(
+                f"deposit must be between 0 and the initial balance "
+                f"{LedgerConfig().initial_balance}"
+            )
+        if not 0 <= self.noise_scale <= MAX_NOISE_SCALE:
+            raise ValueError(f"noise scale must be between 0 and {MAX_NOISE_SCALE:g}")
+        if self.skew_bound < 0:
+            raise ValueError("skew bound must be non-negative")
         if self.free_ride and self.participants < 2:
             raise ValueError("free_ride needs a second participant to compare against")
 

@@ -8,6 +8,12 @@ accepted transaction emits one event and forms one block holding its sender
 and that event; events are the source of truth, and replaying them under the
 same configuration reconstructs the full ledger state (balances included).
 
+The contract state keeps each project's registration, its clients in block
+order, its tasks by id, and each client's latest update per task.  Parties
+read on-chain facts through keyed lookups on that state (`registration`,
+`clients`, `task`, `update`, `current_keys`), as a real contract exposes
+getters.
+
 Payload accounting prices each event by the fields a real contract call would
 carry as calldata: 32-byte hashes, 2-byte identifiers/counters/scores/
 deadlines, 1-byte round numbers and termination flags.  Sender addresses,
@@ -220,27 +226,20 @@ def format_event(event: LedgerEvent) -> str:
 
 @dataclass
 class _Client:
-    h_key: bytes
+    registration: RegClientEvent
     score: int = 0
 
 
 @dataclass
-class _Task:
-    round: int
-    deadline: int            # absolute time
-    h_info: bytes
-
-
-@dataclass
 class _Project:
-    server: bytes
-    capacity: int
+    registration: RegProjectEvent
     h_model: bytes
-    h_keys: bytes
+    h_keys: bytes            # current key commitment; rotation tasks replace it
     escrow: int
     done: bool
-    clients: dict[bytes, _Client]
-    tasks: dict[int, _Task]
+    clients: dict[bytes, _Client]                        # in block order
+    tasks: dict[int, TaskEvent]
+    updates: dict[tuple[int, bytes], UpdateEvent]       # (task_id, client) -> latest
 
 
 @dataclass(frozen=True)
@@ -255,25 +254,6 @@ class Block:
 class LedgerConfig:
     deposit: int = 1000
     initial_balance: int = 10_000
-
-
-class Subscription:
-    """Cursor over the event log; poll() returns events appended since last poll."""
-
-    def __init__(self, ledger: "Ledger", kinds: frozenset[str] | None, start: int):
-        self._ledger = ledger
-        self._kinds = kinds
-        self._cursor = start
-
-    def poll(self) -> list[LedgerEvent]:
-        log = self._ledger.events
-        out = [
-            e
-            for e in log[self._cursor :]
-            if self._kinds is None or event_kind(e) in self._kinds
-        ]
-        self._cursor = len(log)
-        return out
 
 
 class Ledger:
@@ -361,8 +341,8 @@ class Ledger:
             raise ProjectDone(f"project {project_id} is finished")
         if sender in p.clients:
             raise DuplicateClient("client already registered")
-        if len(p.clients) >= p.capacity:
-            raise ProjectFull(f"project {project_id} has {p.capacity} clients")
+        if len(p.clients) >= p.registration.capacity:
+            raise ProjectFull(f"project {project_id} has {p.registration.capacity} clients")
         return self._commit(sender, RegClientEvent(
             block=len(self.blocks), time=self.clock.now(),
             project_id=project_id, client=sender, h_key=h_key,
@@ -381,7 +361,7 @@ class Ledger:
         p = self._project(project_id)
         if p.done:
             raise ProjectDone(f"project {project_id} is finished")
-        if p.server != sender:
+        if p.registration.server != sender:
             raise NotProjectOwner("only the registering server publishes tasks")
         if task_id in p.tasks:
             raise DuplicateTask(f"task {task_id} already published")
@@ -410,8 +390,9 @@ class Ledger:
             raise UnknownTask(f"no task {task_id} in project {project_id}")
         if task.round != round:
             raise BadField(f"task {task_id} is for round {task.round}, not {round}")
-        if self.clock.now() > task.deadline:
-            raise DeadlineExceeded(f"task {task_id} closed at {task.deadline}")
+        deadline = task.time + task.deadline_window
+        if self.clock.now() > deadline:
+            raise DeadlineExceeded(f"task {task_id} closed at {deadline}")
         return self._commit(sender, UpdateEvent(
             block=len(self.blocks), time=self.clock.now(),
             round=round, h_info=h_info, h_ct_key=h_ct_key,
@@ -433,7 +414,7 @@ class Ledger:
         p = self._project(project_id)
         if p.done:
             raise ProjectDone(f"project {project_id} is finished")
-        if p.server != sender:
+        if p.registration.server != sender:
             raise NotProjectOwner("only the registering server scores updates")
         if client not in p.clients:
             raise UnregisteredClient("scored client is not registered")
@@ -451,7 +432,7 @@ class Ledger:
         p = self._project(project_id)
         if p.done:
             raise ProjectDone(f"project {project_id} already finished")
-        if p.server != sender:
+        if p.registration.server != sender:
             raise NotProjectOwner("only the registering server finishes the project")
         return self._commit(sender, ProjectTerminateEvent(
             block=len(self.blocks), time=self.clock.now(),
@@ -464,25 +445,19 @@ class Ledger:
         if isinstance(event, RegProjectEvent):
             self._balances[event.server] = self.balance_of(event.server) - self.config.deposit
             self._projects[event.project_id] = _Project(
-                server=event.server, capacity=event.capacity,
-                h_model=event.h_model, h_keys=event.h_keys,
-                escrow=self.config.deposit, done=False, clients={}, tasks={},
+                registration=event, h_model=event.h_model, h_keys=event.h_keys,
+                escrow=self.config.deposit, done=False, clients={}, tasks={}, updates={},
             )
         elif isinstance(event, RegClientEvent):
-            self._projects[event.project_id].clients[event.client] = _Client(
-                h_key=event.h_key
-            )
+            self._projects[event.project_id].clients[event.client] = _Client(event)
         elif isinstance(event, TaskEvent):
             p = self._projects[event.project_id]
-            p.tasks[event.task_id] = _Task(
-                round=event.round,
-                deadline=event.time + event.deadline_window,
-                h_info=event.h_info,
-            )
+            p.tasks[event.task_id] = event
             if event.h_keys:
                 p.h_keys = event.h_keys
         elif isinstance(event, UpdateEvent):
-            pass  # recorded on chain; no contract state beyond the log
+            p = self._projects[event.project_id]
+            p.updates[(event.task_id, event.client)] = event
         elif isinstance(event, FeedbackEvent):
             p = self._projects[event.project_id]
             c = p.clients[event.client]
@@ -498,16 +473,34 @@ class Ledger:
 
     # -- queries
 
+    def registration(self, project_id: int) -> RegProjectEvent:
+        return self._project(project_id).registration
+
+    def clients(self, project_id: int) -> list[RegClientEvent]:
+        """The project's client registrations, in block order."""
+        return [c.registration for c in self._project(project_id).clients.values()]
+
+    def task(self, project_id: int, task_id: int) -> TaskEvent | None:
+        return self._project(project_id).tasks.get(task_id)
+
+    def update(self, project_id: int, task_id: int, client: bytes) -> UpdateEvent | None:
+        """The client's latest update for the task, if it posted one."""
+        return self._project(project_id).updates.get((task_id, client))
+
+    def current_keys(self, project_id: int) -> bytes:
+        """The server's key commitment as of the latest rotation task."""
+        return self._project(project_id).h_keys
+
     def project_info(self, project_id: int) -> dict:
         p = self._project(project_id)
         return {
-            "server": p.server,
-            "capacity": p.capacity,
+            "server": p.registration.server,
+            "capacity": p.registration.capacity,
             "h_model": p.h_model,
             "h_keys": p.h_keys,
             "escrow": p.escrow,
             "done": p.done,
-            "clients": {a: (c.h_key, c.score) for a, c in p.clients.items()},
+            "clients": {a: (c.registration.h_key, c.score) for a, c in p.clients.items()},
         }
 
     def score_of(self, project_id: int, client: bytes) -> int:
@@ -530,12 +523,6 @@ class Ledger:
     def onchain_bytes(self) -> int:
         return sum(payload_size(b.event) for b in self.blocks)
 
-    def subscribe(
-        self, kinds: Iterable[str] | None = None, from_start: bool = True
-    ) -> Subscription:
-        start = 0 if from_start else len(self.events)
-        return Subscription(self, frozenset(kinds) if kinds is not None else None, start)
-
     def snapshot(self) -> dict:
         """Comparable view of the full contract state."""
         return {
@@ -543,7 +530,8 @@ class Ledger:
             "projects": {
                 pid: {
                     **self.project_info(pid),
-                    "tasks": {t: (k.round, k.deadline, k.h_info) for t, k in p.tasks.items()},
+                    "tasks": dict(p.tasks),
+                    "updates": dict(p.updates),
                 }
                 for pid, p in self._projects.items()
             },

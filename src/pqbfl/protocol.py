@@ -42,8 +42,8 @@ from .ledger import (
     RegClientEvent,
     RegProjectEvent,
     TaskEvent,
-    UpdateEvent,
     SimClock,
+    UnknownProject,
 )
 
 WIRE_VERSION = 1
@@ -484,10 +484,6 @@ class Server(_Party):
         self._dh: crypto.DhKeyPair | None = None
         self._pending_dh: crypto.DhKeyPair | None = None  # fresh pair during rotation
         self._rotation_round: int = 0
-        self._client_events = ledger.subscribe(kinds=["RegClient"])
-        self._update_events = ledger.subscribe(kinds=["Update"])
-        # on-chain updates not yet matched by an accepted delivery
-        self._seen_updates: dict[tuple[int, bytes], UpdateEvent] = {}
         self._anchored: tuple[fl.ModelVector, bytes] | None = None  # feedback model, hash
 
     # establishment ---------------------------------------------------------
@@ -510,8 +506,8 @@ class Server(_Party):
     def admit_clients(self) -> list[bytes]:
         """Absorb new client registrations; returns their addresses."""
         fresh = []
-        for ev in self._client_events.poll():
-            if ev.project_id != self.project_id or ev.client in self.sessions:
+        for ev in self.ledger.clients(self.project_id):
+            if ev.client in self.sessions:
                 continue
             self.sessions[ev.client] = _ServerSession(
                 participant=ev.client,
@@ -648,9 +644,7 @@ class Server(_Party):
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.round:
             raise ProtocolError(f"update for round {env.round}, current is {self.round}")
-        for ev in self._update_events.poll():
-            self._seen_updates[(ev.task_id, ev.client)] = ev
-        chain = self._seen_updates.get((env.round, session.participant))
+        chain = self.ledger.update(self.project_id, env.round, session.participant)
         if chain is None:
             raise BadReference("no on-chain update transaction for this round")
         key = session.current_key
@@ -665,7 +659,6 @@ class Server(_Party):
         model = fl.deserialize_model(msg.model)
         # all checks passed; commit state changes
         key.mark_used(DIR_UPDATE)
-        del self._seen_updates[(env.round, session.participant)]
         if rotating:
             ss_kem = crypto.kem_decap(self._kem.secret, msg.kem_ciphertext)
             self.counters.decap += 1
@@ -691,10 +684,9 @@ class Server(_Party):
         if self._anchored is None or self._anchored[0] is not global_model:
             self._anchored = (global_model, crypto.digest(fl.serialize_model(global_model)))
         h_model = self._anchored[1]
-        h_keys = self.ledger.project_info(self.project_id)["h_keys"]
         return self.ledger.feedback_model(
             self.address, self.round, self.project_id, self.round,
-            participant, score, terminate, h_model, h_keys,
+            participant, score, terminate, h_model, self.ledger.current_keys(self.project_id),
         )
 
     def finish(self):
@@ -722,40 +714,28 @@ class Participant(_Party):
         self._dh: crypto.DhKeyPair | None = None
         self.project_id: int | None = None
         self.server_address: bytes | None = None
-        self._server_h_keys: bytes | None = None
-        self._server_reg_block: int | None = None
         self.registration_block: int | None = None
         self.ratchet: ratchet.RatchetState | None = None
         self.established = False
         self.last_round = 0
         self.transcript: list[TranscriptRow] = []
-        self._task_events = ledger.subscribe(kinds=["Task"])
-        self._seen_tasks: dict[int, TaskEvent] = {}   # not yet accepted
         self._active: dict | None = None       # open task awaiting an update
 
     def join(self, project_id: int) -> RegClientEvent:
         """Locate the project on chain and register a key commitment for it."""
         if self.project_id is not None:
             raise ProtocolError("already joined a project")
-        reg = next(
-            (
-                e
-                for e in self.ledger.events
-                if isinstance(e, RegProjectEvent) and e.project_id == project_id
-            ),
-            None,
-        )
-        if reg is None:
-            raise BadReference(f"no project {project_id} on chain")
+        try:
+            server = self.ledger.registration(project_id).server
+        except UnknownProject:
+            raise BadReference(f"no project {project_id} on chain") from None
         self._dh = crypto.dh_keygen(self.rng)
         self.counters.keygen += 1
         event = self.ledger.register_client(
             self.address, project_id, crypto.digest(self._dh.public)
         )
         self.project_id = project_id
-        self.server_address = reg.server
-        self._server_h_keys = reg.h_keys
-        self._server_reg_block = reg.block
+        self.server_address = server
         self.registration_block = event.block
         return event
 
@@ -773,9 +753,10 @@ class Participant(_Party):
         msg = KeyAnnouncement.decode(env.payload)
         if msg.project_id != self.project_id:
             raise BadReference("announcement for a different project")
-        if msg.registration_block != self._server_reg_block:
+        reg = self.ledger.registration(self.project_id)
+        if msg.registration_block != reg.block:
             raise BadReference("announcement references the wrong registration")
-        if crypto.digest(msg.kem_public + msg.dh_public) != self._server_h_keys:
+        if crypto.digest(msg.kem_public + msg.dh_public) != reg.h_keys:
             raise CommitmentMismatch("announced keys do not match the on-chain commitment")
         ct, ss_kem = crypto.kem_encap(msg.kem_public, self.rng.bytes(32))
         self.counters.encap += 1
@@ -811,10 +792,7 @@ class Participant(_Party):
             raise ProtocolError(f"task skips to round {env.round}")
         if self._active is not None:
             raise ProtocolError("previous task still open")
-        for ev in self._task_events.poll():
-            if ev.project_id == self.project_id:
-                self._seen_tasks[ev.task_id] = ev
-        chain = self._seen_tasks.get(env.round)
+        chain = self.ledger.task(self.project_id, env.round)
         if chain is None:
             raise BadReference("no on-chain task for this round")
         if self.clock.now() > chain.time + chain.deadline_window:
@@ -832,7 +810,6 @@ class Participant(_Party):
         if self.key_log is not None:
             self.key_log.append(("participant", self.address, key.round, key.epoch, key.step, key.key))
         key.mark_used(DIR_TASK)
-        del self._seen_tasks[env.round]
         self.last_round = env.round
         self._active = {
             "round": env.round, "key": key,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pqbfl import harness, protocol
+from pqbfl import cli, harness, protocol
 from pqbfl.cli import main
 from pqbfl.harness import (
     METRICS_HEADER,
@@ -232,6 +232,31 @@ def test_rounds_beyond_one_byte_rejected_up_front(capsys):
         main(["run", "--rounds", "256", "--out", "unused"])
     assert exc.value.code == 2
     assert "at most 255" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, fragment", [
+    ("--deposit", "20000", "deposit"),
+    ("--deposit", "-5", "deposit"),
+    ("--skew", "-1", "skew"),
+    ("--noise-scale", "nan", "noise scale"),
+    ("--noise-scale", "-1", "noise scale"),
+    ("--noise-scale", "1e308", "noise scale"),
+    ("--seed", "-1", "seed"),
+    ("--participants", "65536", "participants"),
+])
+def test_bad_configs_rejected_before_any_party_is_built(
+    flag, value, fragment, monkeypatch, capsys
+):
+    def never(config):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(cli, "run_simulation", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--participants", "2", "--rounds", "3", flag, value, "--out", "unused"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("pqbfl: error: ") and fragment in err[-1]
+    assert not any("Traceback" in line for line in err)
 
 
 # --- command line ------------------------------------------------------------

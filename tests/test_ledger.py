@@ -214,21 +214,30 @@ def test_done_project_rejects_everything():
         ledger.finish_project(SERVER, 1)
 
 
-# --- events, subscriptions, replay ------------------------------------------------
+# --- events, lookups, replay ------------------------------------------------------
 
-def test_subscription_cursor_and_kind_filter():
-    ledger, _ = fresh()
-    sub_all = ledger.subscribe()
-    sub_tasks = ledger.subscribe(kinds=["Task"])
-    register_pair(ledger)
-    assert [L.event_kind(e) for e in sub_all.poll()] == ["RegProject", "RegClient"]
-    assert sub_all.poll() == []
-    ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
-    assert [L.event_kind(e) for e in sub_all.poll()] == ["Task"]
-    got = sub_tasks.poll()
-    assert len(got) == 1 and got[0].task_id == 1
-    late = ledger.subscribe(kinds=["RegClient"], from_start=True)
-    assert len(late.poll()) == 1
+def test_keyed_lookups_read_contract_state():
+    ledger, clock = fresh()
+    H2 = bytes(range(1, 33))
+    project = ledger.register_project(SERVER, 1, 4, H32, H32)
+    first = ledger.register_client(CLIENT, 1, H32)
+    second = ledger.register_client(OTHER, 1, H2)
+    plain = ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
+    ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
+    clock.advance(5)
+    latest = ledger.update_model(CLIENT, 1, H2, b"", 1, 1)
+    assert ledger.current_keys(1) == H32
+    rotation = ledger.publish_task(SERVER, 2, H32, H2, 1, 2, 600)
+    for view in (ledger, Ledger.replay(ledger.events, LedgerConfig())):
+        assert view.registration(1) == project
+        assert view.clients(1) == [first, second]
+        assert view.task(1, 1) == plain and view.task(1, 2) == rotation
+        assert view.update(1, 1, CLIENT) == latest
+        assert view.current_keys(1) == H2
+        assert view.task(1, 3) is None
+        assert view.update(1, 1, OTHER) is None and view.update(1, 2, CLIENT) is None
+        with pytest.raises(UnknownProject):
+            view.registration(9)
 
 
 def test_export_is_deterministic_and_line_per_event():

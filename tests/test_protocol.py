@@ -173,13 +173,25 @@ def test_model_keys_lockstep_across_sides():
     assert len(slog) == 6
 
 
-def test_seen_maps_do_not_grow_with_rounds():
-    server, parts, _, clock, model = establish(n=2, rounds=8, length=3, seed=b"seen")
-    sizes = []
-    for _ in range(8):
-        model = run_round(server, parts, clock, model)
-        sizes.append((len(server._seen_updates), [len(p._seen_tasks) for p in parts]))
-    assert sizes == [sizes[0]] * 8
+def test_update_commitment_is_scoped_to_its_project():
+    # the same account updating the same task number in another project on
+    # the same ledger must not shadow its commitment in this one
+    server, (p,), ledger, clock, model = establish(seed=b"scope")
+    other = protocol.Server(
+        DeterministicRng(b"other"), ledger, clock, project_id=2, capacity=1,
+        rounds_planned=4, config=server.config,
+    )
+    other.bootstrap(model)
+    H = crypto.digest(b"elsewhere")
+    ledger.register_client(p.address, 2, H)
+    ledger.publish_task(other.address, 1, H, b"", 2, 1, 600)
+    clock.advance(60)
+    _, envelopes = server.publish_round(model)
+    got = p.handle_task(envelopes[p.address])
+    blob = p.send_update(fl.local_train(got, 77, 0.01, 2))
+    ledger.update_model(p.address, 1, H, b"", 2, 1)
+    sender, _ = server.handle_update(blob)
+    assert sender == p.address
 
 
 def test_feedback_hashes_the_global_model_once_per_round(monkeypatch):
