@@ -2,12 +2,16 @@
 
 Every operation that needs randomness takes it explicitly (a seed, coins, or a
 DeterministicRng), so complete protocol runs replay bit-for-bit from a single
-root seed.  Classical primitives are OpenSSL-backed.  The lattice KEM lives in
+root seed.  Hashing, HKDF, AES-GCM, P-256 ECDH and signature verification are
+OpenSSL-backed; an ECDH pair carries its OpenSSL key object, built once at
+keygen, so key agreement does not rebuild it.  The lattice KEM lives in
 `mlkem`: keygen and decapsulation are library-backed, and encapsulation is
-pure numpy because it must accept injected coins.  Signing and ECDH pairs
-carry their OpenSSL key object, built once at keygen, so signing and key
-agreement do not rebuild it.  Hashing, sealing, opening and verification take
-any bytes-like input, so callers can pass views of larger buffers.
+pure numpy because it must accept injected coins.  secp256k1 key derivation
+and signing are pure Python (`secp256k1`, a fixed-base table), because
+OpenSSL has no fast path for that curve; they are not constant-time, which is
+acceptable here because every key is derived from a seed.  Hashing, sealing,
+opening and verification take any bytes-like input, so callers can pass views
+of larger buffers.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses and nonces; SHA-384 inside HKDF for key derivation.
@@ -21,10 +25,6 @@ from dataclasses import dataclass, field
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import (
-    decode_dss_signature,
-    encode_dss_signature,
-)
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import (
@@ -32,7 +32,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from . import mlkem
+from . import mlkem, secp256k1
 
 KEM_PUBLIC_BYTES = mlkem.EK_BYTES
 KEM_SECRET_BYTES = mlkem.DK_BYTES
@@ -94,7 +94,6 @@ class DhKeyPair:
 class SigKeyPair:
     public: bytes   # uncompressed point
     secret: bytes   # 32-byte big-endian scalar
-    key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
 
 
 def digest(data: bytes) -> bytes:
@@ -154,16 +153,13 @@ def dh_agree(pair: DhKeyPair, peer_public: bytes) -> bytes:
 
 def sig_keygen(rng: DeterministicRng) -> SigKeyPair:
     """secp256k1 signing pair from the injected generator."""
-    order = ec.SECP256K1().group_order
-    k = _scalar(rng, order)
-    priv = ec.derive_private_key(k, ec.SECP256K1())
-    pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-    return SigKeyPair(public=pub, secret=k.to_bytes(32, "big"), key=priv)
+    k = _scalar(rng, secp256k1.N)
+    return SigKeyPair(public=secp256k1.public_point(k), secret=k.to_bytes(32, "big"))
 
 
 def sign(pair: SigKeyPair, message: bytes) -> bytes:
-    """Deterministic ECDSA over SHA-256 (RFC 6979), DER-encoded."""
-    return pair.key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+    """Deterministic ECDSA over SHA-256 (RFC 6979), DER-encoded as OpenSSL does."""
+    return secp256k1.sign(int.from_bytes(pair.secret, "big"), message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

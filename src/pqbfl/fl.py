@@ -79,11 +79,17 @@ def aggregate(models: list[ModelVector], weights: list[float] | None = None) -> 
     return ModelVector(acc, round, GLOBAL_TAG)
 
 
-def serialize_model(model: ModelVector) -> bytes:
-    """(length u32, round u32, tag_len u8, tag, values f64 big-endian)."""
+def model_parts(model: ModelVector) -> list:
+    """The serialized model as two parts for one `b"".join`: the header with
+    the tag, then the values as an f64 big-endian array."""
     tag = model.tag.encode()
     header = struct.pack(">IIB", model.values.size, model.round, len(tag))
-    return b"".join([header, tag, model.values.astype(">f8")])
+    return [header + tag, model.values.astype(">f8")]
+
+
+def serialize_model(model: ModelVector) -> bytes:
+    """(length u32, round u32, tag_len u8, tag, values f64 big-endian)."""
+    return b"".join(model_parts(model))
 
 
 def deserialize_model(blob) -> ModelVector:

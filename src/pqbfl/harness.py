@@ -117,6 +117,11 @@ class SimConfig:
             raise ValueError(f"noise scale must be between 0 and {MAX_NOISE_SCALE:g}")
         if self.skew_bound < 0:
             raise ValueError("skew bound must be non-negative")
+        for name in ("project_id", "deadline_window"):
+            if not 0 <= getattr(self, name) <= 0xFFFF:
+                raise ValueError(
+                    f"{name} must be between 0 and 65535: the ledger prices it as two bytes"
+                )
         if self.free_ride and self.participants < 2:
             raise ValueError("free_ride needs a second participant to compare against")
 

@@ -17,7 +17,8 @@ round.
 Wire bytes are the delivery unit: every send returns the signed envelope's
 bytes, encoded once, and every handler takes those bytes, counts them and
 decodes them once.  A model is the bulk of a round's bytes, so it is copied
-only where the protocol needs new bytes: a send joins the signed bytes once
+only where the protocol needs new bytes: a send joins the model's header
+and byte-swapped values into the payload once, then the signed bytes once
 and the wire bytes once; a receive decodes through views of the wire bytes,
 verifies the signature over their signed prefix, and copies the model once,
 into the decoded vector.  Handlers are atomic: every check (freshness,
@@ -112,6 +113,13 @@ class MalformedMessage(ProtocolError):
 def _lp(data) -> list:
     """A length-prefixed field, as parts for one `b"".join`."""
     return [struct.pack(">I", len(data)), data]
+
+
+def _lp_model(model) -> list:
+    """`_lp` for a model given as one bytes-like or as its `fl.model_parts`,
+    so a model is joined into its payload once."""
+    parts = model if isinstance(model, list) else [model]
+    return [struct.pack(">I", sum(memoryview(p).nbytes for p in parts)), *parts]
 
 
 class _Reader:
@@ -217,7 +225,7 @@ class TaskPayload:
     task_id: int
     round: int
     deadline_window: int
-    model: bytes                 # serialized global model; a view once decoded
+    model: bytes | list          # global model, or its fl.model_parts; a view once decoded
     kem_public: bytes = b""      # fresh keys on rotation rounds
     dh_public: bytes = b""
 
@@ -229,7 +237,7 @@ class TaskPayload:
         )]
         if fresh:
             parts += _lp(self.kem_public) + _lp(self.dh_public)
-        return b"".join(parts + _lp(self.model))
+        return b"".join(parts + _lp_model(self.model))
 
     @classmethod
     def decode(cls, blob) -> "TaskPayload":
@@ -248,7 +256,7 @@ class UpdatePayload:
     project_id: int
     task_id: int
     round: int
-    model: bytes                 # serialized local model; a view once decoded
+    model: bytes | list          # local model, or its fl.model_parts; a view once decoded
     kem_ciphertext: bytes = b""  # rotation reply on rotation rounds
     dh_public: bytes = b""
 
@@ -257,7 +265,7 @@ class UpdatePayload:
         parts = [struct.pack(">HHIB", self.project_id, self.task_id, self.round, fresh)]
         if fresh:
             parts += _lp(self.kem_ciphertext) + _lp(self.dh_public)
-        return b"".join(parts + _lp(self.model))
+        return b"".join(parts + _lp_model(self.model))
 
     @classmethod
     def decode(cls, blob) -> "UpdatePayload":
@@ -600,16 +608,15 @@ class Server(_Party):
             fresh_dh = crypto.dh_keygen(self.rng)
             self.counters.keygen += 2
             h_keys = crypto.digest(fresh_kem.public + fresh_dh.public)
-        payload = TaskPayload(
+        plaintext = TaskPayload(
             project_id=self.project_id,
             task_id=rnd,
             round=rnd,
             deadline_window=self.deadline_window,
-            model=fl.serialize_model(model),
+            model=fl.model_parts(model),
             kem_public=fresh_kem.public if rotate else b"",
             dh_public=fresh_dh.public if rotate else b"",
-        )
-        plaintext = payload.encode()
+        ).encode()
         h_info = crypto.digest(plaintext)
         event = self.ledger.publish_task(
             self.address, rnd, h_info, h_keys, self.project_id, rnd, self.deadline_window
@@ -839,11 +846,10 @@ class Participant(_Party):
             dh_pub = fresh_dh.public
             h_ct_key = crypto.digest(ct + dh_pub)
             rotation = (ss_kem, ss_dh)
-        payload = UpdatePayload(
+        plaintext = UpdatePayload(
             project_id=self.project_id, task_id=rnd, round=rnd,
-            model=fl.serialize_model(model), kem_ciphertext=ct, dh_public=dh_pub,
-        )
-        plaintext = payload.encode()
+            model=fl.model_parts(model), kem_ciphertext=ct, dh_public=dh_pub,
+        ).encode()
         h_info = crypto.digest(plaintext)
         event = self.ledger.update_model(
             self.address, rnd, h_info, h_ct_key, self.project_id, rnd

@@ -2,8 +2,15 @@
 
 import hashlib
 import hmac
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
 from pqbfl import crypto
@@ -154,7 +161,8 @@ def test_sig_pair_equality_and_repr_ignore_key_object():
     for keygen in (crypto.sig_keygen, crypto.dh_keygen):
         p1 = keygen(crypto.DeterministicRng(b"sig"))
         p2 = keygen(crypto.DeterministicRng(b"sig"))
-        assert p1.key is not p2.key
+        if keygen is crypto.dh_keygen:   # only an ECDH pair carries a key object
+            assert p1.key is not p2.key
         assert p1 == p2 and hash(p1) == hash(p2)
         assert repr(p1) == repr(p2)
         assert "key=" not in repr(p1)
@@ -176,6 +184,129 @@ def test_verify_rejects_mutation():
 def test_sign_verify_property(msg):
     pair = crypto.sig_keygen(crypto.DeterministicRng(b"sig-prop"))
     assert crypto.verify(pair.public, msg, crypto.sign(pair, msg))
+
+
+# --- secp256k1 signer against OpenSSL ------------------------------------------
+
+K1_N = ec.SECP256K1().group_order
+K1_P = 2**256 - 2**32 - 977
+K1_GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
+K1_GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
+
+
+class _FixedScalar:
+    """Stands in for DeterministicRng: every draw is the one chosen scalar."""
+
+    def __init__(self, k):
+        self._k = k.to_bytes(32, "big")
+
+    def bytes(self, n):
+        return self._k
+
+
+def _openssl_pair(k):
+    key = ec.derive_private_key(k, ec.SECP256K1())
+    return key, key.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
+
+
+def _openssl_sign(key, msg):
+    return key.sign(msg, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+
+
+def _assert_matches_openssl(k, messages):
+    pair = crypto.sig_keygen(_FixedScalar(k))
+    key, public = _openssl_pair(k)
+    assert pair.secret == k.to_bytes(32, "big")
+    assert pair.public == public
+    for msg in messages:
+        assert crypto.sign(pair, msg) == _openssl_sign(key, msg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=K1_N - 1), st.binary(min_size=0, max_size=96))
+def test_secp256k1_matches_openssl_deterministic_ecdsa(k, msg):
+    _assert_matches_openssl(k, [msg])
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 0x80, 0xFF, 0x0102, K1_N - 1, K1_N - 2,
+    1 << 248, 0xAB << 248,                            # zero low bytes
+    (K1_N - 1) >> 64 << 64,
+    int.from_bytes(b"\x80" * 32, "big"),               # every signed digit -128
+    int.from_bytes(b"\x7f" * 32, "big"),               # every signed digit +127
+    int.from_bytes(b"\xff" * 31, "big"),               # carries through every byte
+    2**256 - int.from_bytes(b"\x80" * 32, "big") - 1,  # the largest with no 33rd digit
+    2**256 - int.from_bytes(b"\x80" * 32, "big"),      # the smallest with one
+])
+def test_secp256k1_edge_scalars_match_openssl(k):
+    # 24 messages give r and s both with and without the DER 0x00 pad
+    messages = [b"edge %d" % i for i in range(24)]
+    _assert_matches_openssl(k, messages)
+    pair = crypto.sig_keygen(_FixedScalar(k))
+    lengths = {len(crypto.sign(pair, m)) for m in messages}
+    assert min(lengths) <= 70 and max(lengths) == 72
+
+
+def test_secp256k1_generator_from_sec2():
+    g = crypto.sig_keygen(_FixedScalar(1)).public
+    assert g == b"\x04" + K1_GX.to_bytes(32, "big") + K1_GY.to_bytes(32, "big")
+    minus_g = crypto.sig_keygen(_FixedScalar(K1_N - 1)).public
+    assert minus_g == b"\x04" + K1_GX.to_bytes(32, "big") + (K1_P - K1_GY).to_bytes(32, "big")
+
+
+_K1_VECTOR_KEY = 0x3375B93FFF75AA8B26DEA56877A9C430013D7780B9D9E1E040523F2F2031AA37
+# (scalar, message, DER) from OpenSSL's deterministic ECDSA
+K1_VECTORS = [
+    (1, b"", "3044022077c8d336572f6f466055b5f70f433851f8f535f6c4fc71133a6cfd71079d03b7"
+             "02200ed9f5eb8aa5b266abac35d416c3207e7a538bf5f37649727d7a9823b1069577"),
+    (K1_N - 1, b"abc",
+     "304502204a8f571b7915171905f88275618335cea401a8ace744d71789c9361901afd13e"
+     "022100ac567b80f1ae573d13ad3edf24d8b89c34f3ea6b81b0ff4064b1473d626d027c"),
+    (_K1_VECTOR_KEY, b"vector 7",       # r and s both padded
+     "3046022100c28fa4222ffb66ed2299653cda5c6e0036de7b14734b6b7177c0442e7518d3b3"
+     "0221009363a492f4c34f51b59e5cc92803dfaaf33318687bc51bb1239272cb572ef7aa"),
+    (_K1_VECTOR_KEY, b"vector 30",      # a 31-byte r
+     "3043021f7fd94acc5d5f27c39b854000806dc99b3c8dd8b4771eec63b9718f54698c94"
+     "0220153b053bfa0b0937a924e9b68f06bb6fd7c842a8a14a79301d02b1744498d075"),
+    (_K1_VECTOR_KEY, b"vector 393",     # a padded r and a 31-byte s
+     "3044022100c5dd982f5384c5d59d506a822ceba727444afbedfa7a833de5bef35c22719556"
+     "021f2e6dad55f470be9c095b08bbdd0048fcc418bdf881afd4239a9c6c8868d543"),
+]
+
+
+@pytest.mark.parametrize("k,msg,der", K1_VECTORS)
+def test_secp256k1_frozen_vectors(k, msg, der):
+    pair = crypto.sig_keygen(_FixedScalar(k))
+    assert crypto.sign(pair, msg).hex() == der
+    assert crypto.verify(pair.public, msg, bytes.fromhex(der))
+
+
+def test_secp256k1_keys_are_never_built_in_openssl(monkeypatch):
+    curves = []
+    real = crypto.ec.derive_private_key
+
+    def counting(value, curve, *rest):
+        curves.append(curve.name)
+        return real(value, curve, *rest)
+
+    monkeypatch.setattr(crypto.ec, "derive_private_key", counting)
+    pair = crypto.sig_keygen(crypto.DeterministicRng(b"no-openssl-key"))
+    assert crypto.verify(pair.public, b"m", crypto.sign(pair, b"m"))
+    crypto.dh_keygen(crypto.DeterministicRng(b"p256"))
+    assert curves == ["secp256r1"]
+
+
+def test_importing_the_package_does_not_build_the_table():
+    code = (
+        "import pqbfl.cli, pqbfl.harness, pqbfl.protocol\n"
+        "from pqbfl import secp256k1\n"
+        "assert secp256k1._table is None\n"
+        "secp256k1.public_point(1)\n"
+        "assert len(secp256k1._table) == 2 * (32 * 128 + 1)\n"
+    )
+    src = str(Path(crypto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # --- addresses ----------------------------------------------------------------

@@ -259,6 +259,26 @@ def test_bad_configs_rejected_before_any_party_is_built(
     assert not any("Traceback" in line for line in err)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("project_id", 70000),
+    ("project_id", -1),
+    ("deadline_window", 70000),
+    ("deadline_window", -1),
+])
+def test_two_byte_fields_rejected_before_the_run(field, value):
+    # the ledger prices both as two bytes; out of range they used to fail
+    # mid-run, at registration or in the first round's task encode
+    with pytest.raises(ValueError, match=f"{field} must be between 0 and 65535"):
+        run_simulation(small(**{field: value}))
+
+
+@pytest.mark.parametrize("field", ["project_id", "deadline_window"])
+def test_two_byte_fields_run_at_their_bounds(field):
+    for value in (0, 0xFFFF):
+        m = run_simulation(small(rounds=2, **{field: value}))
+        assert m.rows[-1].round == 2
+
+
 # --- command line ------------------------------------------------------------
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
