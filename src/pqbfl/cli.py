@@ -24,15 +24,11 @@ from .harness import (
 
 
 def _parse_ratchet_range(text: str) -> int | tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("empty ratchet range")
+    """Comma-separated ints; `SimConfig` checks the values."""
     try:
-        values = tuple(int(p) for p in parts)
+        values = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad ratchet range {text!r}") from exc
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("ratchet range entries must be >= 1")
     return values[0] if len(values) == 1 else values
 
 

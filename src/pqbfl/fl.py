@@ -9,6 +9,7 @@ big-endian doubles); anything truncated or non-finite is rejected.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -90,6 +91,14 @@ def model_parts(model: ModelVector) -> list:
 def serialize_model(model: ModelVector) -> bytes:
     """(length u32, round u32, tag_len u8, tag, values f64 big-endian)."""
     return b"".join(model_parts(model))
+
+
+def model_digest(model: ModelVector) -> bytes:
+    """SHA-256 of `serialize_model(model)`, fed its parts without the join."""
+    h = hashlib.sha256()
+    for part in model_parts(model):
+        h.update(part)
+    return h.digest()
 
 
 def deserialize_model(blob) -> ModelVector:

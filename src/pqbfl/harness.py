@@ -1,10 +1,10 @@
 """Batch orchestration: seeded end-to-end runs, fault injection, metrics.
 
 `run_simulation` drives one full project lifecycle (registration, session
-establishment, R rounds with the key-rotation schedule, scored feedback,
-termination) over an in-process ledger and an instrumented channel, entirely
-deterministically: every random choice flows from the config seed, and the
-clock is simulated.  Sessions run in lockstep round by round and metrics are
+establishment, R rounds with the key-rotation schedule, one feedback call
+closing each round, termination) over an in-process ledger and an
+instrumented channel, entirely deterministically: every random choice flows
+from the config seed, and the clock is simulated.  Sessions run in lockstep round by round and metrics are
 snapshotted at round boundaries, so output files are reproducible
 byte for byte.
 
@@ -93,13 +93,7 @@ class SimConfig:
             raise ValueError(
                 "rounds must be at most 255: the ledger prices a round number as one byte"
             )
-        lengths = (
-            (self.ratchet_range,)
-            if isinstance(self.ratchet_range, int)
-            else tuple(self.ratchet_range)
-        )
-        if not lengths or any(l < 1 for l in lengths):
-            raise ValueError("ratchet range entries must be at least 1")
+        ratchet.RatchetConfig(self.ratchet_range)   # raises on a bad range
         if self.model_dim < 1:
             raise ValueError("model_dim must be at least 1")
         if self.participants > 0xFFFF:
@@ -141,20 +135,15 @@ class InjectionRecord:
     detail: str
 
 
-@dataclass
-class MetricsRow:
+@dataclass(kw_only=True)
+class MetricsRow(protocol.OpCounters):
+    """One party's cumulative counters at a round boundary.  The CSV keeps
+    the `METRICS_HEADER` columns, without `offchain_recv_bytes` and
+    `key_material_bytes`."""
+
     round: int
     party: str
-    offchain_bytes: int
     onchain_bytes: int
-    keygen: int
-    encap: int
-    decap: int
-    derive: int
-    sign: int
-    verify: int
-    offchain_recv_bytes: int = 0      # kept out of the fixed CSV schema
-    key_material_bytes: int = 0
 
     def csv_values(self) -> list:
         return [getattr(self, name) for name in METRICS_HEADER]
@@ -404,10 +393,9 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             _, model = channel.carry(
                 "update", p.send_update(local), rnd, i, server.handle_update
             )
-            collected.append((p.address, model))
-        global_model = fl.aggregate([m for _, m in collected])
-        for addr, _ in collected:
-            server.feedback(addr, 1, 1 if rnd == config.rounds else 0, global_model)
+            collected.append(model)
+        global_model = fl.aggregate(collected)
+        server.feedback(global_model)
         return global_model
 
     for rnd in range(1, config.rounds + 1):
@@ -429,7 +417,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         transcripts[name] = [row.format() for row in p.transcript]
 
     rotations = sum(
-        1 for ev in ledger.events if isinstance(ev, TaskEvent) and ev.h_keys
+        1 for b in ledger.blocks if isinstance(b.event, TaskEvent) and b.event.h_keys
     )
     return RunMetrics(
         config=config,
@@ -444,7 +432,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         asymmetric_ratchets=1 + rotations,
         final_epoch=next(iter(server.sessions.values())).ratchet.epoch,
         key_material_bytes=sum(p.counters.key_material_bytes for _, p in parties),
-        final_model_digest=crypto.digest(fl.serialize_model(global_model)).hex(),
+        final_model_digest=fl.model_digest(global_model).hex(),
         terminated=ledger.project_info(config.project_id)["done"],
     )
 

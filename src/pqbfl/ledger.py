@@ -5,8 +5,9 @@ project with an escrowed deposit and a key commitment, clients register with
 their own key commitments, then each round publishes a task, collects model
 updates, and scores them; finishing the project releases the escrow.  Every
 accepted transaction emits one event and forms one block holding its sender
-and that event; events are the source of truth, and replaying them under the
-same configuration reconstructs the full ledger state (balances included).
+and that event.  The block list is the one log: the export prints its events,
+and replaying its blocks under the same configuration rebuilds the same blocks
+and the full contract state (balances included).
 
 The contract state keeps each project's registration, its clients in block
 order, its tasks by id, and each client's latest update per task.  Parties
@@ -26,7 +27,6 @@ hash on key-rotation rounds.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -263,7 +263,6 @@ class Ledger:
         self.config = config or LedgerConfig()
         self.clock = clock or SimClock()
         self.blocks: list[Block] = []
-        self.events: list[LedgerEvent] = []
         self._balances: dict[bytes, int] = {}
         self._projects: dict[int, _Project] = {}
 
@@ -288,7 +287,6 @@ class Ledger:
     def _commit(self, sender: bytes, event: LedgerEvent) -> LedgerEvent:
         self._apply(event)
         self.blocks.append(Block(sender, event))
-        self.events.append(event)
         return event
 
     @staticmethod
@@ -537,18 +535,14 @@ class Ledger:
             },
         }
 
-    def export(self, stream: io.TextIOBase | None = None) -> str:
+    def export(self) -> str:
         """Line-delimited event log; identical state implies identical text."""
-        text = "".join(format_event(e) + "\n" for e in self.events)
-        if stream is not None:
-            stream.write(text)
-        return text
+        return "".join(format_event(b.event) + "\n" for b in self.blocks)
 
     @classmethod
-    def replay(cls, events: Iterable[LedgerEvent], config: LedgerConfig | None = None) -> "Ledger":
-        """Rebuild ledger state from an event log under the same configuration."""
+    def replay(cls, blocks: Iterable[Block], config: LedgerConfig | None = None) -> "Ledger":
+        """Rebuild the blocks and the contract state under the same configuration."""
         fresh = cls(config=config)
-        for e in events:
-            fresh._apply(e)
-            fresh.events.append(e)
+        for b in blocks:
+            fresh._commit(b.sender, b.event)
         return fresh

@@ -12,7 +12,9 @@ chain; participants reply with sealed local updates, likewise committed.  On
 the last round of an epoch the task payload carries fresh server keys and the
 update carries the participant's KEM ciphertext and fresh ECDH key, both
 committed on chain, and the next epoch's keys take effect the following
-round.
+round.  The server closes a round with one `feedback` call: it hashes the new
+global model once and scores every session whose update for the round it
+accepted, flagging termination on the planned last round.
 
 Wire bytes are the delivery unit: every send returns the signed envelope's
 bytes, encoded once, and every handler takes those bytes, counts them and
@@ -22,8 +24,11 @@ and byte-swapped values into the payload once, then the signed bytes once
 and the wire bytes once; a receive decodes through views of the wire bytes,
 verifies the signature over their signed prefix, and copies the model once,
 into the decoded vector.  Handlers are atomic: every check (freshness,
-signature, replay, on-chain commitment, AEAD) runs before any session state
-changes, so a rejected delivery leaves the session exactly as it was.
+signature, replay, on-chain commitment, AEAD, model decoding) runs before any
+session state changes, so a rejected delivery leaves the session exactly as it
+was.  Each session fact is stored once: a session is established exactly when
+it holds a ratchet, and the server keeps a participant's on-chain registration
+itself rather than copies of its fields.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly.  `derive` counts the two per-round symmetric chain
@@ -39,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from . import crypto, fl, ratchet
 from .crypto import AuthFailure
 from .ledger import (
+    FeedbackEvent,
     Ledger,
     RegClientEvent,
     RegProjectEvent,
@@ -323,30 +329,6 @@ def build_envelope(
     return replace(partial, signature=crypto.sign(sig_pair, signed))
 
 
-def check_envelope(
-    env: SignedEnvelope, blob, expected_sender: bytes, now: int,
-    max_skew: int = MAX_SKEW_SECONDS,
-) -> None:
-    """Freshness, address binding, and signature.  Raises; never mutates.
-
-    `blob` is the wire bytes `env` was decoded from.  The signature covers
-    every byte before the signature field, so it is checked over that prefix
-    of `blob`: `decode` accepts only the one layout, so the prefix is byte for
-    byte what the sender signed.
-    """
-    if env.version != WIRE_VERSION:
-        raise MalformedMessage(f"unsupported wire version {env.version}")
-    if abs(now - env.timestamp) > max_skew:
-        raise StaleTimestamp(f"timestamp {env.timestamp} vs now {now}")
-    if crypto.address_of(env.sender_public) != env.sender_address:
-        raise BadSignature("declared key does not match sender address")
-    if env.sender_address != expected_sender:
-        raise BadSignature("sender is not the expected peer")
-    signed = memoryview(blob)[: len(blob) - 4 - len(env.signature)]
-    if not crypto.verify(env.sender_public, signed, env.signature):
-        raise BadSignature("envelope signature invalid")
-
-
 # --- instrumentation -------------------------------------------------------
 
 @dataclass
@@ -416,7 +398,24 @@ class _Party:
     def _check(
         self, env: SignedEnvelope, blob, sender: bytes, msg_type: int, what: str
     ) -> None:
-        check_envelope(env, blob, sender, self.clock.now(), self.max_skew)
+        """Freshness, address binding, signature and type.  Raises; never mutates.
+
+        `blob` is the wire bytes `env` was decoded from.  The signature covers
+        every byte before the signature field, so it is checked over that
+        prefix of `blob`: `decode` accepts only the one layout, so the prefix
+        is byte for byte what the sender signed.
+        """
+        if env.version != WIRE_VERSION:
+            raise MalformedMessage(f"unsupported wire version {env.version}")
+        if abs(self.clock.now() - env.timestamp) > self.max_skew:
+            raise StaleTimestamp(f"timestamp {env.timestamp} vs now {self.clock.now()}")
+        if crypto.address_of(env.sender_public) != env.sender_address:
+            raise BadSignature("declared key does not match sender address")
+        if env.sender_address != sender:
+            raise BadSignature("sender is not the expected peer")
+        signed = memoryview(blob)[: len(blob) - 4 - len(env.signature)]
+        if not crypto.verify(env.sender_public, signed, env.signature):
+            raise BadSignature("envelope signature invalid")
         self.counters.verify += 1
         if env.msg_type != msg_type:
             raise MalformedMessage(f"expected {what}")
@@ -430,8 +429,9 @@ class _Party:
 
     def _open(
         self, key: ratchet.ModelKey, env: SignedEnvelope, direction: int, h_info: bytes
-    ) -> TaskPayload | UpdatePayload:
-        """Open a sealed round payload and check it against its on-chain hash."""
+    ) -> tuple[TaskPayload | UpdatePayload, fl.ModelVector]:
+        """Open a sealed round payload, check it against its on-chain hash and
+        decode its model."""
         what, codec = _SEALED[direction]
         aad = seal_aad(self.project_id, env.round, env.round, direction)
         plaintext = crypto.aead_open(
@@ -442,18 +442,19 @@ class _Party:
         msg = codec.decode(plaintext)
         if msg.project_id != self.project_id or msg.round != env.round or msg.task_id != env.round:
             raise MalformedMessage("payload identifiers disagree with envelope")
-        return msg
+        try:
+            model = fl.deserialize_model(msg.model)
+        except ValueError as exc:
+            raise MalformedMessage(f"{what} model: {exc}") from None
+        return msg, model
 
 
 # --- server ----------------------------------------------------------------
 
 @dataclass
 class _ServerSession:
-    participant: bytes
-    h_key_commitment: bytes
-    registration_block: int
-    ratchet: ratchet.RatchetState | None = None
-    established: bool = False
+    registration: RegClientEvent
+    ratchet: ratchet.RatchetState | None = None   # set once established
     current_key: ratchet.ModelKey | None = None
     last_update_round: int = 0
     transcript: list[TranscriptRow] = field(default_factory=list)
@@ -490,9 +491,23 @@ class Server(_Party):
         self.registration_block: int | None = None
         self._kem: crypto.KemKeyPair | None = None
         self._dh: crypto.DhKeyPair | None = None
-        self._pending_dh: crypto.DhKeyPair | None = None  # fresh pair during rotation
         self._rotation_round: int = 0
-        self._anchored: tuple[fl.ModelVector, bytes] | None = None  # feedback model, hash
+
+    # hybrid exchange -------------------------------------------------------
+
+    def _new_keys(self) -> tuple[crypto.KemKeyPair, crypto.DhKeyPair, bytes]:
+        """Fresh KEM and ECDH pairs and their on-chain commitment."""
+        kem = crypto.kem_keygen(self.rng.bytes(32))
+        dh = crypto.dh_keygen(self.rng)
+        self.counters.keygen += 2
+        return kem, dh, crypto.digest(kem.public + dh.public)
+
+    def _agree(self, kem_ciphertext: bytes, dh_public: bytes) -> tuple[bytes, bytes]:
+        """The (KEM, ECDH) shared secrets with a participant, under the
+        current key pairs."""
+        ss_kem = crypto.kem_decap(self._kem.secret, kem_ciphertext)
+        self.counters.decap += 1
+        return ss_kem, crypto.dh_agree(self._dh, dh_public)
 
     # establishment ---------------------------------------------------------
 
@@ -500,13 +515,10 @@ class Server(_Party):
         """Generate the hybrid key pairs and register the project."""
         if self.registration_block is not None:
             raise ProtocolError("already bootstrapped")
-        self._kem = crypto.kem_keygen(self.rng.bytes(32))
-        self._dh = crypto.dh_keygen(self.rng)
-        self.counters.keygen += 2
-        h_keys = crypto.digest(self._kem.public + self._dh.public)
-        h_model = crypto.digest(fl.serialize_model(initial_model))
+        self._kem, self._dh, h_keys = self._new_keys()
         event = self.ledger.register_project(
-            self.address, self.project_id, self.capacity, h_model, h_keys
+            self.address, self.project_id, self.capacity,
+            fl.model_digest(initial_model), h_keys,
         )
         self.registration_block = event.block
         return event
@@ -517,11 +529,7 @@ class Server(_Party):
         for ev in self.ledger.clients(self.project_id):
             if ev.client in self.sessions:
                 continue
-            self.sessions[ev.client] = _ServerSession(
-                participant=ev.client,
-                h_key_commitment=ev.h_key,
-                registration_block=ev.block,
-            )
+            self.sessions[ev.client] = _ServerSession(ev)
             fresh.append(ev.client)
         return fresh
 
@@ -551,33 +559,24 @@ class Server(_Party):
         session = self.sessions.get(env.sender_address)
         if session is None:
             raise UnknownClient("response from unregistered address")
-        self._check(env, blob, session.participant, MSG_KEY_RESPONSE, "a key response")
-        if session.established:
+        reg = session.registration
+        self._check(env, blob, reg.client, MSG_KEY_RESPONSE, "a key response")
+        if session.ratchet is not None:
             raise ReplayDetected("session already established")
         msg = KeyResponse.decode(env.payload)
         if msg.project_id != self.project_id:
             raise BadReference("response for a different project")
-        if msg.registration_block != session.registration_block:
+        if msg.registration_block != reg.block:
             raise BadReference("response references the wrong registration")
-        if crypto.digest(msg.dh_public) != session.h_key_commitment:
+        if crypto.digest(msg.dh_public) != reg.h_key:
             raise CommitmentMismatch("ECDH key does not match the registered commitment")
-        ss_kem = crypto.kem_decap(self._kem.secret, msg.kem_ciphertext)
-        self.counters.decap += 1
-        ss_dh = crypto.dh_agree(self._dh, msg.dh_public)
-        session.ratchet = ratchet.init_root(ss_kem, ss_dh, self.config)
-        session.established = True
+        secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
+        session.ratchet = ratchet.init_root(*secrets, self.config)
         session.transcript.append(
             TranscriptRow(0, 1, 0, "p2s", crypto.digest(env.payload), msg.registration_block)
         )
 
     # rounds ----------------------------------------------------------------
-
-    def _advance(self, session: _ServerSession) -> ratchet.ModelKey:
-        session.ratchet, key = ratchet.advance_symmetric(session.ratchet)
-        self.counters.derive += 2
-        if self.key_log is not None:
-            self.key_log.append(("server", session.participant, key.round, key.epoch, key.step, key.key))
-        return key
 
     def publish_round(self, model: fl.ModelVector) -> tuple[TaskEvent, dict[bytes, bytes]]:
         """Advance every session one round and seal the global model to each.
@@ -590,9 +589,9 @@ class Server(_Party):
             raise SessionTerminated("project is finished")
         if not self.sessions:
             raise SessionNotReady("no registered participants")
-        for s in self.sessions.values():
-            if not s.established:
-                raise SessionNotReady(f"session {s.participant.hex()} not established")
+        for addr, s in self.sessions.items():
+            if s.ratchet is None:
+                raise SessionNotReady(f"session {addr.hex()} not established")
         states = {(s.ratchet.epoch, s.ratchet.step) for s in self.sessions.values()}
         if len(states) != 1:
             raise ProtocolError("sessions fell out of lockstep")
@@ -601,13 +600,7 @@ class Server(_Party):
         rotate = (
             step + 1 == self.config.epoch_length(epoch) and rnd < self.rounds_planned
         )
-        fresh_kem = fresh_dh = None
-        h_keys = b""
-        if rotate:
-            fresh_kem = crypto.kem_keygen(self.rng.bytes(32))
-            fresh_dh = crypto.dh_keygen(self.rng)
-            self.counters.keygen += 2
-            h_keys = crypto.digest(fresh_kem.public + fresh_dh.public)
+        fresh_kem, fresh_dh, h_keys = self._new_keys() if rotate else (None, None, b"")
         plaintext = TaskPayload(
             project_id=self.project_id,
             task_id=rnd,
@@ -623,7 +616,10 @@ class Server(_Party):
         )
         envelopes: dict[bytes, bytes] = {}
         for addr, session in self.sessions.items():
-            key = self._advance(session)
+            session.ratchet, key = ratchet.advance_symmetric(session.ratchet)
+            self.counters.derive += 2
+            if self.key_log is not None:
+                self.key_log.append(("server", addr, key.round, key.epoch, key.step, key.key))
             envelopes[addr] = self._send(
                 MSG_TASK, rnd, self._seal(key, rnd, DIR_TASK, plaintext)
             )
@@ -634,7 +630,6 @@ class Server(_Party):
         if rotate:
             self.counters.key_material_bytes += _KEY_ANNOUNCE_BYTES * len(self.sessions)
             self._kem, self._dh = fresh_kem, fresh_dh
-            self._pending_dh = fresh_dh
             self._rotation_round = rnd
         self.round = rnd
         return event, envelopes
@@ -644,57 +639,52 @@ class Server(_Party):
         self.counters.offchain_recv_bytes += len(blob)
         env = SignedEnvelope.decode(blob)
         session = self.sessions.get(env.sender_address)
-        if session is None or not session.established:
+        if session is None or session.ratchet is None:
             raise UnknownClient("update from an unknown session")
-        self._check(env, blob, session.participant, MSG_UPDATE, "an update")
+        self._check(env, blob, session.registration.client, MSG_UPDATE, "an update")
         if env.round <= session.last_update_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.round:
             raise ProtocolError(f"update for round {env.round}, current is {self.round}")
-        chain = self.ledger.update(self.project_id, env.round, session.participant)
+        chain = self.ledger.update(self.project_id, env.round, session.registration.client)
         if chain is None:
             raise BadReference("no on-chain update transaction for this round")
         key = session.current_key
         if key is None or key.round != env.round:
             raise SessionNotReady("no model key staged for this round")
-        msg = self._open(key, env, DIR_UPDATE, chain.h_info)
+        msg, model = self._open(key, env, DIR_UPDATE, chain.h_info)
         rotating = self._rotation_round == env.round
         if rotating != bool(msg.kem_ciphertext):
             raise CommitmentMismatch("key rotation material missing or unexpected")
         if rotating and crypto.digest(msg.kem_ciphertext + msg.dh_public) != chain.h_ct_key:
             raise CommitmentMismatch("rotation reply does not match the on-chain hash")
-        model = fl.deserialize_model(msg.model)
         # all checks passed; commit state changes
         key.mark_used(DIR_UPDATE)
         if rotating:
-            ss_kem = crypto.kem_decap(self._kem.secret, msg.kem_ciphertext)
-            self.counters.decap += 1
-            ss_dh = crypto.dh_agree(self._pending_dh, msg.dh_public)
-            session.ratchet = ratchet.advance_asymmetric(session.ratchet, ss_kem, ss_dh)
+            secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
+            session.ratchet = ratchet.advance_asymmetric(session.ratchet, *secrets)
         session.last_update_round = env.round
         session.current_key = None
         session.transcript.append(
             TranscriptRow(env.round, key.epoch, key.step, "p2s", chain.h_info, chain.block)
         )
-        return session.participant, model
+        return session.registration.client, model
 
-    def feedback(
-        self, participant: bytes, score: int, terminate: int, global_model: fl.ModelVector
-    ):
-        """Score one participant's round and anchor the new global model.
-
-        The model is serialized and hashed once, at its first feedback; pass
-        the same, unmodified model object for every participant of a round.
+    def feedback(self, global_model: fl.ModelVector) -> list[FeedbackEvent]:
+        """Close the round: anchor the new global model and score 1 each
+        session whose update for this round was accepted, in registration
+        order.  The planned last round's feedback carries the termination flag.
         """
-        if participant not in self.sessions:
-            raise UnknownClient("no such participant")
-        if self._anchored is None or self._anchored[0] is not global_model:
-            self._anchored = (global_model, crypto.digest(fl.serialize_model(global_model)))
-        h_model = self._anchored[1]
-        return self.ledger.feedback_model(
-            self.address, self.round, self.project_id, self.round,
-            participant, score, terminate, h_model, self.ledger.current_keys(self.project_id),
-        )
+        h_model = fl.model_digest(global_model)
+        h_keys = self.ledger.current_keys(self.project_id)
+        terminate = 1 if self.round == self.rounds_planned else 0
+        return [
+            self.ledger.feedback_model(
+                self.address, self.round, self.project_id, self.round,
+                addr, 1, terminate, h_model, h_keys,
+            )
+            for addr, s in self.sessions.items() if s.last_update_round == self.round
+        ]
 
     def finish(self):
         """Close the project and release the escrowed deposit."""
@@ -722,8 +712,7 @@ class Participant(_Party):
         self.project_id: int | None = None
         self.server_address: bytes | None = None
         self.registration_block: int | None = None
-        self.ratchet: ratchet.RatchetState | None = None
-        self.established = False
+        self.ratchet: ratchet.RatchetState | None = None   # set once established
         self.last_round = 0
         self.transcript: list[TranscriptRow] = []
         self._active: dict | None = None       # open task awaiting an update
@@ -746,6 +735,15 @@ class Participant(_Party):
         self.registration_block = event.block
         return event
 
+    def _encapsulate(
+        self, kem_public: bytes, server_dh_public: bytes, dh: crypto.DhKeyPair
+    ) -> tuple[bytes, tuple[bytes, bytes]]:
+        """Encapsulate to the server's KEM key and agree with its ECDH key
+        from `dh`; returns the ciphertext and the (KEM, ECDH) shared secrets."""
+        ct, ss_kem = crypto.kem_encap(kem_public, self.rng.bytes(32))
+        self.counters.encap += 1
+        return ct, (ss_kem, crypto.dh_agree(dh, server_dh_public))
+
     def handle_keys(self, blob: bytes) -> bytes:
         """Check the announced keys against the chain and derive the root key."""
         self.counters.offchain_recv_bytes += len(blob)
@@ -755,7 +753,7 @@ class Participant(_Party):
         self._check(
             env, blob, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement"
         )
-        if self.established:
+        if self.ratchet is not None:
             raise ReplayDetected("session already established")
         msg = KeyAnnouncement.decode(env.payload)
         if msg.project_id != self.project_id:
@@ -765,9 +763,7 @@ class Participant(_Party):
             raise BadReference("announcement references the wrong registration")
         if crypto.digest(msg.kem_public + msg.dh_public) != reg.h_keys:
             raise CommitmentMismatch("announced keys do not match the on-chain commitment")
-        ct, ss_kem = crypto.kem_encap(msg.kem_public, self.rng.bytes(32))
-        self.counters.encap += 1
-        ss_dh = crypto.dh_agree(self._dh, msg.dh_public)
+        ct, secrets = self._encapsulate(msg.kem_public, msg.dh_public, self._dh)
         reply = KeyResponse(
             project_id=self.project_id,
             registration_block=self.registration_block,
@@ -776,8 +772,7 @@ class Participant(_Party):
         ).encode()
         out = self._send(MSG_KEY_RESPONSE, 0, reply)
         self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
-        self.ratchet = ratchet.init_root(ss_kem, ss_dh, self.config)
-        self.established = True
+        self.ratchet = ratchet.init_root(*secrets, self.config)
         self.transcript.append(
             TranscriptRow(0, 1, 0, "s2p", crypto.digest(env.payload), msg.registration_block)
         )
@@ -790,7 +785,7 @@ class Participant(_Party):
         """Verify a round's task against the chain and return the global model."""
         self.counters.offchain_recv_bytes += len(blob)
         env = SignedEnvelope.decode(blob)
-        if not self.established:
+        if self.ratchet is None:
             raise SessionNotReady("session not established")
         self._check(env, blob, self.server_address, MSG_TASK, "a task")
         if env.round <= self.last_round:
@@ -805,12 +800,11 @@ class Participant(_Party):
         if self.clock.now() > chain.time + chain.deadline_window:
             raise StaleDeadline(f"task deadline passed at {chain.time + chain.deadline_window}")
         new_state, key = ratchet.advance_symmetric(self.ratchet)
-        msg = self._open(key, env, DIR_TASK, chain.h_info)
+        msg, model = self._open(key, env, DIR_TASK, chain.h_info)
         if bool(msg.kem_public) != bool(chain.h_keys):
             raise CommitmentMismatch("key rotation material missing or unexpected")
         if msg.kem_public and crypto.digest(msg.kem_public + msg.dh_public) != chain.h_keys:
             raise CommitmentMismatch("fresh keys do not match the on-chain commitment")
-        model = fl.deserialize_model(msg.model)
         # all checks passed; commit state changes
         self.ratchet = new_state
         self.counters.derive += 2
@@ -833,19 +827,14 @@ class Participant(_Party):
             raise NoActiveTask("no task to answer")
         rnd = self._active["round"]
         key: ratchet.ModelKey = self._active["key"]
-        ct = dh_pub = b""
-        h_ct_key = b""
+        ct = dh_pub = h_ct_key = b""
         rotation = None
         if self._active["fresh"] is not None:
-            kem_public, server_dh_public = self._active["fresh"]
             fresh_dh = crypto.dh_keygen(self.rng)
             self.counters.keygen += 1
-            ct, ss_kem = crypto.kem_encap(kem_public, self.rng.bytes(32))
-            self.counters.encap += 1
-            ss_dh = crypto.dh_agree(fresh_dh, server_dh_public)
+            ct, rotation = self._encapsulate(*self._active["fresh"], fresh_dh)
             dh_pub = fresh_dh.public
             h_ct_key = crypto.digest(ct + dh_pub)
-            rotation = (ss_kem, ss_dh)
         plaintext = UpdatePayload(
             project_id=self.project_id, task_id=rnd, round=rnd,
             model=fl.model_parts(model), kem_ciphertext=ct, dh_public=dh_pub,

@@ -60,6 +60,5 @@ def run_round(server, participants, clock, model, train_seed=77):
         _, received = server.handle_update(update)
         collected.append(received)
     new_global = fl.aggregate(collected)
-    for p in participants:
-        server.feedback(p.address, 1, 1 if server.round == server.rounds_planned else 0, new_global)
+    server.feedback(new_global)
     return new_global

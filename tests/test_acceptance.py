@@ -139,7 +139,7 @@ def test_criterion_06_compromise_window():
         local = fl.local_train(got, 7, 0.01, got.round + 1)
         _, received = server.handle_update(p.send_update(local))
         model = fl.aggregate([received])
-        server.feedback(p.address, 1, 1 if server.round == 10 else 0, model)
+        server.feedback(model)
 
     honest = {row[2]: (row[3], row[4], row[5]) for row in plog}  # round -> (j, i, key)
     ok = len(honest) == 10

@@ -1,5 +1,6 @@
 """Aggregation against a brute-force summation oracle; wire format hygiene."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -127,9 +128,11 @@ def test_local_train_is_deterministic_and_round_sensitive():
 )
 def test_serialize_roundtrip(values, round, tag):
     m = fl.ModelVector(values, round, tag)
-    back = fl.deserialize_model(fl.serialize_model(m))
+    blob = fl.serialize_model(m)
+    back = fl.deserialize_model(blob)
     assert np.array_equal(back.values, m.values)
     assert back.round == m.round and back.tag == m.tag
+    assert fl.model_digest(m) == hashlib.sha256(blob).digest()
 
 
 def test_serialization_rejects_truncation_and_nonfinite():

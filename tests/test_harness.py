@@ -243,6 +243,8 @@ def test_rounds_beyond_one_byte_rejected_up_front(capsys):
     ("--noise-scale", "1e308", "noise scale"),
     ("--seed", "-1", "seed"),
     ("--participants", "65536", "participants"),
+    ("--ratchet-range", "0", "symmetric range"),
+    ("--ratchet-range", "2,0", "symmetric range"),
 ])
 def test_bad_configs_rejected_before_any_party_is_built(
     flag, value, fragment, monkeypatch, capsys

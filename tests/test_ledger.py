@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import establish, run_round
 from pqbfl import ledger as L
 from pqbfl.ledger import (
     BadField,
@@ -104,7 +105,7 @@ def test_insufficient_deposit_rejected_without_trace():
     ledger, _ = fresh(deposit=2000, initial=1000)
     with pytest.raises(InsufficientDeposit):
         ledger.register_project(SERVER, 1, 2, H32, H32)
-    assert ledger.blocks == [] and ledger.events == []
+    assert ledger.blocks == []
     assert ledger.account_count() == 0
 
 
@@ -228,7 +229,7 @@ def test_keyed_lookups_read_contract_state():
     latest = ledger.update_model(CLIENT, 1, H2, b"", 1, 1)
     assert ledger.current_keys(1) == H32
     rotation = ledger.publish_task(SERVER, 2, H32, H2, 1, 2, 600)
-    for view in (ledger, Ledger.replay(ledger.events, LedgerConfig())):
+    for view in (ledger, Ledger.replay(ledger.blocks, LedgerConfig())):
         assert view.registration(1) == project
         assert view.clients(1) == [first, second]
         assert view.task(1, 1) == plain and view.task(1, 2) == rotation
@@ -253,7 +254,7 @@ def test_export_is_deterministic_and_line_per_event():
     a, b = build(), build()
     assert a.export() == b.export()
     lines = a.export().splitlines()
-    assert len(lines) == len(a.events) == 6
+    assert len(lines) == len(a.blocks) == 6
     assert lines[0].startswith("RegProject ")
     assert all("block=" in line for line in lines)
 
@@ -265,9 +266,19 @@ def test_replay_reproduces_state():
     ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
     ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 2, 1, H32, H32)
     ledger.finish_project(SERVER, 1)
-    twin = Ledger.replay(ledger.events, LedgerConfig())
+    twin = Ledger.replay(ledger.blocks, LedgerConfig())
     assert twin.snapshot() == ledger.snapshot()
     assert twin.export() == ledger.export()
+
+
+def test_replayed_run_rebuilds_its_blocks():
+    server, parts, ledger, clock, model = establish(n=2, rounds=3, length=2, seed=b"rerun")
+    for _ in range(3):
+        model = run_round(server, parts, clock, model)
+    twin = Ledger.replay(ledger.blocks, LedgerConfig())
+    assert twin.blocks == ledger.blocks
+    assert twin.onchain_bytes() == ledger.onchain_bytes() > 0
+    assert twin.export() == ledger.export() and twin.snapshot() == ledger.snapshot()
 
 
 def test_rejected_transactions_leave_no_state():
@@ -323,7 +334,7 @@ def test_random_op_soup_replays_and_conserves(ops):
         except L.LedgerError:
             pass
         clock.advance(7)
-    twin = Ledger.replay(ledger.events, LedgerConfig())
+    twin = Ledger.replay(ledger.blocks, LedgerConfig())
     assert twin.snapshot() == ledger.snapshot()
     cfg = LedgerConfig()
     assert ledger.total_balance() == cfg.initial_balance * ledger.account_count()

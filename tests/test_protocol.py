@@ -1,5 +1,6 @@
 """Session state machines: establishment, rounds, rejection paths, schedule."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +31,7 @@ def test_both_sides_agree_on_root_and_chain():
     session = server.sessions[p.address]
     assert session.ratchet.root_key == p.ratchet.root_key
     assert session.ratchet.chain_key == p.ratchet.chain_key
-    assert session.established and p.established
+    assert session.ratchet is not None and p.ratchet is not None
 
 
 def test_establishment_operation_counts():
@@ -63,7 +64,7 @@ def test_announcement_key_swap_is_caught():
     # the honest copy still establishes: the failure left no state behind
     response = victim.handle_keys(blob)
     server.handle_key_response(response)
-    assert server.sessions[victim.address].established
+    assert server.sessions[victim.address].ratchet is not None
 
 
 def test_response_key_swap_is_caught():
@@ -83,7 +84,7 @@ def test_response_key_swap_is_caught():
     with pytest.raises(CommitmentMismatch):
         server.handle_key_response(forged)
     server.handle_key_response(response)
-    assert server.sessions[p.address].established
+    assert server.sessions[p.address].ratchet is not None
 
 
 def test_establishment_replay_rejected():
@@ -197,15 +198,98 @@ def test_update_commitment_is_scoped_to_its_project():
 def test_feedback_hashes_the_global_model_once_per_round(monkeypatch):
     server, parts, _, clock, model = establish(n=3, rounds=2, length=5, seed=b"fb")
     hashed = []
-    real = crypto.digest
+    real = fl.model_digest
 
-    def counting(data):
-        hashed.append(bytes(data))
-        return real(data)
+    def counting(m):
+        hashed.append(m)
+        return real(m)
 
-    monkeypatch.setattr(crypto, "digest", counting)
-    new_global = run_round(server, parts, clock, model)
-    assert hashed.count(fl.serialize_model(new_global)) == 1
+    monkeypatch.setattr(fl, "model_digest", counting)
+    for _ in range(2):
+        hashed.clear()
+        model = run_round(server, parts, clock, model)
+        assert len(hashed) == 1 and hashed[0] is model
+
+
+def test_feedback_scores_only_the_updates_that_arrived():
+    server, parts, ledger, clock, model = establish(n=3, rounds=3, length=5, seed=b"drop")
+    for rnd in (1, 2, 3):
+        clock.advance(60)
+        _, envs = server.publish_round(model)
+        senders = parts if rnd == 1 else [parts[0], parts[2]]   # parts[1] drops out
+        collected = []
+        for p in senders:
+            got = p.handle_task(envs[p.address])
+            _, m = server.handle_update(p.send_update(fl.local_train(got, 5, 0.01, rnd)))
+            collected.append(m)
+        model = fl.aggregate(collected)
+        events = server.feedback(model)
+        assert [e.client for e in events] == [p.address for p in senders]
+        assert {(e.round, e.score, e.terminate, e.h_model) for e in events} == {
+            (rnd, 1, int(rnd == 3), fl.model_digest(model))
+        }
+    assert [ledger.score_of(1, p.address) for p in parts] == [3, 1, 3]
+
+
+def _bad_parts(kind):
+    """`fl.model_parts` with a NaN entry or one value short of its header."""
+    real = fl.model_parts
+
+    def parts(model):
+        header, values = real(model)
+        if kind == "nan":
+            values = values.copy()
+            values[0] = np.nan
+        else:
+            values = values[:-1]
+        return [header, values]
+    return parts
+
+
+@pytest.mark.parametrize("kind", ["nan", "short"])
+def test_bad_model_in_authentic_task_is_malformed(kind, monkeypatch):
+    server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"badtask")
+    clock.advance(60)
+    with monkeypatch.context() as m:
+        m.setattr(fl, "model_parts", _bad_parts(kind))
+        _, envs = server.publish_round(model)
+
+    def state():
+        return (p.ratchet, p.last_round, p._active, list(p.transcript), p.counters.derive)
+
+    before = state()
+    with pytest.raises(MalformedMessage):
+        p.handle_task(envs[p.address])
+    assert state() == before
+
+
+@pytest.mark.parametrize("kind", ["nan", "short"])
+def test_bad_model_in_authentic_update_is_malformed(kind):
+    server, (p,), ledger, clock, model = establish(rounds=2, length=5, seed=b"badupd")
+    clock.advance(60)
+    _, envs = server.publish_round(model)
+    local = fl.local_train(p.handle_task(envs[p.address]), 1, 0.01, 1)
+    # signed, sealed under the round key and committed on chain like an honest update
+    plaintext = UpdatePayload(1, 1, 1, _bad_parts(kind)(local)).encode()
+    ledger.update_model(p.address, 1, crypto.digest(plaintext), b"", 1, 1)
+    sealed = crypto.aead_seal(
+        p._active["key"].key, protocol.seal_nonce(1, protocol.DIR_UPDATE),
+        protocol.seal_aad(1, 1, 1, protocol.DIR_UPDATE), plaintext,
+    )
+    blob = p._send(protocol.MSG_UPDATE, 1, sealed)
+    session = server.sessions[p.address]
+
+    def state():
+        return (session.ratchet, session.current_key, session.last_update_round,
+                list(session.transcript))
+
+    before = state()
+    with pytest.raises(MalformedMessage):
+        server.handle_update(blob)
+    assert state() == before
+    # the honest update still lands under the same round key
+    sender, got = server.handle_update(p.send_update(local))
+    assert sender == p.address and np.array_equal(got.values, local.values)
 
 
 def test_task_replay_rejected_state_intact():
@@ -320,9 +404,9 @@ def test_rotation_on_last_round_of_epoch_only():
     for _ in range(5):
         model = run_round(server, [p], clock, model)
     tasks = sorted(
-        (e.task_id, bool(e.h_keys))
-        for e in ledger.events
-        if type(e).__name__ == "TaskEvent"
+        (b.event.task_id, bool(b.event.h_keys))
+        for b in ledger.blocks
+        if type(b.event).__name__ == "TaskEvent"
     )
     assert tasks == [(1, False), (2, True), (3, False), (4, True), (5, False)]
     assert server.sessions[p.address].ratchet.epoch == 3
@@ -334,9 +418,9 @@ def test_no_rotation_when_no_rounds_remain():
     for _ in range(4):
         model = run_round(server, [p], clock, model)
     tasks = sorted(
-        (e.task_id, bool(e.h_keys))
-        for e in ledger.events
-        if type(e).__name__ == "TaskEvent"
+        (b.event.task_id, bool(b.event.h_keys))
+        for b in ledger.blocks
+        if type(b.event).__name__ == "TaskEvent"
     )
     assert tasks == [(1, False), (2, True), (3, False), (4, False)]
     assert p.ratchet.epoch == 2
