@@ -66,6 +66,12 @@ METRICS_HEADER = (
 # (max 1.8e308) for noise_scale < 4.4e304; round down.
 MAX_NOISE_SCALE = 1e304
 
+# The largest payload is a sealed rotation round: 8 * model_dim value bytes
+# plus under 2 KiB of headers, length prefixes, fresh keys, model tag and AEAD
+# tag.  Its length prefix, like the model's, is four bytes, so it fits for
+# model_dim <= (2**32 - 1 - 2048) // 8 = 536,870,655; round down.
+MAX_MODEL_DIM = 536_000_000
+
 
 @dataclass
 class SimConfig:
@@ -94,8 +100,11 @@ class SimConfig:
                 "rounds must be at most 255: the ledger prices a round number as one byte"
             )
         ratchet.RatchetConfig(self.ratchet_range)   # raises on a bad range
-        if self.model_dim < 1:
-            raise ValueError("model_dim must be at least 1")
+        if not 1 <= self.model_dim <= MAX_MODEL_DIM:
+            raise ValueError(
+                f"model_dim must be between 1 and {MAX_MODEL_DIM}: "
+                "a sealed payload's length prefix is four bytes"
+            )
         if self.participants > 0xFFFF:
             raise ValueError(
                 "participants must be at most 65535: the ledger prices a capacity as two bytes"
@@ -493,7 +502,8 @@ def _parse_transcript_line(line: str) -> dict[str, str]:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, so they surface as a mismatch
+    with open(path, errors="replace") as fh:
         return fh.read().splitlines()
 
 
@@ -508,12 +518,11 @@ def verify_transcripts(run_dir: str) -> list[str]:
         return [f"missing {server_path}"]
     sessions: dict[str, list[str]] = {}
     for line in _read_lines(server_path):
-        fields = _parse_transcript_line(line)
-        name = fields.pop("session", None)
-        if name is None:
-            problems.append(f"server transcript line without session: {line}")
+        head, _, row = line.partition(" ")
+        if not head.startswith("session=") or not row:
+            problems.append(f"malformed server transcript line: {line}")
             continue
-        sessions.setdefault(name, []).append(line.split(" ", 1)[1])
+        sessions.setdefault(head.removeprefix("session="), []).append(row)
 
     ledger_path = os.path.join(run_dir, "ledger.txt")
     chain_digests = set()
@@ -544,7 +553,10 @@ def verify_transcripts(run_dir: str) -> list[str]:
             )
         for line in client_lines:
             fields = _parse_transcript_line(line)
-            if int(fields["round"]) >= 1 and fields["digest"] not in chain_digests:
+            if not (fields.get("round", "").isdecimal() and "dir" in fields
+                    and "digest" in fields):
+                problems.append(f"{name}: malformed transcript line: {line}")
+            elif int(fields["round"]) >= 1 and fields["digest"] not in chain_digests:
                 problems.append(
                     f"{name}: round {fields['round']} {fields['dir']} digest "
                     f"not anchored on chain"

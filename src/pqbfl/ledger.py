@@ -23,11 +23,17 @@ fills in itself are not calldata; both are priced zero.  A project
 registration plus one client registration totals exactly 100 bytes; a
 publish/update/feedback round totals exactly 148, plus 32 per key-commitment
 hash on key-rotation rounds.
+
+Each priced field declares its width once, as metadata on its event field
+(an integer also declares its allowed values; a hash may be optional, and an
+empty one is not sent).  Pricing sums those widths, and every committed
+block, live or replayed, is checked against them before it changes state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Iterable
 
 HASH_BYTES = 32
@@ -103,48 +109,58 @@ class SimClock:
 
 # --- events ---------------------------------------------------------------
 
+def _int(width: int, allowed: range | None = None):
+    """An integer priced as `width` bytes, unsigned unless `allowed` says otherwise."""
+    return field(metadata={"width": width, "allowed": allowed or range(1 << 8 * width)})
+
+
+def _hash(optional: bool = False):
+    """A hash priced as its 32 bytes; an optional one may be empty, and is then free."""
+    return field(metadata={"width": HASH_BYTES, "optional": optional})
+
+
 @dataclass(frozen=True)
 class RegProjectEvent:
     block: int
     time: int
-    project_id: int
-    capacity: int
+    project_id: int = _int(2)
+    capacity: int = _int(2, range(1, 0x10000))
     server: bytes
-    h_model: bytes
-    h_keys: bytes
+    h_model: bytes = _hash()
+    h_keys: bytes = _hash()
 
 
 @dataclass(frozen=True)
 class RegClientEvent:
     block: int
     time: int
-    project_id: int
+    project_id: int          # duplicates the registration topic, so unpriced
     client: bytes
-    h_key: bytes
+    h_key: bytes = _hash()
 
 
 @dataclass(frozen=True)
 class TaskEvent:
     block: int
     time: int
-    round: int
-    h_info: bytes
-    h_keys: bytes
-    project_id: int
-    task_id: int
-    client_count: int
-    deadline_window: int
+    round: int = _int(1)
+    h_info: bytes = _hash()
+    h_keys: bytes = _hash(optional=True)
+    project_id: int = _int(2)
+    task_id: int = _int(2)
+    client_count: int        # filled in by the contract
+    deadline_window: int = _int(2)
 
 
 @dataclass(frozen=True)
 class UpdateEvent:
     block: int
     time: int
-    round: int
-    h_info: bytes
-    h_ct_key: bytes
-    project_id: int
-    task_id: int
+    round: int = _int(1)
+    h_info: bytes = _hash()
+    h_ct_key: bytes = _hash(optional=True)
+    project_id: int = _int(2)
+    task_id: int = _int(2)
     client: bytes
 
 
@@ -152,21 +168,21 @@ class UpdateEvent:
 class FeedbackEvent:
     block: int
     time: int
-    round: int
-    project_id: int
-    task_id: int
-    h_model: bytes
-    h_keys: bytes
+    round: int = _int(1)
+    project_id: int = _int(2)
+    task_id: int = _int(2)
+    h_model: bytes = _hash()
+    h_keys: bytes = _hash()
     client: bytes
-    score: int
-    terminate: int
+    score: int = _int(2, range(-0x8000, 0x8000))
+    terminate: int = _int(1, range(2))
 
 
 @dataclass(frozen=True)
 class ProjectTerminateEvent:
     block: int
     time: int
-    project_id: int
+    project_id: int = _int(2)
     server: bytes
 
 
@@ -179,38 +195,29 @@ LedgerEvent = (
     | ProjectTerminateEvent
 )
 
-_EVENT_KINDS = {
-    RegProjectEvent: "RegProject",
-    RegClientEvent: "RegClient",
-    TaskEvent: "Task",
-    UpdateEvent: "Update",
-    FeedbackEvent: "Feedback",
-    ProjectTerminateEvent: "ProjectTerminate",
-}
+
+@cache
+def _declared(cls: type) -> tuple:
+    """(name, width, allowed integers or None for a hash, hash may be empty)
+    of each priced field of an event class."""
+    return tuple(
+        (f.name, f.metadata["width"], f.metadata.get("allowed"), f.metadata.get("optional"))
+        for f in fields(cls) if f.metadata
+    )
 
 
 def payload_size(event: LedgerEvent) -> int:
-    """Priced calldata bytes of the transaction that emitted `event` (see
-    module docstring); a task's client count is filled in by the contract."""
-    if isinstance(event, RegProjectEvent):
-        return HASH_BYTES + HASH_BYTES + 2 + 2
-    if isinstance(event, RegClientEvent):
-        # The project reference duplicates the registration topic; priced zero
-        # so a server+client registration pair costs exactly 100 bytes.
-        return HASH_BYTES
-    if isinstance(event, TaskEvent):
-        return 1 + HASH_BYTES + (HASH_BYTES if event.h_keys else 0) + 2 + 2 + 2
-    if isinstance(event, UpdateEvent):
-        return 1 + HASH_BYTES + (HASH_BYTES if event.h_ct_key else 0) + 2 + 2
-    if isinstance(event, FeedbackEvent):
-        return 1 + HASH_BYTES + HASH_BYTES + 2 + 2 + 2 + 1
-    if isinstance(event, ProjectTerminateEvent):
-        return 2
-    raise TypeError(f"not a ledger event: {event!r}")
+    """Priced calldata bytes of the transaction that emitted `event`: the
+    declared widths of its fields, an empty optional hash not being sent
+    (see module docstring)."""
+    return sum(
+        width for name, width, _, optional in _declared(type(event))
+        if not (optional and getattr(event, name) == b"")
+    )
 
 
 def event_kind(event: LedgerEvent) -> str:
-    return _EVENT_KINDS[type(event)]
+    return type(event).__name__.removesuffix("Event")
 
 
 def format_event(event: LedgerEvent) -> str:
@@ -284,27 +291,26 @@ class Ledger:
         except KeyError:
             raise UnknownProject(f"no project {project_id}") from None
 
+    def _open_project(self, project_id: int) -> _Project:
+        """The project a transaction acts on; it must exist and not be finished."""
+        p = self._project(project_id)
+        if p.done:
+            raise ProjectDone(f"project {project_id} is finished")
+        return p
+
     def _commit(self, sender: bytes, event: LedgerEvent) -> LedgerEvent:
+        """Check the sender and every priced field, then apply and append."""
+        self._check_address(sender)
+        for name, width, allowed, optional in _declared(type(event)):
+            value = getattr(event, name)
+            if allowed is not None:
+                if value not in allowed:
+                    raise BadField(f"{name} out of range: {value}")
+            elif len(value) != width and not (optional and value == b""):
+                raise BadField(f"{name} must be {width} bytes")
         self._apply(event)
         self.blocks.append(Block(sender, event))
         return event
-
-    @staticmethod
-    def _check_hash(name: str, value: bytes, allow_empty: bool = False) -> None:
-        if allow_empty and value == b"":
-            return
-        if len(value) != HASH_BYTES:
-            raise BadField(f"{name} must be {HASH_BYTES} bytes")
-
-    @staticmethod
-    def _check_u16(name: str, value: int) -> None:
-        if not 0 <= value <= 0xFFFF:
-            raise BadField(f"{name} out of 2-byte range: {value}")
-
-    @staticmethod
-    def _check_u8(name: str, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise BadField(f"{name} out of 1-byte range: {value}")
 
     # -- transaction entry points
 
@@ -312,13 +318,6 @@ class Ledger:
         self, sender: bytes, project_id: int, capacity: int,
         h_model: bytes, h_keys: bytes,
     ) -> RegProjectEvent:
-        self._check_address(sender)
-        self._check_u16("project_id", project_id)
-        self._check_u16("capacity", capacity)
-        if capacity < 1:
-            raise BadField("capacity must be at least 1")
-        self._check_hash("h_model", h_model)
-        self._check_hash("h_keys", h_keys)
         if project_id in self._projects:
             raise DuplicateProject(f"project {project_id} already registered")
         if self.balance_of(sender) < self.config.deposit:
@@ -332,11 +331,7 @@ class Ledger:
         ))
 
     def register_client(self, sender: bytes, project_id: int, h_key: bytes) -> RegClientEvent:
-        self._check_address(sender)
-        self._check_hash("h_key", h_key)
-        p = self._project(project_id)
-        if p.done:
-            raise ProjectDone(f"project {project_id} is finished")
+        p = self._open_project(project_id)
         if sender in p.clients:
             raise DuplicateClient("client already registered")
         if len(p.clients) >= p.registration.capacity:
@@ -350,15 +345,7 @@ class Ledger:
         self, sender: bytes, round: int, h_info: bytes, h_keys: bytes,
         project_id: int, task_id: int, deadline_window: int,
     ) -> TaskEvent:
-        self._check_address(sender)
-        self._check_u8("round", round)
-        self._check_u16("task_id", task_id)
-        self._check_u16("deadline_window", deadline_window)
-        self._check_hash("h_info", h_info)
-        self._check_hash("h_keys", h_keys, allow_empty=True)
-        p = self._project(project_id)
-        if p.done:
-            raise ProjectDone(f"project {project_id} is finished")
+        p = self._open_project(project_id)
         if p.registration.server != sender:
             raise NotProjectOwner("only the registering server publishes tasks")
         if task_id in p.tasks:
@@ -374,13 +361,7 @@ class Ledger:
         self, sender: bytes, round: int, h_info: bytes, h_ct_key: bytes,
         project_id: int, task_id: int,
     ) -> UpdateEvent:
-        self._check_address(sender)
-        self._check_u8("round", round)
-        self._check_hash("h_info", h_info)
-        self._check_hash("h_ct_key", h_ct_key, allow_empty=True)
-        p = self._project(project_id)
-        if p.done:
-            raise ProjectDone(f"project {project_id} is finished")
+        p = self._open_project(project_id)
         if sender not in p.clients:
             raise UnregisteredClient("client is not registered for this project")
         task = p.tasks.get(task_id)
@@ -401,17 +382,7 @@ class Ledger:
         self, sender: bytes, round: int, project_id: int, task_id: int,
         client: bytes, score: int, terminate: int, h_model: bytes, h_keys: bytes,
     ) -> FeedbackEvent:
-        self._check_address(sender)
-        self._check_u8("round", round)
-        if not -0x8000 <= score <= 0x7FFF:
-            raise BadField(f"score out of 2-byte range: {score}")
-        if terminate not in (0, 1):
-            raise BadField("terminate flag must be 0 or 1")
-        self._check_hash("h_model", h_model)
-        self._check_hash("h_keys", h_keys)
-        p = self._project(project_id)
-        if p.done:
-            raise ProjectDone(f"project {project_id} is finished")
+        p = self._open_project(project_id)
         if p.registration.server != sender:
             raise NotProjectOwner("only the registering server scores updates")
         if client not in p.clients:
@@ -426,10 +397,7 @@ class Ledger:
         ))
 
     def finish_project(self, sender: bytes, project_id: int) -> ProjectTerminateEvent:
-        self._check_address(sender)
-        p = self._project(project_id)
-        if p.done:
-            raise ProjectDone(f"project {project_id} already finished")
+        p = self._open_project(project_id)
         if p.registration.server != sender:
             raise NotProjectOwner("only the registering server finishes the project")
         return self._commit(sender, ProjectTerminateEvent(

@@ -116,16 +116,25 @@ class MalformedMessage(ProtocolError):
 
 # --- wire helpers ----------------------------------------------------------
 
+# struct formats of the length prefix and of each message's fixed header;
+# `encode` packs and `decode` unpacks the same constant
+_LENGTH = ">I"
+_KEYS_HEADER = ">HI"         # project id, registration block
+_TASK_HEADER = ">HHIHB"      # project id, task id, round, deadline window, fresh keys
+_UPDATE_HEADER = ">HHIB"     # project id, task id, round, fresh keys
+_ENVELOPE_HEADER = ">BBIQ"   # version, message type, round, timestamp
+
+
 def _lp(data) -> list:
     """A length-prefixed field, as parts for one `b"".join`."""
-    return [struct.pack(">I", len(data)), data]
+    return [struct.pack(_LENGTH, len(data)), data]
 
 
 def _lp_model(model) -> list:
     """`_lp` for a model given as one bytes-like or as its `fl.model_parts`,
     so a model is joined into its payload once."""
     parts = model if isinstance(model, list) else [model]
-    return [struct.pack(">I", sum(memoryview(p).nbytes for p in parts)), *parts]
+    return [struct.pack(_LENGTH, sum(memoryview(p).nbytes for p in parts)), *parts]
 
 
 class _Reader:
@@ -149,23 +158,14 @@ class _Reader:
     def take(self, n: int) -> bytes:
         return bytes(self.view(n))
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.view(struct.calcsize(fmt)))
 
     def lp(self) -> bytes:
-        return self.take(self.u32())
+        return self.take(*self.unpack(_LENGTH))
 
     def lp_view(self) -> memoryview:
-        return self.view(self.u32())
+        return self.view(*self.unpack(_LENGTH))
 
     def done(self) -> None:
         if self._i != len(self._b):
@@ -192,14 +192,14 @@ class KeyAnnouncement:
 
     def encode(self) -> bytes:
         return b"".join([
-            struct.pack(">HI", self.project_id, self.registration_block),
+            struct.pack(_KEYS_HEADER, self.project_id, self.registration_block),
             *_lp(self.kem_public), *_lp(self.dh_public),
         ])
 
     @classmethod
     def decode(cls, blob: bytes) -> "KeyAnnouncement":
         r = _Reader(blob)
-        out = cls(r.u16(), r.u32(), r.lp(), r.lp())
+        out = cls(*r.unpack(_KEYS_HEADER), r.lp(), r.lp())
         r.done()
         return out
 
@@ -213,14 +213,14 @@ class KeyResponse:
 
     def encode(self) -> bytes:
         return b"".join([
-            struct.pack(">HI", self.project_id, self.registration_block),
+            struct.pack(_KEYS_HEADER, self.project_id, self.registration_block),
             *_lp(self.kem_ciphertext), *_lp(self.dh_public),
         ])
 
     @classmethod
     def decode(cls, blob: bytes) -> "KeyResponse":
         r = _Reader(blob)
-        out = cls(r.u16(), r.u32(), r.lp(), r.lp())
+        out = cls(*r.unpack(_KEYS_HEADER), r.lp(), r.lp())
         r.done()
         return out
 
@@ -238,7 +238,7 @@ class TaskPayload:
     def encode(self) -> bytes:
         fresh = 1 if self.kem_public else 0
         parts = [struct.pack(
-            ">HHIHB", self.project_id, self.task_id, self.round,
+            _TASK_HEADER, self.project_id, self.task_id, self.round,
             self.deadline_window, fresh,
         )]
         if fresh:
@@ -248,7 +248,7 @@ class TaskPayload:
     @classmethod
     def decode(cls, blob) -> "TaskPayload":
         r = _Reader(blob)
-        project, task, rnd, window, fresh = r.u16(), r.u16(), r.u32(), r.u16(), r.u8()
+        project, task, rnd, window, fresh = r.unpack(_TASK_HEADER)
         kem_public = dh_public = b""
         if fresh:
             kem_public, dh_public = r.lp(), r.lp()
@@ -268,7 +268,7 @@ class UpdatePayload:
 
     def encode(self) -> bytes:
         fresh = 1 if self.kem_ciphertext else 0
-        parts = [struct.pack(">HHIB", self.project_id, self.task_id, self.round, fresh)]
+        parts = [struct.pack(_UPDATE_HEADER, self.project_id, self.task_id, self.round, fresh)]
         if fresh:
             parts += _lp(self.kem_ciphertext) + _lp(self.dh_public)
         return b"".join(parts + _lp_model(self.model))
@@ -276,7 +276,7 @@ class UpdatePayload:
     @classmethod
     def decode(cls, blob) -> "UpdatePayload":
         r = _Reader(blob)
-        project, task, rnd, fresh = r.u16(), r.u16(), r.u32(), r.u8()
+        project, task, rnd, fresh = r.unpack(_UPDATE_HEADER)
         kem_ciphertext = dh_public = b""
         if fresh:
             kem_ciphertext, dh_public = r.lp(), r.lp()
@@ -300,7 +300,9 @@ class SignedEnvelope:
         """The fields the signature covers, in wire order; the signature
         field follows them."""
         return [
-            struct.pack(">BBIQ", self.version, self.msg_type, self.round, self.timestamp),
+            struct.pack(
+                _ENVELOPE_HEADER, self.version, self.msg_type, self.round, self.timestamp
+            ),
             self.sender_address, *_lp(self.sender_public), *_lp(self.payload),
         ]
 
@@ -310,7 +312,7 @@ class SignedEnvelope:
     @classmethod
     def decode(cls, blob) -> "SignedEnvelope":
         r = _Reader(blob)
-        version, msg_type, rnd, ts = r.u8(), r.u8(), r.u32(), r.u64()
+        version, msg_type, rnd, ts = r.unpack(_ENVELOPE_HEADER)
         addr = r.take(crypto.ADDRESS_BYTES)
         pub, payload, sig = r.lp(), r.lp_view(), r.lp()
         r.done()
@@ -813,8 +815,7 @@ class Participant(_Party):
         key.mark_used(DIR_TASK)
         self.last_round = env.round
         self._active = {
-            "round": env.round, "key": key,
-            "fresh": (msg.kem_public, msg.dh_public) if msg.kem_public else None,
+            "key": key, "fresh": (msg.kem_public, msg.dh_public) if msg.kem_public else None,
         }
         self.transcript.append(
             TranscriptRow(env.round, key.epoch, key.step, "s2p", chain.h_info, chain.block)
@@ -825,7 +826,7 @@ class Participant(_Party):
         """Commit the local update on chain and seal it to the server."""
         if self._active is None:
             raise NoActiveTask("no task to answer")
-        rnd = self._active["round"]
+        rnd = self.last_round
         key: ratchet.ModelKey = self._active["key"]
         ct = dh_pub = h_ct_key = b""
         rotation = None

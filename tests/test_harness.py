@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pqbfl import cli, harness, protocol
+from pqbfl import cli, crypto, fl, harness, protocol
 from pqbfl.cli import main
 from pqbfl.harness import (
     METRICS_HEADER,
@@ -122,6 +122,26 @@ def test_reading_a_run_dir_closes_its_files(tmp_path):
         assert verify_transcripts(str(run_dir)) == []
         assert main(["export-ledger", "--run", str(run_dir)]) == 0
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+@pytest.mark.parametrize("file, line", [
+    ("transcript-client-1.txt", b"epoch=1 step=0 dir=s2p digest=00 block=1"),
+    ("transcript-client-1.txt", b"round=x epoch=1 step=0 dir=s2p digest=00 block=1"),
+    ("transcript-client-1.txt", b"\xff\xfe"),
+    ("transcript-server.txt", b"session=client-1"),
+])
+def test_malformed_transcript_line_reported(tmp_path, capsys, file, line):
+    run_dir = tmp_path / "run"
+    write_outputs(run_simulation(small()), str(run_dir))
+    victim = run_dir / file
+    victim.write_bytes(victim.read_bytes() + line + b"\n")
+    shown = line.decode(errors="replace")
+    assert any(shown in p for p in verify_transcripts(str(run_dir)))
+    capsys.readouterr()
+    assert main(["verify-transcripts", "--run", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_missing_transcript_reported(tmp_path):
@@ -243,6 +263,7 @@ def test_rounds_beyond_one_byte_rejected_up_front(capsys):
     ("--noise-scale", "1e308", "noise scale"),
     ("--seed", "-1", "seed"),
     ("--participants", "65536", "participants"),
+    ("--model-dim", str(harness.MAX_MODEL_DIM + 1), "model_dim"),
     ("--ratchet-range", "0", "symmetric range"),
     ("--ratchet-range", "2,0", "symmetric range"),
 ])
@@ -259,6 +280,19 @@ def test_bad_configs_rejected_before_any_party_is_built(
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("pqbfl: error: ") and fragment in err[-1]
     assert not any("Traceback" in line for line in err)
+
+
+def test_model_dim_bound_fits_every_length_prefix():
+    SimConfig(model_dim=harness.MAX_MODEL_DIM)   # accepted; nothing is allocated
+    # a sealed rotation-round task is the largest payload; measure everything
+    # besides its model values on a one-entry model with the longest tag
+    model = fl.ModelVector([0.0], 1, "t" * 255)
+    plaintext = protocol.TaskPayload(
+        1, 1, 1, 600, fl.model_parts(model),
+        b"k" * crypto.KEM_PUBLIC_BYTES, b"d" * crypto.DH_PUBLIC_BYTES,
+    ).encode()
+    overhead = len(crypto.aead_seal(bytes(32), bytes(12), b"", plaintext)) - 8
+    assert 8 * harness.MAX_MODEL_DIM + overhead < 2**32
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,5 +1,8 @@
 """Contract semantics: byte pricing, guards, escrow, events, replay."""
 
+import typing
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from conftest import establish, run_round
 from pqbfl import ledger as L
 from pqbfl.ledger import (
     BadField,
+    Block,
     DeadlineExceeded,
     DuplicateClient,
     DuplicateProject,
@@ -154,6 +158,88 @@ def test_field_validation():
         ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 40000, 0, H32, H32)
     with pytest.raises(BadField):
         ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 2, H32, H32)
+
+
+# One valid call per transaction kind on a ledger holding project 1, CLIENT
+# and task 1; keyword names are the event's field names.
+VALID_CALLS = {
+    "RegProject": ("register_project", dict(
+        sender=OTHER, project_id=2, capacity=4, h_model=H32, h_keys=H32)),
+    "RegClient": ("register_client", dict(sender=OTHER, project_id=1, h_key=H32)),
+    "Task": ("publish_task", dict(
+        sender=SERVER, round=2, h_info=H32, h_keys=H32, project_id=1, task_id=2,
+        deadline_window=600)),
+    "Update": ("update_model", dict(
+        sender=CLIENT, round=1, h_info=H32, h_ct_key=H32, project_id=1, task_id=1)),
+    "Feedback": ("feedback_model", dict(
+        sender=SERVER, round=1, project_id=1, task_id=1, client=CLIENT, score=1,
+        terminate=0, h_model=H32, h_keys=H32)),
+    "ProjectTerminate": ("finish_project", dict(sender=SERVER, project_id=1)),
+}
+
+# Every priced field with a value just outside its declared range.  A live
+# call whose project or task lookup fails on the bad value raises that guard's
+# error first; replay reaches the field check for every one of them.
+SHORT, LONG = H32[:-1], H32 + b"x"
+BAD_FIELDS = [
+    ("RegProject", "project_id", 0x10000, BadField),
+    ("RegProject", "capacity", 0, BadField),
+    ("RegProject", "capacity", 0x10000, BadField),
+    ("RegProject", "h_model", SHORT, BadField),
+    ("RegProject", "h_keys", LONG, BadField),
+    ("RegClient", "h_key", SHORT, BadField),
+    ("Task", "round", 0x100, BadField),
+    ("Task", "round", -1, BadField),
+    ("Task", "h_info", LONG, BadField),
+    ("Task", "h_keys", SHORT, BadField),
+    ("Task", "project_id", 0x10000, UnknownProject),
+    ("Task", "task_id", 0x10000, BadField),
+    ("Task", "deadline_window", 0x10000, BadField),
+    ("Update", "round", 0x100, BadField),
+    ("Update", "h_info", SHORT, BadField),
+    ("Update", "h_ct_key", LONG, BadField),
+    ("Update", "project_id", 0x10000, UnknownProject),
+    ("Update", "task_id", 0x10000, UnknownTask),
+    ("Feedback", "round", 0x100, BadField),
+    ("Feedback", "project_id", 0x10000, UnknownProject),
+    ("Feedback", "task_id", 0x10000, UnknownTask),
+    ("Feedback", "h_model", LONG, BadField),
+    ("Feedback", "h_keys", SHORT, BadField),
+    ("Feedback", "score", 0x8000, BadField),
+    ("Feedback", "score", -0x8001, BadField),
+    ("Feedback", "terminate", 2, BadField),
+    ("ProjectTerminate", "project_id", 0x10000, UnknownProject),
+]
+
+
+def test_bad_field_table_covers_every_priced_field():
+    declared = {
+        (cls.__name__.removesuffix("Event"), f.name)
+        for cls in typing.get_args(L.LedgerEvent) for f in fields(cls) if f.metadata
+    }
+    assert {(kind, name) for kind, name, _, _ in BAD_FIELDS} == declared
+
+
+@pytest.mark.parametrize(
+    "kind, name, bad, live_error", BAD_FIELDS,
+    ids=lambda v: f"{len(v)}B" if isinstance(v, bytes) else None,
+)
+def test_out_of_range_field_rejected_live_and_on_replay(kind, name, bad, live_error):
+    ledger, _ = fresh()
+    register_pair(ledger)
+    ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
+    method, args = VALID_CALLS[kind]
+    call = getattr(ledger, method)
+    before = ledger.snapshot()
+    with pytest.raises(live_error):
+        call(**{**args, name: bad})
+    assert ledger.snapshot() == before
+    # the same call with the field in range is accepted; its block with the
+    # bad value put back is refused on replay
+    event = call(**args)
+    bad_block = Block(args["sender"], replace(event, **{name: bad}))
+    with pytest.raises(BadField):
+        Ledger.replay([*ledger.blocks[:-1], bad_block], LedgerConfig())
 
 
 # --- round flow -------------------------------------------------------------------
