@@ -6,12 +6,18 @@ root seed.  Hashing, HKDF, AES-GCM, P-256 ECDH and signature verification are
 OpenSSL-backed; an ECDH pair carries its OpenSSL key object, built once at
 keygen, so key agreement does not rebuild it.  The lattice KEM lives in
 `mlkem`: keygen and decapsulation are library-backed, and encapsulation is
-pure numpy because it must accept injected coins.  secp256k1 key derivation
-and signing are pure Python (`secp256k1`, a fixed-base table), because
-OpenSSL has no fast path for that curve; they are not constant-time, which is
-acceptable here because every key is derived from a seed.  Hashing, sealing,
-opening and verification take any bytes-like input, so callers can pass views
-of larger buffers.
+pure numpy because it must accept injected coins.  A KEM pair likewise carries
+the library decapsulation key that keygen built, so decapsulation does not
+rebuild it from its seed.  No key pair's repr shows its secret.  secp256k1 key
+derivation and signing are pure Python (`secp256k1`, a fixed-base table),
+because OpenSSL has no fast path for that curve; they are not constant-time,
+which is acceptable here because every key is derived from a seed.  Hashing,
+sealing, opening and verification take any bytes-like input, so callers can
+pass views of larger buffers.
+
+A peer's public keys can be checked before anything uses them: `kem_check`
+runs the ML-KEM length and modulus checks and `dh_check` decodes the P-256
+point, each raising ValueError.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses and nonces; SHA-384 inside HKDF for key derivation.
@@ -80,20 +86,21 @@ class DeterministicRng:
 @dataclass(frozen=True)
 class KemKeyPair:
     public: bytes
-    secret: bytes
+    secret: bytes = field(repr=False)   # 64-byte d||z seed
+    key: mlkem.MLKEM768PrivateKey = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class DhKeyPair:
     public: bytes   # uncompressed point
-    secret: bytes   # 32-byte big-endian scalar
+    secret: bytes = field(repr=False)   # 32-byte big-endian scalar
     key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SigKeyPair:
     public: bytes   # uncompressed point
-    secret: bytes   # 32-byte big-endian scalar
+    secret: bytes = field(repr=False)   # 32-byte big-endian scalar
 
 
 def digest(data: bytes) -> bytes:
@@ -112,8 +119,16 @@ def kem_keygen(seed: bytes) -> KemKeyPair:
     """Deterministic lattice KEM pair from a 32-byte seed (SHAKE-256 expanded)."""
     if len(seed) != 32:
         raise ValueError("kem seed must be 32 bytes")
-    ek, dk = mlkem.keygen(hashlib.shake_256(seed).digest(mlkem.SEED_BYTES))
-    return KemKeyPair(public=ek, secret=dk)
+    d_z = hashlib.shake_256(seed).digest(mlkem.SEED_BYTES)
+    ek, key = mlkem.keygen(d_z)
+    return KemKeyPair(public=ek, secret=d_z, key=key)
+
+
+def kem_check(public: bytes) -> None:
+    """Raise ValueError unless `public` is an encapsulation key of the right
+    length that passes the FIPS 203 modulus check.  The parse is cached, so
+    an encapsulation to the same key reuses it."""
+    mlkem.check_ek(public)
 
 
 def kem_encap(public: bytes, coins: bytes) -> tuple[bytes, bytes]:
@@ -122,8 +137,8 @@ def kem_encap(public: bytes, coins: bytes) -> tuple[bytes, bytes]:
     return ct, ss
 
 
-def kem_decap(secret: bytes, ciphertext: bytes) -> bytes:
-    return mlkem.decaps(secret, ciphertext)
+def kem_decap(pair: KemKeyPair, ciphertext: bytes) -> bytes:
+    return mlkem.decaps(pair.key, ciphertext)
 
 
 def _scalar(rng: DeterministicRng, order: int) -> int:
@@ -144,6 +159,11 @@ def dh_keygen(rng: DeterministicRng) -> DhKeyPair:
     priv = ec.derive_private_key(k, ec.SECP256R1())
     pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
     return DhKeyPair(public=pub, secret=k.to_bytes(32, "big"), key=priv)
+
+
+def dh_check(public: bytes) -> None:
+    """Raise ValueError unless `public` encodes a point on P-256."""
+    _point(public, ec.SECP256R1())
 
 
 def dh_agree(pair: DhKeyPair, peer_public: bytes) -> bytes:
@@ -204,9 +224,11 @@ __all__ = [
     "digest",
     "hkdf",
     "kem_keygen",
+    "kem_check",
     "kem_encap",
     "kem_decap",
     "dh_keygen",
+    "dh_check",
     "dh_agree",
     "sig_keygen",
     "sign",

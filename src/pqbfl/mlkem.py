@@ -1,15 +1,27 @@
 """ML-KEM-768 (FIPS 203): library keygen/decaps, numpy encapsulation.
 
 Key generation and decapsulation bind the `cryptography` ML-KEM-768.  The
-decapsulation key is the 64-byte FIPS 203 seed d||z, the library's raw
-private form, so `keygen` is deterministic in its seed.
+decapsulation key is the library key object built from the 64-byte FIPS 203
+seed d||z; its raw private bytes are that seed, so `keygen` is deterministic
+in its seed.  A caller keeps the key object for as long as it holds the key
+pair, so decapsulation never rebuilds it.
 
 Encapsulation is implemented here, vectorised with numpy, because it must take
 its 32-byte randomness m explicitly so that runs replay from an injected
-generator; OpenSSL offers no way to inject encapsulation coins.  The parsed
-encapsulation key (t-hat, the transposed matrix A-hat and H(ek)) is cached for
-the most recent key, since every participant encapsulates to the same server
-key on a rotation.  The cache holds public data only.
+generator; OpenSSL offers no way to inject encapsulation coins.  Its
+polynomial arithmetic is three float64 products: the NTT and its inverse are
+128x128 matrices applied to the even and odd halves of every polynomial at
+once (two BLAS products), and the base multiplication of all K+1 output rows
+(A-hat^T y-hat and t-hat^T y-hat) is one pass against a per-key matrix.
+Every matrix entry and every input is reduced below q first, so a dot product
+is at most 128 * 3328^2, about 1.42e9, far below 2^53: every product is exact,
+and `_mod` reduces it exactly.
+
+The parsed encapsulation key (that base-multiplication matrix, built from
+t-hat and A-hat, and H(ek)) is cached for the most recent key, since every
+participant encapsulates to the same server key on a rotation.  The cache
+holds public data only, as read-only arrays; no secret is cached anywhere in
+this module.
 
 Sizes: encapsulation key 1184 B, decapsulation key (seed) 64 B, ciphertext
 1088 B, shared secret 32 B.  The encapsulation is not constant-time; it is
@@ -19,6 +31,7 @@ intended for simulation and testing, not for protecting real traffic.
 from __future__ import annotations
 
 import hashlib
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +49,11 @@ SEED_BYTES = 64              # d || z
 DK_BYTES = SEED_BYTES
 CT_BYTES = 32 * (DU * K + DV)  # 1088
 SS_BYTES = 32
+
+# SHAKE-128 bytes read per SampleNTT stream, four rate blocks: 448 candidates,
+# of which 256 or more fall below q except with probability about 2^-105; a
+# stream that falls short is re-read
+XOF_BYTES = 672
 
 
 def _bitrev7(n: int) -> int:
@@ -55,15 +73,26 @@ def _powers(g: int) -> list[int]:
 
 # The NTT evaluates the even and odd halves of f at the 128 roots
 # gamma_i = 17^(2 bitrev7(i) + 1), i.e. ntt(f)[2i + b] = sum_j gamma_i^j f[2j + b],
-# so both directions are one 128x128 matrix over pairs.
-_GAMMAS = np.array([pow(17, 2 * _bitrev7(i) + 1, Q) for i in range(N // 2)], dtype=np.int64)
-_NTT = np.array([_powers(int(g)) for g in _GAMMAS], dtype=np.int64)
+# so both directions are one 128x128 matrix applied to each half.
+_ROOTS = [pow(17, 2 * _bitrev7(i) + 1, Q) for i in range(N // 2)]
+_GAMMAS = np.array(_ROOTS, dtype=np.float64)
+_NTT = np.array([_powers(g) for g in _ROOTS], dtype=np.float64)
 # 3303 = 128^-1 mod q
 _NTT_INV = np.array(
-    [[3303 * p % Q for p in _powers(pow(int(g), -1, Q))] for g in _GAMMAS], dtype=np.int64
+    [[3303 * p % Q for p in _powers(pow(g, -1, Q))] for g in _ROOTS], dtype=np.float64
 ).T
-# eta = 2: each PRF nibble is one coefficient, (b0 + b1) - (b2 + b3) mod q
-_CBD = np.array([(n & 1) + (n >> 1 & 1) - (n >> 2 & 1) - (n >> 3) for n in range(16)]) % Q
+# eta = 2: each PRF nibble is one coefficient, (b0 + b1) - (b2 + b3) mod q,
+# so each PRF byte is two, low nibble first
+_CBD_NIBBLE = [((n & 1) + (n >> 1 & 1) - (n >> 2 & 1) - (n >> 3)) % Q for n in range(16)]
+_CBD = np.array(
+    [[_CBD_NIBBLE[b & 0xF], _CBD_NIBBLE[b >> 4]] for b in range(256)], dtype=np.float64
+)
+# Decompress_1 of each message byte's eight bits, lowest bit first
+_MESSAGE = np.array(
+    [[(b >> i & 1) * ((Q + 1) // 2) for i in range(8)] for b in range(256)], dtype=np.float64
+)
+# compression bits of the ciphertext rows: DU for u's K rows, then DV for v
+_D = np.array([DU] * K + [DV]).reshape(K + 1, 1)
 
 
 def _g(data: bytes) -> tuple[bytes, bytes]:
@@ -79,86 +108,117 @@ def _prf(s: bytes, b: int) -> bytes:
     return hashlib.shake_256(s + bytes([b])).digest(64 * ETA)
 
 
+def _mod(x: np.ndarray) -> np.ndarray:
+    """x mod q for non-negative integral float64 below 2^53.
+
+    The division is correctly rounded and a non-multiple of q is at least
+    1/q from an integer, so the floor is the exact quotient.
+    """
+    return x - np.floor(x / Q) * Q
+
+
 def _byte_encode(d: int, f: np.ndarray) -> bytes:
-    """Pack d-bit coefficients little-endian, lowest coefficient first."""
-    bits = (f.reshape(-1, 1) >> np.arange(d)) & 1
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+    """Pack d-bit int64 coefficients little-endian, lowest coefficient first."""
+    group = 8 // math.gcd(8, d)  # coefficients per whole number of bytes
+    words = f.reshape(-1, group) @ (1 << np.arange(0, group * d, d))
+    # each word's low group * d / 8 bytes, little-endian
+    return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : group * d // 8].tobytes()
 
 
-def _compress(d: int, x: np.ndarray) -> np.ndarray:
-    return (((x << d) + (Q - 1) // 2) // Q) & ((1 << d) - 1)
+def _compress(x: np.ndarray) -> np.ndarray:
+    """Compress_d(x mod q) of the ciphertext rows, d from `_D`, as int64.
+
+    x is non-negative integral float64 below 2^40, so x * 2^d + (q - 1)/2 is
+    an integer below 2^53 and, as in `_mod`, the floor of its correctly
+    rounded quotient by q is exact.  A multiple of q in x adds a multiple of
+    2^d to that floor, which the mask drops, so x need not be reduced.
+    """
+    return np.floor((x * 2.0**_D + (Q - 1) // 2) / Q).astype(np.int64) & ((1 << _D) - 1)
 
 
 def _decode12(buf: bytes) -> np.ndarray:
     """Split each 3 bytes into two 12-bit little-endian values."""
-    b = np.frombuffer(buf, dtype=np.uint8).astype(np.int64).reshape(-1, 3)
-    low = b[:, 0] | (b[:, 1] & 0xF) << 8
-    high = b[:, 1] >> 4 | b[:, 2] << 4
-    return np.stack([low, high], axis=1).ravel()
+    b = np.frombuffer(buf, dtype=np.uint8).reshape(-1, 3).astype(np.uint16)
+    out = np.empty((len(b), 2), dtype=np.uint16)
+    out[:, 0] = b[:, 0] | (b[:, 1] & 0xF) << 8
+    out[:, 1] = b[:, 1] >> 4 | b[:, 2] << 4
+    return out.ravel()
 
 
-def _sample_ntt(seed: bytes) -> np.ndarray:
-    """Rejection-sample a uniform polynomial from a SHAKE-128 stream."""
-    xof = hashlib.shake_128(seed)
-    length = 840
-    while True:
-        candidates = _decode12(xof.digest(length))
-        out = candidates[candidates < Q]
-        if len(out) >= N:
-            return out[:N]
-        length *= 2
+def _sample_ntt(seeds: list[bytes], length: int) -> np.ndarray:
+    """Rejection-sample one uniform polynomial per seed from its SHAKE-128
+    stream, reading `length` bytes of each stream in one batch."""
+    candidates = _decode12(
+        b"".join(hashlib.shake_128(s).digest(length) for s in seeds)
+    ).reshape(len(seeds), -1)
+    accept = candidates < Q
+    if (accept.sum(axis=1) < N).any():
+        # a longer read extends each stream, so it accepts the same prefix
+        return _sample_ntt(seeds, 2 * length)
+    accept &= accept.cumsum(axis=1) <= N
+    return candidates[accept].reshape(len(seeds), N)
 
 
 def _sample_cbd(buf: bytes) -> np.ndarray:
     """Centered binomial polynomials, one per 64*ETA bytes of buf."""
-    b = np.frombuffer(buf, dtype=np.uint8)
-    return _CBD[np.stack([b & 0xF, b >> 4], axis=1)].reshape(-1, N)
+    return _CBD.take(np.frombuffer(buf, dtype=np.uint8), axis=0).reshape(-1, N)
 
 
-def _apply(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
-    pairs = f.reshape(*f.shape[:-1], N // 2, 2)
-    return (np.matmul(matrix, pairs) % Q).reshape(f.shape)
+def _halves(f: np.ndarray) -> np.ndarray:
+    """R polynomials as a 2R x 128 matrix: row (r, c) holds f[r][c::2], the
+    operand of an NTT matrix product."""
+    return f.reshape(len(f), N // 2, 2).transpose(0, 2, 1).reshape(2 * len(f), N // 2)
 
 
-def _ntt(f: np.ndarray) -> np.ndarray:
-    return _apply(_NTT, f)
-
-
-def _ntt_inv(f: np.ndarray) -> np.ndarray:
-    return _apply(_NTT_INV, f)
-
-
-def _mul_ntt(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Base multiplication in the NTT domain, broadcast over leading axes."""
-    a0, a1 = f[..., 0::2], f[..., 1::2]
-    b0, b1 = g[..., 0::2], g[..., 1::2]
-    h = np.empty(np.broadcast_shapes(f.shape, g.shape), dtype=np.int64)
-    h[..., 0::2] = (a0 * b0 + a1 * b1 % Q * _GAMMAS) % Q
-    h[..., 1::2] = (a0 * b1 + a1 * b0) % Q
-    return h
+def _unhalves(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, 2, N // 2).transpose(0, 2, 1).reshape(-1, N)
 
 
 @lru_cache(maxsize=1)
-def _parse_ek(ek: bytes) -> tuple[np.ndarray, np.ndarray, bytes]:
-    """(t-hat, transposed A-hat, H(ek)) for an ek that passes the modulus check."""
-    t_hat = _decode12(ek[: 384 * K]).reshape(K, N)
+def _parse_ek(ek: bytes) -> tuple[np.ndarray, bytes]:
+    """(base-multiplication matrix, H(ek)) for an ek of the right length that
+    passes the modulus check.
+
+    Row (r, c) of the matrix is half c of row r of [A-hat^T; t-hat^T], column
+    (k, c') is half c' of y-hat[k], and the last axis runs over the roots
+    gamma_i, so that per root
+      h[2i]     = sum_k a[2i] y[2i] + (a[2i + 1] gamma_i) y[2i + 1]
+      h[2i + 1] = sum_k a[2i + 1] y[2i] + a[2i] y[2i + 1]
+    """
+    if len(ek) != EK_BYTES:
+        raise ValueError(f"encapsulation key must be {EK_BYTES} bytes, got {len(ek)}")
+    t_hat = _decode12(ek[: 384 * K])
     if (t_hat >= Q).any():
         raise ValueError("malformed encapsulation key")
     rho = ek[384 * K :]
-    a_hat_t = np.array(
-        [[_sample_ntt(rho + bytes([i, j])) for j in range(K)] for i in range(K)]
-    )
-    # every encapsulation to this key shares the cached arrays
-    t_hat.flags.writeable = a_hat_t.flags.writeable = False
-    return t_hat, a_hat_t, _h(ek)
+    # row r, column k is A-hat^T[r][k] = SampleNTT(rho || r || k); then t-hat
+    a_hat_t = _sample_ntt([rho + bytes([r, k]) for r in range(K) for k in range(K)], XOF_BYTES)
+    rows = np.concatenate([a_hat_t.ravel(), t_hat]).astype(np.float64).reshape(K + 1, K, N)
+    even, odd = rows[..., 0::2], rows[..., 1::2]
+    matrix = np.empty((K + 1, 2, K, 2, N // 2))
+    matrix[:, 0, :, 0] = even
+    matrix[:, 0, :, 1] = _mod(odd * _GAMMAS)
+    matrix[:, 1, :, 0] = odd
+    matrix[:, 1, :, 1] = even
+    matrix = matrix.reshape(2 * (K + 1), 2 * K, N // 2)
+    # every encapsulation to this key shares the cached array
+    matrix.flags.writeable = False
+    return matrix, _h(ek)
 
 
-def keygen(seed: bytes) -> tuple[bytes, bytes]:
-    """Derive (ek, dk) from the 64-byte d||z seed; dk is the seed itself."""
+def keygen(seed: bytes) -> tuple[bytes, MLKEM768PrivateKey]:
+    """Derive (ek, dk) from the 64-byte d||z seed; dk is the library key,
+    whose raw private bytes are the seed."""
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     key = MLKEM768PrivateKey.from_seed_bytes(seed)
-    return key.public_key().public_bytes_raw(), bytes(seed)
+    return key.public_key().public_bytes_raw(), key
+
+
+def check_ek(ek: bytes) -> None:
+    """Raise ValueError unless ek has the right length and passes the FIPS 203
+    modulus check.  The parse is cached, so a later `encaps` to ek reuses it."""
+    _parse_ek(ek)
 
 
 def encaps(ek: bytes, m: bytes) -> tuple[bytes, bytes]:
@@ -167,29 +227,22 @@ def encaps(ek: bytes, m: bytes) -> tuple[bytes, bytes]:
     Returns (shared_secret, ciphertext).  Rejects encapsulation keys of the
     wrong length or with out-of-range coefficients (modulus check).
     """
-    if len(ek) != EK_BYTES:
-        raise ValueError(f"encapsulation key must be {EK_BYTES} bytes, got {len(ek)}")
     if len(m) != 32:
         raise ValueError("encapsulation randomness must be 32 bytes")
-    t_hat, a_hat_t, h_ek = _parse_ek(ek)
+    matrix, h_ek = _parse_ek(ek)
     k, r = _g(m + h_ek)
-    noise = _sample_cbd(b"".join(_prf(r, n) for n in range(2 * K + 1)))
-    y_hat = _ntt(noise[:K])
-    w = _ntt_inv(np.concatenate([
-        _mul_ntt(a_hat_t, y_hat).sum(axis=1) % Q,
-        _mul_ntt(t_hat, y_hat).sum(axis=0, keepdims=True) % Q,
-    ]))
-    u = (w[:K] + noise[K : 2 * K]) % Q
-    m_bits = np.unpackbits(np.frombuffer(m, dtype=np.uint8), bitorder="little")
-    mu = m_bits.astype(np.int64) * ((Q + 1) // 2)
-    v = (w[K] + noise[2 * K] + mu) % Q
-    return k, _byte_encode(DU, _compress(DU, u)) + _byte_encode(DV, _compress(DV, v))
+    noise = _sample_cbd(b"".join(_prf(r, n) for n in range(2 * K + 1)))  # y, e1, e2
+    y_hat = _mod(_halves(noise[:K]) @ _NTT.T)
+    w_hat = _mod(np.einsum("abi,bi->ai", matrix, y_hat))  # every root at once
+    # u = NTT^-1(A-hat^T y-hat) + e1 and v = NTT^-1(t-hat^T y-hat) + e2 + mu
+    uv = _unhalves(w_hat @ _NTT_INV.T) + noise[K:]
+    uv[K] += _MESSAGE.take(np.frombuffer(m, dtype=np.uint8), axis=0).ravel()
+    c = _compress(uv)
+    return k, _byte_encode(DU, c[:K]) + _byte_encode(DV, c[K])
 
 
-def decaps(dk: bytes, c: bytes) -> bytes:
+def decaps(dk: MLKEM768PrivateKey, c: bytes) -> bytes:
     """Decapsulate; implicit rejection returns J(z||c) on mismatch."""
-    if len(dk) != DK_BYTES:
-        raise ValueError(f"decapsulation key must be {DK_BYTES} bytes, got {len(dk)}")
     if len(c) != CT_BYTES:
         raise ValueError(f"ciphertext must be {CT_BYTES} bytes, got {len(c)}")
-    return MLKEM768PrivateKey.from_seed_bytes(dk).decapsulate(c)
+    return dk.decapsulate(c)

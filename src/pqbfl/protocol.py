@@ -24,16 +24,22 @@ and byte-swapped values into the payload once, then the signed bytes once
 and the wire bytes once; a receive decodes through views of the wire bytes,
 verifies the signature over their signed prefix, and copies the model once,
 into the decoded vector.  Handlers are atomic: every check (freshness,
-signature, replay, on-chain commitment, AEAD, model decoding) runs before any
-session state changes, so a rejected delivery leaves the session exactly as it
-was.  Each session fact is stored once: a session is established exactly when
-it holds a ratchet, and the server keeps a participant's on-chain registration
-itself rather than copies of its fields.
+signature, replay, on-chain commitment, AEAD, model decoding, received key
+material) runs before any session state changes, so a rejected delivery
+leaves the session exactly as it was.  Received key material is checked where
+it arrives, even when it is used only later: a KEM key or ciphertext or an
+ECDH key of the wrong width, a KEM key that fails the FIPS 203 modulus check
+and an ECDH key that is not a P-256 point are each `MalformedMessage`.  Each
+session fact is stored once: a session is established exactly when it holds a
+ratchet, and the server keeps a participant's on-chain registration itself
+rather than copies of its fields.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
-primitives directly.  `derive` counts the two per-round symmetric chain
-derivations; the root-chain derivations that accompany a key rotation are
-part of the rotation's fixed cost and are not separately counted.
+primitives directly; of all counters only `verify` and `offchain_recv_bytes`
+also move for a delivery that is then rejected.  `derive` counts the two
+per-round symmetric chain derivations; the root-chain derivations that
+accompany a key rotation are part of the rotation's fixed cost and are not
+separately counted.
 """
 
 from __future__ import annotations
@@ -367,6 +373,27 @@ class TranscriptRow:
 
 _KEY_ANNOUNCE_BYTES = crypto.KEM_PUBLIC_BYTES + crypto.DH_PUBLIC_BYTES
 _KEY_RESPONSE_BYTES = crypto.KEM_CIPHERTEXT_BYTES + crypto.DH_PUBLIC_BYTES
+_KEY_WIDTHS = {
+    "kem_public": crypto.KEM_PUBLIC_BYTES,
+    "kem_ciphertext": crypto.KEM_CIPHERTEXT_BYTES,
+    "dh_public": crypto.DH_PUBLIC_BYTES,
+}
+
+
+def _check_keys(msg) -> None:
+    """Reject a message's key material before anything uses it: every key
+    field it has must have its exact width, a KEM public key must pass the
+    FIPS 203 modulus check, and an ECDH key must be a P-256 point."""
+    for name, width in _KEY_WIDTHS.items():
+        value = getattr(msg, name, None)
+        if value is not None and len(value) != width:
+            raise MalformedMessage(f"{name} must be {width} bytes, got {len(value)}")
+    try:
+        if hasattr(msg, "kem_public"):
+            crypto.kem_check(msg.kem_public)
+        crypto.dh_check(msg.dh_public)
+    except ValueError as exc:
+        raise MalformedMessage(f"invalid key: {exc}") from None
 
 
 # --- parties ---------------------------------------------------------------
@@ -507,7 +534,7 @@ class Server(_Party):
     def _agree(self, kem_ciphertext: bytes, dh_public: bytes) -> tuple[bytes, bytes]:
         """The (KEM, ECDH) shared secrets with a participant, under the
         current key pairs."""
-        ss_kem = crypto.kem_decap(self._kem.secret, kem_ciphertext)
+        ss_kem = crypto.kem_decap(self._kem, kem_ciphertext)
         self.counters.decap += 1
         return ss_kem, crypto.dh_agree(self._dh, dh_public)
 
@@ -572,6 +599,7 @@ class Server(_Party):
             raise BadReference("response references the wrong registration")
         if crypto.digest(msg.dh_public) != reg.h_key:
             raise CommitmentMismatch("ECDH key does not match the registered commitment")
+        _check_keys(msg)
         secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
         session.ratchet = ratchet.init_root(*secrets, self.config)
         session.transcript.append(
@@ -658,12 +686,14 @@ class Server(_Party):
         rotating = self._rotation_round == env.round
         if rotating != bool(msg.kem_ciphertext):
             raise CommitmentMismatch("key rotation material missing or unexpected")
-        if rotating and crypto.digest(msg.kem_ciphertext + msg.dh_public) != chain.h_ct_key:
-            raise CommitmentMismatch("rotation reply does not match the on-chain hash")
+        if rotating:
+            if crypto.digest(msg.kem_ciphertext + msg.dh_public) != chain.h_ct_key:
+                raise CommitmentMismatch("rotation reply does not match the on-chain hash")
+            _check_keys(msg)
+            secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
         # all checks passed; commit state changes
         key.mark_used(DIR_UPDATE)
         if rotating:
-            secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
             session.ratchet = ratchet.advance_asymmetric(session.ratchet, *secrets)
         session.last_update_round = env.round
         session.current_key = None
@@ -765,6 +795,7 @@ class Participant(_Party):
             raise BadReference("announcement references the wrong registration")
         if crypto.digest(msg.kem_public + msg.dh_public) != reg.h_keys:
             raise CommitmentMismatch("announced keys do not match the on-chain commitment")
+        _check_keys(msg)
         ct, secrets = self._encapsulate(msg.kem_public, msg.dh_public, self._dh)
         reply = KeyResponse(
             project_id=self.project_id,
@@ -805,8 +836,10 @@ class Participant(_Party):
         msg, model = self._open(key, env, DIR_TASK, chain.h_info)
         if bool(msg.kem_public) != bool(chain.h_keys):
             raise CommitmentMismatch("key rotation material missing or unexpected")
-        if msg.kem_public and crypto.digest(msg.kem_public + msg.dh_public) != chain.h_keys:
-            raise CommitmentMismatch("fresh keys do not match the on-chain commitment")
+        if msg.kem_public:
+            if crypto.digest(msg.kem_public + msg.dh_public) != chain.h_keys:
+                raise CommitmentMismatch("fresh keys do not match the on-chain commitment")
+            _check_keys(msg)
         # all checks passed; commit state changes
         self.ratchet = new_state
         self.counters.derive += 2

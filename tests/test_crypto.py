@@ -13,7 +13,7 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
-from pqbfl import crypto
+from pqbfl import crypto, mlkem
 
 # --- references -------------------------------------------------------------
 
@@ -158,14 +158,20 @@ def test_sign_verify_roundtrip_and_determinism():
 
 
 def test_sig_pair_equality_and_repr_ignore_key_object():
-    for keygen in (crypto.sig_keygen, crypto.dh_keygen):
-        p1 = keygen(crypto.DeterministicRng(b"sig"))
-        p2 = keygen(crypto.DeterministicRng(b"sig"))
-        if keygen is crypto.dh_keygen:   # only an ECDH pair carries a key object
+    keygens = (
+        lambda: crypto.sig_keygen(crypto.DeterministicRng(b"sig")),
+        lambda: crypto.dh_keygen(crypto.DeterministicRng(b"sig")),
+        lambda: crypto.kem_keygen(b"\x5a" * 32),
+    )
+    for keygen in keygens:
+        p1, p2 = keygen(), keygen()
+        if hasattr(p1, "key"):   # ECDH and KEM pairs carry a library key object
             assert p1.key is not p2.key
         assert p1 == p2 and hash(p1) == hash(p2)
         assert repr(p1) == repr(p2)
-        assert "key=" not in repr(p1)
+        assert "key=" not in repr(p1) and "secret" not in repr(p1)
+        for text in (p1.secret.hex(), str(p1.secret)[2:-1], str(int.from_bytes(p1.secret, "big"))):
+            assert text not in repr(p1) and text not in str(p1)
 
 
 def test_verify_rejects_mutation():
@@ -356,7 +362,34 @@ def test_aead_property(key, nonce, aad, pt):
 def test_kem_wrapper_roundtrip():
     pair = crypto.kem_keygen(bytes(32))
     ct, ss = crypto.kem_encap(pair.public, bytes(32))
-    assert crypto.kem_decap(pair.secret, ct) == ss
+    assert crypto.kem_decap(pair, ct) == ss
+    assert pair.key.private_bytes_raw() == pair.secret
     assert len(pair.public) == crypto.KEM_PUBLIC_BYTES
     assert len(ct) == crypto.KEM_CIPHERTEXT_BYTES
     assert len(ss) == 32
+
+
+def test_kem_decap_uses_the_key_built_at_keygen(monkeypatch):
+    pair = crypto.kem_keygen(b"\x17" * 32)
+    ct, ss = crypto.kem_encap(pair.public, bytes(32))
+
+    class NoBuild:
+        @staticmethod
+        def from_seed_bytes(seed):
+            raise AssertionError("decapsulation rebuilt the key from its seed")
+
+    monkeypatch.setattr(mlkem, "MLKEM768PrivateKey", NoBuild)
+    assert crypto.kem_decap(pair, ct) == ss
+
+
+def test_received_key_checks():
+    pair = crypto.kem_keygen(bytes(32))
+    crypto.kem_check(pair.public)
+    unreduced = bytes([0x01, 0x0D]) + pair.public[2:]   # coefficient 0 is q
+    for bad in (pair.public[:-1], unreduced):
+        with pytest.raises(ValueError):
+            crypto.kem_check(bad)
+    dh = crypto.dh_keygen(crypto.DeterministicRng(b"check"))
+    crypto.dh_check(dh.public)
+    with pytest.raises(ValueError):
+        crypto.dh_check(b"\x04" + bytes(64))

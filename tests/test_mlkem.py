@@ -1,7 +1,9 @@
-"""Lattice KEM vs an independent library oracle plus frozen vectors."""
+"""Lattice KEM vs an independent library oracle plus frozen vectors, and the
+float64 kernels vs integer references written from FIPS 203."""
 
 import hashlib
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric import mlkem as lib_mlkem
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,7 @@ FROZEN = [
 def test_frozen_vectors(seed, ek_hash, coins, ct_hash, ss_hex):
     ek, dk = mlkem.keygen(seed)
     assert hashlib.sha256(ek).hexdigest() == ek_hash
+    assert dk.private_bytes_raw() == seed
     ss, ct = mlkem.encaps(ek, coins)
     assert hashlib.sha256(ct).hexdigest() == ct_hash
     assert ss.hex() == ss_hex
@@ -65,7 +68,7 @@ def test_we_decapsulate_library_ciphertext():
 def test_sizes():
     ek, dk = mlkem.keygen(bytes(64))
     assert len(ek) == mlkem.EK_BYTES == 1184
-    assert len(dk) == mlkem.DK_BYTES == 64
+    assert len(dk.private_bytes_raw()) == mlkem.DK_BYTES == 64
     ss, ct = mlkem.encaps(ek, bytes(32))
     assert len(ct) == mlkem.CT_BYTES == 1088
     assert len(ss) == mlkem.SS_BYTES == 32
@@ -80,8 +83,6 @@ def test_bad_lengths_rejected():
     with pytest.raises(ValueError):
         mlkem.encaps(ek, bytes(31))
     with pytest.raises(ValueError):
-        mlkem.decaps(dk[:-1], bytes(mlkem.CT_BYTES))
-    with pytest.raises(ValueError):
         mlkem.decaps(dk, bytes(mlkem.CT_BYTES - 1))
 
 
@@ -93,6 +94,9 @@ def test_unreduced_ek_rejected():
     bad[1] = (bad[1] & 0xF0) | 0x0D  # coefficient 0 := 3329 = q
     with pytest.raises(ValueError):
         mlkem.encaps(bytes(bad), bytes(32))
+    with pytest.raises(ValueError):
+        mlkem.check_ek(bytes(bad))
+    mlkem.check_ek(ek)
 
 
 def test_implicit_rejection_changes_secret_silently():
@@ -118,4 +122,101 @@ def test_roundtrip_property(seed, coins):
 @settings(max_examples=10, deadline=None)
 @given(st.binary(min_size=64, max_size=64))
 def test_keygen_deterministic(seed):
-    assert mlkem.keygen(seed) == mlkem.keygen(seed)
+    (ek1, dk1), (ek2, dk2) = mlkem.keygen(seed), mlkem.keygen(seed)
+    assert ek1 == ek2 and dk1.private_bytes_raw() == dk2.private_bytes_raw()
+
+
+# --- float64 kernels vs FIPS 203 integer references -----------------------------
+
+Q = mlkem.Q
+
+
+def _zeta(i):
+    return pow(17, mlkem._bitrev7(i), Q)
+
+
+def _ntt_reference(f):
+    """FIPS 203 Algorithm 9."""
+    f = list(f)
+    i = 1
+    length = 128
+    while length >= 2:
+        for start in range(0, 256, 2 * length):
+            zeta = _zeta(i)
+            i += 1
+            for j in range(start, start + length):
+                t = zeta * f[j + length] % Q
+                f[j + length] = (f[j] - t) % Q
+                f[j] = (f[j] + t) % Q
+        length //= 2
+    return f
+
+
+def _ntt_inv_reference(f):
+    """FIPS 203 Algorithm 10."""
+    f = list(f)
+    i = 127
+    length = 2
+    while length <= 128:
+        for start in range(0, 256, 2 * length):
+            zeta = _zeta(i)
+            i -= 1
+            for j in range(start, start + length):
+                t = f[j]
+                f[j] = (t + f[j + length]) % Q
+                f[j + length] = zeta * (f[j + length] - t) % Q
+        length *= 2
+    return [x * 3303 % Q for x in f]
+
+
+def _float_ntt(matrix, polys):
+    return mlkem._unhalves(mlkem._mod(mlkem._halves(np.array(polys, dtype=np.float64)) @ matrix.T))
+
+
+def test_float_ntt_matches_integer_reference():
+    rng = np.random.default_rng(203)
+    polys = rng.integers(0, Q, (3, 256)).tolist() + [[Q - 1] * 256]  # last: worst case
+    forward = _float_ntt(mlkem._NTT, polys)
+    assert forward.tolist() == [_ntt_reference(f) for f in polys]
+    inverse = _float_ntt(mlkem._NTT_INV, polys)
+    assert inverse.tolist() == [_ntt_inv_reference(f) for f in polys]
+    assert _float_ntt(mlkem._NTT_INV, forward).tolist() == polys
+
+
+def test_mod_is_exact_at_the_bound():
+    worst = 128 * (Q - 1) ** 2
+    x = np.array([0, Q - 1, Q, worst, worst - worst % Q, worst - worst % Q - 1], dtype=np.float64)
+    assert mlkem._mod(x).tolist() == [int(v) % Q for v in x]
+
+
+def test_compress_matches_integer_reference_without_reduction():
+    # every residue, plus multiples of q up to the largest inverse-NTT output
+    multiples = np.array([0, 1, 7, 128 * (Q - 1) ** 2 // Q])
+    values = (np.arange(Q) + Q * multiples[:, None]).ravel().astype(np.float64)
+    size = (mlkem.K + 1) * mlkem.N   # one ciphertext's rows; wrap to fill the last
+    values = np.resize(values, -(-len(values) // size) * size)
+    d = np.array([mlkem.DU] * mlkem.K + [mlkem.DV])[:, None]
+    for block in values.reshape(-1, mlkem.K + 1, mlkem.N):
+        reduced = block.astype(np.int64) % Q
+        expected = (((reduced << d) + (Q - 1) // 2) // Q) & ((1 << d) - 1)
+        assert np.array_equal(mlkem._compress(block), expected)
+
+
+def test_sample_ntt_retry_matches_one_long_read():
+    seeds = [bytes(32) + bytes([r, k]) for r in range(3) for k in range(3)]
+    short = 384  # 256 candidates per stream, so some stream accepts fewer than 256
+    accepted = (mlkem._decode12(hashlib.shake_128(s).digest(short)) < Q for s in seeds)
+    assert min(int(a.sum()) for a in accepted) < 256
+    once = mlkem._sample_ntt(seeds, 4 * mlkem.XOF_BYTES)
+    assert np.array_equal(mlkem._sample_ntt(seeds, short), once)
+    assert np.array_equal(mlkem._sample_ntt(seeds, mlkem.XOF_BYTES), once)
+    assert once.shape == (9, 256) and (once < Q).all()
+
+
+def test_cached_key_arrays_are_read_only():
+    ek, _ = mlkem.keygen(hashlib.sha512(b"cache").digest())
+    matrix, h_ek = mlkem._parse_ek(ek)
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0, 0] = 0
+    assert mlkem._parse_ek(ek)[0] is matrix and h_ek == hashlib.sha3_256(ek).digest()

@@ -1,5 +1,7 @@
 """Session state machines: establishment, rounds, rejection paths, schedule."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,6 +397,137 @@ def test_update_from_stranger_rejected():
     env = build_envelope(protocol.MSG_UPDATE, 1, b"zz", stranger, clock.now())
     with pytest.raises(protocol.UnknownClient):
         server.handle_update(env.encode())
+
+
+# --- malformed key material from an authenticated peer ---------------------------
+# The sender signs correctly and its on-chain commitment matches: only the key
+# bytes are bad, so the receiving handler must reject them with a
+# ProtocolError before any state changes.
+
+NOT_A_POINT = b"\x04" + bytes(64)   # 65 bytes, but not a P-256 point
+
+
+def _unreduced(ek):
+    """ek with coefficient 0 set to q, so the FIPS 203 modulus check fails."""
+    return bytes([0x01, 0x0D]) + ek[2:]
+
+
+def _bad_public_keys(m, kind):
+    """Patch key generation so the next pairs carry a bad public key of `kind`."""
+    real_kem, real_dh = crypto.kem_keygen, crypto.dh_keygen
+
+    def kem_keygen(seed):
+        pair = real_kem(seed)
+        public = {"short kem": pair.public[:10], "unreduced kem": _unreduced(pair.public)}
+        return replace(pair, public=public.get(kind, pair.public))
+
+    def dh_keygen(rng):
+        pair = real_dh(rng)
+        return replace(pair, public=NOT_A_POINT) if kind == "not a point" else pair
+
+    m.setattr(crypto, "kem_keygen", kem_keygen)
+    m.setattr(crypto, "dh_keygen", dh_keygen)
+
+
+def _counts(party):
+    """Operation counters, less those that count every delivery's work
+    (received bytes and signature checks)."""
+    counts = party.counters.snapshot()
+    del counts["offchain_recv_bytes"], counts["verify"]
+    return counts
+
+
+def _participant_state(p):
+    return (p.ratchet, p.last_round, p._active, list(p.transcript), p.rng._counter, _counts(p))
+
+
+def _session_state(server, addr):
+    s = server.sessions[addr]
+    used = set(s.current_key._used) if s.current_key is not None else None
+    return (s.ratchet, s.current_key, used, s.last_update_round, list(s.transcript),
+            _counts(server))
+
+
+@pytest.mark.parametrize("kind", ["short kem", "unreduced kem", "not a point"])
+def test_bad_keys_in_authentic_announcement_are_malformed(kind, monkeypatch):
+    with monkeypatch.context() as m:
+        _bad_public_keys(m, kind)
+        server, _, ledger, clock, _ = establish(n=0, capacity=1, seed=b"badann")
+    p = protocol.Participant(DeterministicRng(b"pann"), ledger, clock, server.config)
+    p.join(1)
+    server.admit_clients()
+    blob = server.send_keys(p.address)
+    before = _participant_state(p)
+    with pytest.raises(MalformedMessage):
+        p.handle_keys(blob)
+    assert _participant_state(p) == before
+
+
+@pytest.mark.parametrize("kind", ["not a point", "short ciphertext"])
+def test_bad_keys_in_authentic_key_response_are_malformed(kind, monkeypatch):
+    server, _, ledger, clock, _ = establish(n=1, capacity=2, seed=b"badresp")
+    p = protocol.Participant(DeterministicRng(b"presp"), ledger, clock, server.config)
+    with monkeypatch.context() as m:
+        if kind == "not a point":   # committed at registration, so the hash matches
+            _bad_public_keys(m, kind)
+        p.join(1)
+    server.admit_clients()
+    response = p.handle_keys(server.send_keys(p.address))
+    msg = KeyResponse.decode(SignedEnvelope.decode(response).payload)
+    if kind == "short ciphertext":
+        response = build_envelope(
+            protocol.MSG_KEY_RESPONSE, 0,
+            replace(msg, kem_ciphertext=msg.kem_ciphertext[:10]).encode(), p._sig, clock.now(),
+        ).encode()
+    before = _session_state(server, p.address)
+    with pytest.raises(MalformedMessage):
+        server.handle_key_response(response)
+    assert _session_state(server, p.address) == before
+
+
+@pytest.mark.parametrize("kind", ["short kem", "unreduced kem", "not a point"])
+def test_bad_fresh_keys_in_authentic_task_are_malformed(kind, monkeypatch):
+    server, (p,), _, clock, model = establish(rounds=3, length=1, seed=b"badfresh")
+    clock.advance(60)
+    with monkeypatch.context() as m:
+        _bad_public_keys(m, kind)
+        _, envs = server.publish_round(model)   # a rotation round
+    before = _participant_state(p)
+    with pytest.raises(MalformedMessage):
+        p.handle_task(envs[p.address])
+    assert _participant_state(p) == before
+
+
+@pytest.mark.parametrize("kind", ["not a point", "short ciphertext"])
+def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
+    server, (p,), ledger, clock, model = establish(rounds=3, length=1, seed=b"badreply")
+    clock.advance(60)
+    _, envs = server.publish_round(model)   # a rotation round
+    local = fl.local_train(p.handle_task(envs[p.address]), 1, 0.01, 1)
+    ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
+    dh_public = crypto.dh_keygen(DeterministicRng(b"fresh")).public
+    if kind == "not a point":
+        dh_public = NOT_A_POINT
+    else:
+        ct = ct[:10]
+    # signed, sealed and committed on chain like an honest rotation reply
+    plaintext = UpdatePayload(1, 1, 1, fl.model_parts(local), ct, dh_public).encode()
+    h_ct_key = crypto.digest(ct + dh_public)
+    ledger.update_model(p.address, 1, crypto.digest(plaintext), h_ct_key, 1, 1)
+    sealed = crypto.aead_seal(
+        p._active["key"].key, protocol.seal_nonce(1, protocol.DIR_UPDATE),
+        protocol.seal_aad(1, 1, 1, protocol.DIR_UPDATE), plaintext,
+    )
+    blob = p._send(protocol.MSG_UPDATE, 1, sealed)
+    before = _session_state(server, p.address)
+    for _ in range(2):   # a second delivery is rejected the same way
+        with pytest.raises(MalformedMessage):
+            server.handle_update(blob)
+        assert _session_state(server, p.address) == before
+    # the honest reply still lands under the same round key and rotates
+    sender, got = server.handle_update(p.send_update(local))
+    assert sender == p.address and np.array_equal(got.values, local.values)
+    assert server.sessions[p.address].ratchet == p.ratchet
 
 
 # --- rotation schedule ----------------------------------------------------------
