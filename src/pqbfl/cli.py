@@ -64,6 +64,19 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
     )
 
 
+def _out_problem(args: argparse.Namespace) -> str | None:
+    """Why `--out` cannot be written, found before anything is simulated."""
+    out = args.out
+    if args.command == "run":
+        if os.path.exists(out) and not os.path.isdir(out):
+            return f"--out {out} exists and is not a directory"
+    elif os.path.isdir(out):
+        return f"--out {out} is a directory"
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        return f"--out {out}: no directory {os.path.dirname(out)}"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     metrics = run_simulation(args.config)
     paths = write_outputs(metrics, args.out)
@@ -86,13 +99,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_export_ledger(args: argparse.Namespace) -> int:
     if args.run:
-        path = f"{args.run}/ledger.txt"
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        with open(f"{args.run}/ledger.txt") as fh:
+            text = fh.read()
     else:
         metrics = run_simulation(args.config)
         text = "\n".join(metrics.events) + "\n"
@@ -144,12 +152,17 @@ def main(argv: list[str] | None = None) -> int:
             args.config = _config_from(args)
         except ValueError as exc:
             parser.error(str(exc))
+    if getattr(args, "out", None) and (problem := _out_problem(args)):
+        parser.error(problem)
     try:
         return args.func(args)
     except BrokenPipeError:
         # downstream closed early (head, a pager); not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:   # reading a run directory or writing outputs
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

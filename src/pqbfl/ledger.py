@@ -5,29 +5,25 @@ project with an escrowed deposit and a key commitment, clients register with
 their own key commitments, then each round publishes a task, collects model
 updates, and scores them; finishing the project releases the escrow.  Every
 accepted transaction emits one event and forms one block holding its sender
-and that event.  The block list is the one log: the export prints its events,
-and replaying its blocks under the same configuration rebuilds the same blocks
-and the full contract state (balances included).
+and that event.  The block list is the one log, and the export prints its
+events.  Parties read on-chain facts through keyed lookups on the contract
+state (`registration`, `clients`, `task`, `update`, `current_keys`), as a
+real contract exposes getters.
 
-The contract state keeps each project's registration, its clients in block
-order, its tasks by id, and each client's latest update per task.  Parties
-read on-chain facts through keyed lookups on that state (`registration`,
-`clients`, `task`, `update`, `current_keys`), as a real contract exposes
-getters.
+Live calls and replayed blocks take one commit path, as a node re-executes
+every transaction of a block it imports: the guard of the event's class (the
+contract's checks of sender, project, task, deadline and deposit), the
+block's index and time, every priced field, then the state change.  Replaying
+a log under the same configuration rebuilds its blocks and the full contract
+state, and raises the live contract's `LedgerError` at a block it refuses.
 
-Payload accounting prices each event by the fields a real contract call would
-carry as calldata: 32-byte hashes, 2-byte identifiers/counters/scores/
-deadlines, 1-byte round numbers and termination flags.  Sender addresses,
-block numbers and timestamps are envelope overhead, and fields the contract
-fills in itself are not calldata; both are priced zero.  A project
-registration plus one client registration totals exactly 100 bytes; a
-publish/update/feedback round totals exactly 148, plus 32 per key-commitment
-hash on key-rotation rounds.
-
-Each priced field declares its width once, as metadata on its event field
-(an integer also declares its allowed values; a hash may be optional, and an
-empty one is not sent).  Pricing sums those widths, and every committed
-block, live or replayed, is checked against them before it changes state.
+Each priced field declares its width once, as metadata on its event field:
+32-byte hashes (an optional one may be empty, and is then not sent), 2-byte
+identifiers, counters, scores and deadlines, 1-byte rounds and flags.  Sender
+addresses, block numbers, timestamps and fields the contract fills in itself
+are not calldata and are priced zero.  A project registration plus one client
+registration totals exactly 100 bytes; a publish/update/feedback round totals
+exactly 148, plus 32 per key-commitment hash on key-rotation rounds.
 """
 
 from __future__ import annotations
@@ -186,14 +182,8 @@ class ProjectTerminateEvent:
     server: bytes
 
 
-LedgerEvent = (
-    RegProjectEvent
-    | RegClientEvent
-    | TaskEvent
-    | UpdateEvent
-    | FeedbackEvent
-    | ProjectTerminateEvent
-)
+LedgerEvent = (RegProjectEvent | RegClientEvent | TaskEvent | UpdateEvent
+               | FeedbackEvent | ProjectTerminateEvent)
 
 
 @cache
@@ -242,11 +232,10 @@ class _Project:
     registration: RegProjectEvent
     h_model: bytes
     h_keys: bytes            # current key commitment; rotation tasks replace it
-    escrow: int
-    done: bool
-    clients: dict[bytes, _Client]                        # in block order
-    tasks: dict[int, TaskEvent]
-    updates: dict[tuple[int, bytes], UpdateEvent]       # (task_id, client) -> latest
+    done: bool = False       # finished; until then the deposit is in escrow
+    clients: dict[bytes, _Client] = field(default_factory=dict)     # in block order
+    tasks: dict[int, TaskEvent] = field(default_factory=dict)
+    updates: dict[tuple[int, bytes], UpdateEvent] = field(default_factory=dict)  # latest
 
 
 @dataclass(frozen=True)
@@ -264,7 +253,7 @@ class LedgerConfig:
 
 
 class Ledger:
-    """In-process chain: one transaction per block, guards checked atomically."""
+    """In-process chain: one transaction per block, checked in full before it changes state."""
 
     def __init__(self, config: LedgerConfig | None = None, clock: SimClock | None = None):
         self.config = config or LedgerConfig()
@@ -291,15 +280,15 @@ class Ledger:
         except KeyError:
             raise UnknownProject(f"no project {project_id}") from None
 
-    def _open_project(self, project_id: int) -> _Project:
-        """The project a transaction acts on; it must exist and not be finished."""
-        p = self._project(project_id)
-        if p.done:
-            raise ProjectDone(f"project {project_id} is finished")
-        return p
-
-    def _commit(self, sender: bytes, event: LedgerEvent) -> LedgerEvent:
-        """Check the sender and every priced field, then apply and append."""
+    def import_block(self, block: Block) -> None:
+        """The one commit path, for live calls and replayed blocks alike: the
+        event's guard, its place in the chain, its sender and priced fields."""
+        sender, event = block.sender, block.event
+        project = self._guard(sender, event)
+        if event.block != len(self.blocks):
+            raise BadField(f"block {event.block} cannot be block {len(self.blocks)}")
+        if self.blocks and event.time < self.blocks[-1].event.time:
+            raise BadField(f"time {event.time} precedes block {len(self.blocks) - 1}")
         self._check_address(sender)
         for name, width, allowed, optional in _declared(type(event)):
             value = getattr(event, name)
@@ -308,8 +297,13 @@ class Ledger:
                     raise BadField(f"{name} out of range: {value}")
             elif len(value) != width and not (optional and value == b""):
                 raise BadField(f"{name} must be {width} bytes")
-        self._apply(event)
-        self.blocks.append(Block(sender, event))
+        self._apply(event, project)
+        self.blocks.append(block)
+
+    def _transact(self, sender: bytes, cls: type, **calldata) -> LedgerEvent:
+        """Commit an entry point's event, stamped with the next block and the clock."""
+        event = cls(len(self.blocks), self.clock.now(), **calldata)
+        self.import_block(Block(sender, event))
         return event
 
     # -- transaction entry points
@@ -318,124 +312,128 @@ class Ledger:
         self, sender: bytes, project_id: int, capacity: int,
         h_model: bytes, h_keys: bytes,
     ) -> RegProjectEvent:
-        if project_id in self._projects:
-            raise DuplicateProject(f"project {project_id} already registered")
-        if self.balance_of(sender) < self.config.deposit:
-            raise InsufficientDeposit(
-                f"deposit {self.config.deposit} exceeds balance {self.balance_of(sender)}"
-            )
-        return self._commit(sender, RegProjectEvent(
-            block=len(self.blocks), time=self.clock.now(),
-            project_id=project_id, capacity=capacity, server=sender,
-            h_model=h_model, h_keys=h_keys,
-        ))
+        return self._transact(
+            sender, RegProjectEvent, project_id=project_id, capacity=capacity,
+            server=sender, h_model=h_model, h_keys=h_keys,
+        )
 
     def register_client(self, sender: bytes, project_id: int, h_key: bytes) -> RegClientEvent:
-        p = self._open_project(project_id)
-        if sender in p.clients:
-            raise DuplicateClient("client already registered")
-        if len(p.clients) >= p.registration.capacity:
-            raise ProjectFull(f"project {project_id} has {p.registration.capacity} clients")
-        return self._commit(sender, RegClientEvent(
-            block=len(self.blocks), time=self.clock.now(),
-            project_id=project_id, client=sender, h_key=h_key,
-        ))
+        return self._transact(
+            sender, RegClientEvent, project_id=project_id, client=sender, h_key=h_key,
+        )
 
     def publish_task(
         self, sender: bytes, round: int, h_info: bytes, h_keys: bytes,
         project_id: int, task_id: int, deadline_window: int,
     ) -> TaskEvent:
-        p = self._open_project(project_id)
-        if p.registration.server != sender:
-            raise NotProjectOwner("only the registering server publishes tasks")
-        if task_id in p.tasks:
-            raise DuplicateTask(f"task {task_id} already published")
-        return self._commit(sender, TaskEvent(
-            block=len(self.blocks), time=self.clock.now(),
-            round=round, h_info=h_info, h_keys=h_keys,
+        p = self._projects.get(project_id)
+        return self._transact(
+            sender, TaskEvent, round=round, h_info=h_info, h_keys=h_keys,
             project_id=project_id, task_id=task_id,
-            client_count=len(p.clients), deadline_window=deadline_window,
-        ))
+            client_count=len(p.clients) if p else 0, deadline_window=deadline_window,
+        )
 
     def update_model(
         self, sender: bytes, round: int, h_info: bytes, h_ct_key: bytes,
         project_id: int, task_id: int,
     ) -> UpdateEvent:
-        p = self._open_project(project_id)
-        if sender not in p.clients:
-            raise UnregisteredClient("client is not registered for this project")
-        task = p.tasks.get(task_id)
-        if task is None:
-            raise UnknownTask(f"no task {task_id} in project {project_id}")
-        if task.round != round:
-            raise BadField(f"task {task_id} is for round {task.round}, not {round}")
-        deadline = task.time + task.deadline_window
-        if self.clock.now() > deadline:
-            raise DeadlineExceeded(f"task {task_id} closed at {deadline}")
-        return self._commit(sender, UpdateEvent(
-            block=len(self.blocks), time=self.clock.now(),
-            round=round, h_info=h_info, h_ct_key=h_ct_key,
+        return self._transact(
+            sender, UpdateEvent, round=round, h_info=h_info, h_ct_key=h_ct_key,
             project_id=project_id, task_id=task_id, client=sender,
-        ))
+        )
 
     def feedback_model(
         self, sender: bytes, round: int, project_id: int, task_id: int,
         client: bytes, score: int, terminate: int, h_model: bytes, h_keys: bytes,
     ) -> FeedbackEvent:
-        p = self._open_project(project_id)
-        if p.registration.server != sender:
-            raise NotProjectOwner("only the registering server scores updates")
-        if client not in p.clients:
-            raise UnregisteredClient("scored client is not registered")
-        if task_id not in p.tasks:
-            raise UnknownTask(f"no task {task_id} in project {project_id}")
-        return self._commit(sender, FeedbackEvent(
-            block=len(self.blocks), time=self.clock.now(),
-            round=round, project_id=project_id, task_id=task_id,
-            h_model=h_model, h_keys=h_keys, client=client,
-            score=score, terminate=terminate,
-        ))
+        return self._transact(
+            sender, FeedbackEvent, round=round, project_id=project_id, task_id=task_id,
+            h_model=h_model, h_keys=h_keys, client=client, score=score, terminate=terminate,
+        )
 
     def finish_project(self, sender: bytes, project_id: int) -> ProjectTerminateEvent:
-        p = self._open_project(project_id)
-        if p.registration.server != sender:
-            raise NotProjectOwner("only the registering server finishes the project")
-        return self._commit(sender, ProjectTerminateEvent(
-            block=len(self.blocks), time=self.clock.now(),
-            project_id=project_id, server=sender,
-        ))
+        return self._transact(sender, ProjectTerminateEvent, project_id=project_id, server=sender)
 
-    # -- state transition shared by live execution and replay
+    # -- guards and state transition, shared by live calls and replay
 
-    def _apply(self, event: LedgerEvent) -> None:
-        if isinstance(event, RegProjectEvent):
-            self._balances[event.server] = self.balance_of(event.server) - self.config.deposit
-            self._projects[event.project_id] = _Project(
-                registration=event, h_model=event.h_model, h_keys=event.h_keys,
-                escrow=self.config.deposit, done=False, clients={}, tasks={}, updates={},
-            )
-        elif isinstance(event, RegClientEvent):
-            self._projects[event.project_id].clients[event.client] = _Client(event)
-        elif isinstance(event, TaskEvent):
-            p = self._projects[event.project_id]
-            p.tasks[event.task_id] = event
-            if event.h_keys:
-                p.h_keys = event.h_keys
-        elif isinstance(event, UpdateEvent):
-            p = self._projects[event.project_id]
-            p.updates[(event.task_id, event.client)] = event
-        elif isinstance(event, FeedbackEvent):
-            p = self._projects[event.project_id]
-            c = p.clients[event.client]
-            c.score = max(0, c.score + event.score)
-            p.h_model = event.h_model
-        elif isinstance(event, ProjectTerminateEvent):
-            p = self._projects[event.project_id]
-            self._balances[event.server] = self.balance_of(event.server) + p.escrow
-            p.escrow = 0
-            p.done = True
+    def _guard(self, sender: bytes, e: LedgerEvent) -> _Project | None:
+        """Refuse the transaction unless the contract accepts it from `sender`
+        now; return the project it acts on.  Entry points stamp their events,
+        so only a replayed block can fail the sender, count or time checks."""
+        if isinstance(e, RegProjectEvent):
+            if e.server != sender:
+                raise BadField("the block is not sent by the event's server")
+            if e.project_id in self._projects:
+                raise DuplicateProject(f"project {e.project_id} already registered")
+            if self.balance_of(sender) < self.config.deposit:
+                raise InsufficientDeposit(
+                    f"deposit {self.config.deposit} exceeds balance {self.balance_of(sender)}"
+                )
+            return None
+        p = self._project(e.project_id)
+        if p.done:
+            raise ProjectDone(f"project {e.project_id} is finished")
+        if isinstance(e, RegClientEvent):
+            if e.client != sender:
+                raise BadField("the block is not sent by the event's client")
+            if sender in p.clients:
+                raise DuplicateClient("client already registered")
+            if len(p.clients) >= p.registration.capacity:
+                raise ProjectFull(f"project {e.project_id} has {p.registration.capacity} clients")
+        elif isinstance(e, TaskEvent):
+            if p.registration.server != sender:
+                raise NotProjectOwner("only the registering server publishes tasks")
+            if e.task_id in p.tasks:
+                raise DuplicateTask(f"task {e.task_id} already published")
+            if e.client_count != len(p.clients):
+                raise BadField(f"client_count {e.client_count} is not {len(p.clients)}")
+        elif isinstance(e, UpdateEvent):
+            if e.client != sender:
+                raise BadField("the block is not sent by the event's client")
+            if sender not in p.clients:
+                raise UnregisteredClient("client is not registered for this project")
+            task = p.tasks.get(e.task_id)
+            if task is None:
+                raise UnknownTask(f"no task {e.task_id} in project {e.project_id}")
+            if task.round != e.round:
+                raise BadField(f"task {e.task_id} is for round {task.round}, not {e.round}")
+            deadline = task.time + task.deadline_window
+            if e.time > deadline:
+                raise DeadlineExceeded(f"task {e.task_id} closed at {deadline}")
+        elif isinstance(e, FeedbackEvent):
+            if p.registration.server != sender:
+                raise NotProjectOwner("only the registering server scores updates")
+            if e.client not in p.clients:
+                raise UnregisteredClient("scored client is not registered")
+            if e.task_id not in p.tasks:
+                raise UnknownTask(f"no task {e.task_id} in project {e.project_id}")
         else:
-            raise TypeError(f"not a ledger event: {event!r}")
+            if e.server != sender:
+                raise BadField("the block is not sent by the event's server")
+            if p.registration.server != sender:
+                raise NotProjectOwner("only the registering server finishes the project")
+        return p
+
+    def _apply(self, e: LedgerEvent, p: _Project | None) -> None:
+        """Change the state as the guarded event `e` says; `p` is its project."""
+        if isinstance(e, RegProjectEvent):
+            self._balances[e.server] = self.balance_of(e.server) - self.config.deposit
+            self._projects[e.project_id] = _Project(e, e.h_model, e.h_keys)
+        elif isinstance(e, RegClientEvent):
+            p.clients[e.client] = _Client(e)
+        elif isinstance(e, TaskEvent):
+            p.tasks[e.task_id] = e
+            if e.h_keys:
+                p.h_keys = e.h_keys
+        elif isinstance(e, UpdateEvent):
+            p.updates[(e.task_id, e.client)] = e
+        elif isinstance(e, FeedbackEvent):
+            c = p.clients[e.client]
+            c.score = max(0, c.score + e.score)
+            p.h_model = e.h_model
+        else:
+            self._balances[e.server] = self.balance_of(e.server) + self.config.deposit
+            p.done = True
 
     # -- queries
 
@@ -464,7 +462,7 @@ class Ledger:
             "capacity": p.registration.capacity,
             "h_model": p.h_model,
             "h_keys": p.h_keys,
-            "escrow": p.escrow,
+            "escrow": 0 if p.done else self.config.deposit,
             "done": p.done,
             "clients": {a: (c.registration.h_key, c.score) for a, c in p.clients.items()},
         }
@@ -479,9 +477,8 @@ class Ledger:
         """Stored balances plus escrow.  Always equals initial_balance times
         the number of accounts that ever moved value: transactions only move
         units between balances and escrow, never mint or burn them."""
-        return sum(self._balances.values()) + sum(
-            p.escrow for p in self._projects.values()
-        )
+        open_projects = sum(not p.done for p in self._projects.values())
+        return sum(self._balances.values()) + self.config.deposit * open_projects
 
     def account_count(self) -> int:
         return len(self._balances)
@@ -509,8 +506,10 @@ class Ledger:
 
     @classmethod
     def replay(cls, blocks: Iterable[Block], config: LedgerConfig | None = None) -> "Ledger":
-        """Rebuild the blocks and the contract state under the same configuration."""
+        """Rebuild the blocks and the contract state under the same configuration.
+        Every block runs the guards and field checks of a live call, so a log
+        the live contract would refuse raises that refusal's `LedgerError`."""
         fresh = cls(config=config)
         for b in blocks:
-            fresh._commit(b.sender, b.event)
+            fresh.import_block(b)
         return fresh

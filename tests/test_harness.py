@@ -31,6 +31,10 @@ def small(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+def _never(config):
+    raise AssertionError("simulation started")
+
+
 # --- honest runs -------------------------------------------------------------
 
 def test_honest_run_completes():
@@ -270,10 +274,7 @@ def test_rounds_beyond_one_byte_rejected_up_front(capsys):
 def test_bad_configs_rejected_before_any_party_is_built(
     flag, value, fragment, monkeypatch, capsys
 ):
-    def never(config):
-        raise AssertionError("simulation started")
-
-    monkeypatch.setattr(cli, "run_simulation", never)
+    monkeypatch.setattr(cli, "run_simulation", _never)
     with pytest.raises(SystemExit) as exc:
         main(["run", "--participants", "2", "--rounds", "3", flag, value, "--out", "unused"])
     assert exc.value.code == 2
@@ -401,3 +402,38 @@ def test_cli_export_ledger_fresh_simulation(tmp_path):
         "--ratchet-range", "2", "--out", str(target),
     ]) == 0
     assert target.read_text().strip()
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["run", "--out", "{file}"], "is not a directory"),
+    (["export-ledger", "--out", "{missing}/chain.txt"], "no directory"),
+    (["export-ledger", "--out", "{dir}"], "is a directory"),
+], ids=["run-into-a-file", "export-into-a-missing-directory", "export-onto-a-directory"])
+def test_unwritable_out_rejected_before_simulating(
+    argv, fragment, tmp_path, monkeypatch, capsys
+):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("kept\n")
+    places = {"file": existing, "missing": tmp_path / "missing", "dir": tmp_path}
+    argv = [arg.format(**places) for arg in argv]
+    monkeypatch.setattr(cli, "run_simulation", _never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("pqbfl: error: --out ") and fragment in err[-1]
+    assert argv[-1] in err[-1]
+    assert existing.read_text() == "kept\n"
+
+
+def test_write_and_read_failures_are_errors_not_tracebacks(tmp_path, monkeypatch, capsys):
+    def full_disk(metrics, out_dir):
+        raise OSError(28, "No space left on device", out_dir)
+
+    monkeypatch.setattr(cli, "run_simulation", lambda config: None)
+    monkeypatch.setattr(cli, "write_outputs", full_disk)
+    assert main(["run", "--out", str(tmp_path / "run")]) == 1
+    assert main(["export-ledger", "--run", str(tmp_path / "absent")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["error", "error"]
+    assert "No space left" in err[0] and "absent" in err[1]

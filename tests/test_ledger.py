@@ -2,12 +2,13 @@
 
 import typing
 from dataclasses import fields, replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import establish, run_round
-from pqbfl import ledger as L
+from pqbfl import harness, ledger as L
 from pqbfl.ledger import (
     BadField,
     Block,
@@ -177,9 +178,9 @@ VALID_CALLS = {
     "ProjectTerminate": ("finish_project", dict(sender=SERVER, project_id=1)),
 }
 
-# Every priced field with a value just outside its declared range.  A live
-# call whose project or task lookup fails on the bad value raises that guard's
-# error first; replay reaches the field check for every one of them.
+# Every priced field with a value just outside its declared range.  A call
+# whose project or task lookup fails on the bad value raises that guard's
+# error first, live and on replay alike.
 SHORT, LONG = H32[:-1], H32 + b"x"
 BAD_FIELDS = [
     ("RegProject", "project_id", 0x10000, BadField),
@@ -238,7 +239,7 @@ def test_out_of_range_field_rejected_live_and_on_replay(kind, name, bad, live_er
     # bad value put back is refused on replay
     event = call(**args)
     bad_block = Block(args["sender"], replace(event, **{name: bad}))
-    with pytest.raises(BadField):
+    with pytest.raises(live_error):
         Ledger.replay([*ledger.blocks[:-1], bad_block], LedgerConfig())
 
 
@@ -427,3 +428,140 @@ def test_random_op_soup_replays_and_conserves(ops):
     for p in [1]:
         for client, (_, score) in ledger.project_info(p)["clients"].items():
             assert score >= 0
+
+
+# --- replay runs the contract's guards ----------------------------------------------
+
+def _with_last_block(calls, **changes):
+    """A live ledger after `calls` has made its calls; returns its blocks but
+    the last, and the last block with `changes` to its sender or event."""
+    ledger, clock = fresh()
+    calls(ledger, clock)
+    *prefix, last = ledger.blocks
+    sender = changes.pop("sender", last.sender)
+    return prefix, Block(sender, replace(last.event, **changes))
+
+
+def _pair(ledger, clock):
+    register_pair(ledger)
+
+
+def _two_projects(ledger, clock):
+    ledger.register_project(SERVER, 1, 4, H32, H32)
+    ledger.register_project(SERVER, 2, 4, H32, H32)
+
+
+def _task(ledger, clock):
+    ledger.register_project(SERVER, 1, 4, H32, H32)
+    clock.advance(50)
+    ledger.register_client(CLIENT, 1, H32)
+    ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)   # at 50, open until 650
+
+
+def _feedback(ledger, clock):
+    _task(ledger, clock)
+    ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32)
+
+
+def _update(ledger, clock):
+    _task(ledger, clock)
+    ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
+
+
+@pytest.mark.parametrize("calls, changes, error", [
+    pytest.param(_pair, dict(project_id=9), UnknownProject, id="client-of-unregistered-project"),
+    pytest.param(_two_projects, dict(project_id=1), DuplicateProject, id="project-registered-twice"),
+    pytest.param(_task, dict(sender=OTHER), NotProjectOwner, id="task-from-non-owner"),
+    pytest.param(_feedback, dict(client=OTHER), UnregisteredClient, id="feedback-for-unregistered"),
+    pytest.param(_task, dict(block=7), BadField, id="block-number-not-its-index"),
+    pytest.param(_task, dict(time=10), BadField, id="time-before-its-predecessor"),
+    pytest.param(_task, dict(client_count=3), BadField, id="wrong-client-count"),
+    pytest.param(_update, dict(sender=OTHER), BadField, id="update-sent-for-another-client"),
+    pytest.param(_update, dict(time=651), DeadlineExceeded, id="update-after-deadline"),
+])
+def test_replay_refuses_what_the_live_contract_refuses(calls, changes, error):
+    prefix, bad = _with_last_block(calls, **changes)
+    with pytest.raises(error):
+        Ledger.replay([*prefix, bad], LedgerConfig())
+    twin = Ledger.replay(prefix, LedgerConfig())
+    before = twin.snapshot()
+    with pytest.raises(error):
+        twin.import_block(bad)
+    assert twin.snapshot() == before and twin.blocks == prefix
+
+
+@cache
+def _simulated_ledger() -> Ledger:
+    """The live ledger of a small honest run, with a free rider scored down."""
+    made = []
+
+    class Recording(Ledger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Ledger", Recording)
+        harness.run_simulation(harness.SimConfig(
+            participants=2, rounds=4, ratchet_range=2, model_dim=4, seed=5, free_ride=True,
+        ))
+    (ledger,) = made
+    return ledger
+
+
+def _edit(block: Block, field_i: int, value_i: int, pool: dict) -> Block:
+    """`block` with its sender or one event field replaced by a pooled value
+    of the same type."""
+    names = ["sender", *(f.name for f in fields(block.event))]
+    name = names[field_i % len(names)]
+    old = block.sender if name == "sender" else getattr(block.event, name)
+    values = pool[type(old)]
+    new = values[value_i % len(values)]
+    if name == "sender":
+        return Block(new, block.event)
+    return Block(block.sender, replace(block.event, **{name: new}))
+
+
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "duplicate", "swap", "edit"]),
+        st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MUTATIONS, st.booleans())
+def test_mangled_simulation_log_is_refused_or_conserves(mutations, renumber):
+    """Dropped, duplicated, reordered or edited blocks of a real run either
+    raise a LedgerError on replay or rebuild a ledger that replays to itself
+    and conserves value; the log as written rebuilds the live ledger."""
+    live, cfg = _simulated_ledger(), LedgerConfig()
+    twin = Ledger.replay(live.blocks, cfg)
+    assert twin.blocks == live.blocks and twin.snapshot() == live.snapshot()
+    pool = {int: sorted({-1, 0x10000} | {
+        v for b in live.blocks for v in vars(b.event).values() if isinstance(v, int)
+    })}
+    pool[bytes] = sorted({b""} | {b.sender for b in live.blocks} | {
+        v for b in live.blocks for v in vars(b.event).values() if isinstance(v, bytes)
+    })
+    blocks = list(live.blocks)
+    for kind, a, b, c in mutations:
+        i, j = a % len(blocks), b % len(blocks)
+        if kind == "drop":
+            del blocks[i]
+        elif kind == "duplicate":
+            blocks.insert(j, blocks[i])
+        elif kind == "swap":
+            blocks[i], blocks[j] = blocks[j], blocks[i]
+        else:
+            blocks[i] = _edit(blocks[i], b, c, pool)
+    if renumber:   # past the index check, so the contract's guards judge the order
+        blocks = [Block(x.sender, replace(x.event, block=n)) for n, x in enumerate(blocks)]
+    try:
+        rebuilt = Ledger.replay(blocks, cfg)
+    except L.LedgerError:
+        return
+    assert Ledger.replay(rebuilt.blocks, cfg).snapshot() == rebuilt.snapshot()
+    assert rebuilt.total_balance() == cfg.initial_balance * rebuilt.account_count()

@@ -213,6 +213,26 @@ def test_state_roundtrip_fixed_and_list_config():
             ratchet.deserialize_state(blob[:-1])
 
 
+@pytest.mark.parametrize("config", [
+    b"\x00\x00\x00",
+    b"\x07\x00\x01\x00\x05",
+    b"\x00\x00\x02\x00\x05\x00\x06",
+], ids=["fixed-range-without-value", "unknown-kind", "fixed-range-with-two-values"])
+def test_state_codec_refuses_configs_it_never_writes(config):
+    state = init_root(b"\x15" * 32, b"\x16" * 32, RatchetConfig(5))
+    blob = ratchet.serialize_state(state)
+    assert ratchet.deserialize_state(blob[:72] + b"\x00\x00\x01\x00\x05") == state
+    with pytest.raises(ValueError):
+        ratchet.deserialize_state(blob[:72] + config)
+
+
+@pytest.mark.parametrize("ranges", [70000, (3, 70000)])
+def test_ranges_beyond_two_bytes_refuse_to_serialize(ranges):
+    state = init_root(b"\x15" * 32, b"\x16" * 32, RatchetConfig(ranges))
+    with pytest.raises(ValueError, match="65535"):
+        ratchet.serialize_state(state)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.binary(min_size=32, max_size=32),
