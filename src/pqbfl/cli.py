@@ -67,9 +67,12 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
 def _out_problem(args: argparse.Namespace) -> str | None:
     """Why `--out` cannot be written, found before anything is simulated."""
     out = args.out
-    if args.command == "run":
-        if os.path.exists(out) and not os.path.isdir(out):
-            return f"--out {out} exists and is not a directory"
+    if args.command == "run":   # created with its parents, under a directory
+        held_by = os.path.abspath(out)
+        while not os.path.exists(held_by):
+            held_by = os.path.dirname(held_by)
+        if not os.path.isdir(held_by):
+            return f"--out {out}: {held_by} exists and is not a directory"
     elif os.path.isdir(out):
         return f"--out {out} is a directory"
     elif not os.path.isdir(os.path.dirname(out) or "."):

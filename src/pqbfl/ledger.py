@@ -3,12 +3,12 @@
 Six transaction kinds drive a project's life cycle: the server registers a
 project with an escrowed deposit and a key commitment, clients register with
 their own key commitments, then each round publishes a task, collects model
-updates, and scores them; finishing the project releases the escrow.  Every
-accepted transaction emits one event and forms one block holding its sender
-and that event.  The block list is the one log, and the export prints its
-events.  Parties read on-chain facts through keyed lookups on the contract
-state (`registration`, `clients`, `task`, `update`, `current_keys`), as a
-real contract exposes getters.
+updates, and scores each update once; finishing the project releases the
+escrow.  Every accepted transaction emits one event and forms one block
+holding its sender and that event.  The block list is the one log, and the
+export prints its events.  Parties read on-chain facts through keyed lookups
+on the contract state (`registration`, `clients`, `task`, `update`,
+`current_keys`), as a real contract exposes getters.
 
 Live calls and replayed blocks take one commit path, as a node re-executes
 every transaction of a block it imports: the guard of the event's class (the
@@ -77,6 +77,14 @@ class UnregisteredClient(LedgerError):
 
 
 class UnknownTask(LedgerError):
+    pass
+
+
+class UnknownUpdate(LedgerError):
+    pass
+
+
+class DuplicateFeedback(LedgerError):
     pass
 
 
@@ -236,6 +244,7 @@ class _Project:
     clients: dict[bytes, _Client] = field(default_factory=dict)     # in block order
     tasks: dict[int, TaskEvent] = field(default_factory=dict)
     updates: dict[tuple[int, bytes], UpdateEvent] = field(default_factory=dict)  # latest
+    scored: set[tuple[int, bytes]] = field(default_factory=set)    # (task, client) fed back
 
 
 @dataclass(frozen=True)
@@ -392,11 +401,7 @@ class Ledger:
                 raise BadField("the block is not sent by the event's client")
             if sender not in p.clients:
                 raise UnregisteredClient("client is not registered for this project")
-            task = p.tasks.get(e.task_id)
-            if task is None:
-                raise UnknownTask(f"no task {e.task_id} in project {e.project_id}")
-            if task.round != e.round:
-                raise BadField(f"task {e.task_id} is for round {task.round}, not {e.round}")
+            task = self._task(p, e)
             deadline = task.time + task.deadline_window
             if e.time > deadline:
                 raise DeadlineExceeded(f"task {e.task_id} closed at {deadline}")
@@ -405,14 +410,27 @@ class Ledger:
                 raise NotProjectOwner("only the registering server scores updates")
             if e.client not in p.clients:
                 raise UnregisteredClient("scored client is not registered")
-            if e.task_id not in p.tasks:
-                raise UnknownTask(f"no task {e.task_id} in project {e.project_id}")
+            self._task(p, e)
+            if (e.task_id, e.client) not in p.updates:
+                raise UnknownUpdate(f"client posted no update for task {e.task_id}")
+            if (e.task_id, e.client) in p.scored:
+                raise DuplicateFeedback(f"client already scored for task {e.task_id}")
         else:
             if e.server != sender:
                 raise BadField("the block is not sent by the event's server")
             if p.registration.server != sender:
                 raise NotProjectOwner("only the registering server finishes the project")
         return p
+
+    @staticmethod
+    def _task(p: _Project, e: UpdateEvent | FeedbackEvent) -> TaskEvent:
+        """The task `e` answers, which must be for `e`'s round."""
+        task = p.tasks.get(e.task_id)
+        if task is None:
+            raise UnknownTask(f"no task {e.task_id} in project {e.project_id}")
+        if task.round != e.round:
+            raise BadField(f"task {e.task_id} is for round {task.round}, not {e.round}")
+        return task
 
     def _apply(self, e: LedgerEvent, p: _Project | None) -> None:
         """Change the state as the guarded event `e` says; `p` is its project."""
@@ -430,6 +448,7 @@ class Ledger:
         elif isinstance(e, FeedbackEvent):
             c = p.clients[e.client]
             c.score = max(0, c.score + e.score)
+            p.scored.add((e.task_id, e.client))
             p.h_model = e.h_model
         else:
             self._balances[e.server] = self.balance_of(e.server) + self.config.deposit
@@ -495,6 +514,7 @@ class Ledger:
                     **self.project_info(pid),
                     "tasks": dict(p.tasks),
                     "updates": dict(p.updates),
+                    "scored": set(p.scored),
                 }
                 for pid, p in self._projects.items()
             },

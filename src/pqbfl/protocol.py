@@ -27,12 +27,14 @@ into the decoded vector.  Handlers are atomic: every check (freshness,
 signature, replay, on-chain commitment, AEAD, model decoding, received key
 material) runs before any session state changes, so a rejected delivery
 leaves the session exactly as it was.  Received key material is checked where
-it arrives, even when it is used only later: a KEM key or ciphertext or an
-ECDH key of the wrong width, a KEM key that fails the FIPS 203 modulus check
-and an ECDH key that is not a P-256 point are each `MalformedMessage`.  Each
-session fact is stored once: a session is established exactly when it holds a
-ratchet, and the server keeps a participant's on-chain registration itself
-rather than copies of its fields.
+it arrives, even when it is used only later, and each fault is
+`MalformedMessage`: decoding refuses a key of the wrong width, the sender's
+signing key included, and a `fresh` byte other than 0 or 1, so for key
+messages that comes before the reference and commitment checks; then a KEM
+key must pass the FIPS 203 modulus check and an ECDH key must be a P-256
+point.  Each session fact is stored once: a session is established exactly
+when it holds a ratchet, and the server keeps a participant's on-chain
+registration itself rather than copies of its fields.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly; of all counters only `verify` and `offchain_recv_bytes`
@@ -45,7 +47,7 @@ separately counted.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import crypto, fl, ratchet
 from .crypto import AuthFailure
@@ -120,35 +122,37 @@ class MalformedMessage(ProtocolError):
     """Wire bytes do not parse."""
 
 
-# --- wire helpers ----------------------------------------------------------
+# --- wire layouts ----------------------------------------------------------
+#
+# Each message class declares its layout once, as metadata on its fields;
+# `_message` builds it into one plan per class, which `_parts` (the one
+# encoder) and `_decode` (the one decoder) both follow: a header of every
+# integer field in declaration order, then the `fresh` byte if the class has a
+# rotation pair; that pair, present exactly when `fresh` is 1, which encode
+# sets when the pair's first key is non-empty; then the other byte fields in
+# declaration order.  A declared width is the only length decode accepts;
+# encode writes whatever it is given.
 
-# struct formats of the length prefix and of each message's fixed header;
-# `encode` packs and `decode` unpacks the same constant
-_LENGTH = ">I"
-_KEYS_HEADER = ">HI"         # project id, registration block
-_TASK_HEADER = ">HHIHB"      # project id, task id, round, deadline window, fresh keys
-_UPDATE_HEADER = ">HHIB"     # project id, task id, round, fresh keys
-_ENVELOPE_HEADER = ">BBIQ"   # version, message type, round, timestamp
-
-
-def _lp(data) -> list:
-    """A length-prefixed field, as parts for one `b"".join`."""
-    return [struct.pack(_LENGTH, len(data)), data]
+_LENGTH = struct.Struct(">I")
 
 
-def _lp_model(model) -> list:
-    """`_lp` for a model given as one bytes-like or as its `fl.model_parts`,
-    so a model is joined into its payload once."""
-    parts = model if isinstance(model, list) else [model]
-    return [struct.pack(_LENGTH, sum(memoryview(p).nbytes for p in parts)), *parts]
+def _int(code: str):
+    """A header integer, packed by its struct code."""
+    return field(metadata={"code": code})
+
+
+def _bytes(width=None, *, fixed=False, view=False, rotation=False):
+    """A byte field of exactly `width` bytes, if given, and length-prefixed
+    unless `fixed`; a prefixed field encodes from a bytes-like or a list of
+    parts (a model's `fl.model_parts`), so a model is joined into its payload
+    once.  A `view` field decodes as a view into the blob.  A `rotation`
+    field is one key of the pair the `fresh` byte gates, empty when absent."""
+    meta = {"spec": (width, fixed, view), "rotation": rotation}
+    return field(default=b"" if rotation else MISSING, metadata=meta)
 
 
 class _Reader:
-    """Reads fields from any bytes-like blob through a memoryview.
-
-    Small fields are returned as bytes; `lp_view` returns a bulk field as a
-    view into the blob, without copying it.
-    """
+    """Reads fields from any bytes-like blob through a memoryview."""
 
     def __init__(self, blob):
         self._b = memoryview(blob)
@@ -161,21 +165,68 @@ class _Reader:
         self._i += n
         return out
 
-    def take(self, n: int) -> bytes:
-        return bytes(self.view(n))
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.view(struct.calcsize(fmt)))
-
-    def lp(self) -> bytes:
-        return self.take(*self.unpack(_LENGTH))
-
-    def lp_view(self) -> memoryview:
-        return self.view(*self.unpack(_LENGTH))
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.view(fmt.size))
 
     def done(self) -> None:
         if self._i != len(self._b):
             raise MalformedMessage("trailing bytes")
+
+
+def _parts(msg) -> list:
+    """The encoder: `msg`'s wire bytes, as parts for one `b"".join`."""
+    header, ints, rotation, body = msg._layout
+    values = [getattr(msg, name) for name in ints]
+    if rotation:   # the fresh byte
+        values.append(1 if getattr(msg, rotation[0][0]) else 0)
+        body = (rotation if values[-1] else ()) + body
+    parts = [header.pack(*values)]
+    for name, _, fixed, _ in body:
+        value = getattr(msg, name)
+        if fixed:
+            parts.append(value)
+        elif isinstance(value, list):
+            parts += [_LENGTH.pack(sum(memoryview(c).nbytes for c in value)), *value]
+        else:
+            parts += [_LENGTH.pack(len(value)), value]
+    return parts
+
+
+def _decode(cls, blob):
+    """The decoder: accepts exactly the layout `_parts` writes, with every
+    declared width and a `fresh` byte of 0 or 1."""
+    header, ints, rotation, body = cls._layout
+    r = _Reader(blob)
+    head = r.unpack(header)
+    values = dict(zip(ints, head))
+    if rotation:
+        if head[-1] not in (0, 1):
+            raise MalformedMessage(f"fresh byte must be 0 or 1, got {head[-1]}")
+        body = (rotation if head[-1] else ()) + body
+    for name, width, fixed, view in body:
+        n = width if fixed else r.unpack(_LENGTH)[0]
+        if width is not None and n != width:
+            raise MalformedMessage(f"{name} must be {width} bytes, got {n}")
+        values[name] = r.view(n) if view else bytes(r.view(n))
+    r.done()
+    return cls(**values)
+
+
+def _message(cls):
+    """A frozen dataclass with the one encoder and decoder, its layout built once."""
+    cls = dataclass(frozen=True)(cls)
+    ints, rotation, body = [], [], []
+    for f in fields(cls):
+        m = f.metadata
+        if "code" in m:
+            ints.append(f.name)
+        else:
+            (rotation if m["rotation"] else body).append((f.name, *m["spec"]))
+    header = "".join(f.metadata.get("code", "") for f in fields(cls)) + ("B" if rotation else "")
+    cls._layout = (struct.Struct(">" + header), tuple(ints), tuple(rotation), tuple(body))
+    cls.encode = lambda msg: b"".join(_parts(msg))
+    cls.decode = classmethod(_decode)
+    return cls
 
 
 def seal_nonce(round: int, direction: int) -> bytes:
@@ -189,140 +240,53 @@ def seal_aad(project_id: int, task_id: int, round: int, direction: int) -> bytes
 
 # --- messages --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_message
 class KeyAnnouncement:
-    project_id: int
-    registration_block: int
-    kem_public: bytes
-    dh_public: bytes
-
-    def encode(self) -> bytes:
-        return b"".join([
-            struct.pack(_KEYS_HEADER, self.project_id, self.registration_block),
-            *_lp(self.kem_public), *_lp(self.dh_public),
-        ])
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "KeyAnnouncement":
-        r = _Reader(blob)
-        out = cls(*r.unpack(_KEYS_HEADER), r.lp(), r.lp())
-        r.done()
-        return out
+    project_id: int = _int("H")
+    registration_block: int = _int("I")
+    kem_public: bytes = _bytes(crypto.KEM_PUBLIC_BYTES)
+    dh_public: bytes = _bytes(crypto.DH_PUBLIC_BYTES)
 
 
-@dataclass(frozen=True)
+@_message
 class KeyResponse:
-    project_id: int
-    registration_block: int
-    kem_ciphertext: bytes
-    dh_public: bytes
-
-    def encode(self) -> bytes:
-        return b"".join([
-            struct.pack(_KEYS_HEADER, self.project_id, self.registration_block),
-            *_lp(self.kem_ciphertext), *_lp(self.dh_public),
-        ])
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "KeyResponse":
-        r = _Reader(blob)
-        out = cls(*r.unpack(_KEYS_HEADER), r.lp(), r.lp())
-        r.done()
-        return out
+    project_id: int = _int("H")
+    registration_block: int = _int("I")
+    kem_ciphertext: bytes = _bytes(crypto.KEM_CIPHERTEXT_BYTES)
+    dh_public: bytes = _bytes(crypto.DH_PUBLIC_BYTES)
 
 
-@dataclass(frozen=True)
+@_message
 class TaskPayload:
-    project_id: int
-    task_id: int
-    round: int
-    deadline_window: int
-    model: bytes | list          # global model, or its fl.model_parts; a view once decoded
-    kem_public: bytes = b""      # fresh keys on rotation rounds
-    dh_public: bytes = b""
-
-    def encode(self) -> bytes:
-        fresh = 1 if self.kem_public else 0
-        parts = [struct.pack(
-            _TASK_HEADER, self.project_id, self.task_id, self.round,
-            self.deadline_window, fresh,
-        )]
-        if fresh:
-            parts += _lp(self.kem_public) + _lp(self.dh_public)
-        return b"".join(parts + _lp_model(self.model))
-
-    @classmethod
-    def decode(cls, blob) -> "TaskPayload":
-        r = _Reader(blob)
-        project, task, rnd, window, fresh = r.unpack(_TASK_HEADER)
-        kem_public = dh_public = b""
-        if fresh:
-            kem_public, dh_public = r.lp(), r.lp()
-        model = r.lp_view()
-        r.done()
-        return cls(project, task, rnd, window, model, kem_public, dh_public)
+    project_id: int = _int("H")
+    task_id: int = _int("H")
+    round: int = _int("I")
+    deadline_window: int = _int("H")
+    model: bytes | list = _bytes(view=True)   # global model, or its fl.model_parts
+    kem_public: bytes = _bytes(crypto.KEM_PUBLIC_BYTES, rotation=True)   # fresh keys
+    dh_public: bytes = _bytes(crypto.DH_PUBLIC_BYTES, rotation=True)
 
 
-@dataclass(frozen=True)
+@_message
 class UpdatePayload:
-    project_id: int
-    task_id: int
-    round: int
-    model: bytes | list          # local model, or its fl.model_parts; a view once decoded
-    kem_ciphertext: bytes = b""  # rotation reply on rotation rounds
-    dh_public: bytes = b""
-
-    def encode(self) -> bytes:
-        fresh = 1 if self.kem_ciphertext else 0
-        parts = [struct.pack(_UPDATE_HEADER, self.project_id, self.task_id, self.round, fresh)]
-        if fresh:
-            parts += _lp(self.kem_ciphertext) + _lp(self.dh_public)
-        return b"".join(parts + _lp_model(self.model))
-
-    @classmethod
-    def decode(cls, blob) -> "UpdatePayload":
-        r = _Reader(blob)
-        project, task, rnd, fresh = r.unpack(_UPDATE_HEADER)
-        kem_ciphertext = dh_public = b""
-        if fresh:
-            kem_ciphertext, dh_public = r.lp(), r.lp()
-        model = r.lp_view()
-        r.done()
-        return cls(project, task, rnd, model, kem_ciphertext, dh_public)
+    project_id: int = _int("H")
+    task_id: int = _int("H")
+    round: int = _int("I")
+    model: bytes | list = _bytes(view=True)   # local model, or its fl.model_parts
+    kem_ciphertext: bytes = _bytes(crypto.KEM_CIPHERTEXT_BYTES, rotation=True)   # rotation reply
+    dh_public: bytes = _bytes(crypto.DH_PUBLIC_BYTES, rotation=True)
 
 
-@dataclass(frozen=True)
+@_message
 class SignedEnvelope:
-    version: int
-    msg_type: int
-    round: int
-    timestamp: int
-    sender_address: bytes
-    sender_public: bytes
-    payload: bytes               # a view into the wire bytes once decoded
-    signature: bytes
-
-    def _signed_parts(self) -> list:
-        """The fields the signature covers, in wire order; the signature
-        field follows them."""
-        return [
-            struct.pack(
-                _ENVELOPE_HEADER, self.version, self.msg_type, self.round, self.timestamp
-            ),
-            self.sender_address, *_lp(self.sender_public), *_lp(self.payload),
-        ]
-
-    def encode(self) -> bytes:
-        return b"".join(self._signed_parts() + _lp(self.signature))
-
-    @classmethod
-    def decode(cls, blob) -> "SignedEnvelope":
-        r = _Reader(blob)
-        version, msg_type, rnd, ts = r.unpack(_ENVELOPE_HEADER)
-        addr = r.take(crypto.ADDRESS_BYTES)
-        pub, payload, sig = r.lp(), r.lp_view(), r.lp()
-        r.done()
-        return cls(version, msg_type, rnd, ts, addr, pub, payload, sig)
+    version: int = _int("B")
+    msg_type: int = _int("B")
+    round: int = _int("I")
+    timestamp: int = _int("Q")
+    sender_address: bytes = _bytes(crypto.ADDRESS_BYTES, fixed=True)
+    sender_public: bytes = _bytes(crypto.SIG_PUBLIC_BYTES)
+    payload: bytes = _bytes(view=True)
+    signature: bytes = _bytes()             # last, so the fields before it are the signed prefix
 
 
 def build_envelope(
@@ -333,7 +297,7 @@ def build_envelope(
         sender_address=crypto.address_of(sig_pair.public),
         sender_public=sig_pair.public, payload=payload, signature=b"",
     )
-    signed = b"".join(partial._signed_parts())
+    signed = b"".join(_parts(partial)[:-2])   # all but the empty signature's prefix and bytes
     return replace(partial, signature=crypto.sign(sig_pair, signed))
 
 
@@ -373,21 +337,12 @@ class TranscriptRow:
 
 _KEY_ANNOUNCE_BYTES = crypto.KEM_PUBLIC_BYTES + crypto.DH_PUBLIC_BYTES
 _KEY_RESPONSE_BYTES = crypto.KEM_CIPHERTEXT_BYTES + crypto.DH_PUBLIC_BYTES
-_KEY_WIDTHS = {
-    "kem_public": crypto.KEM_PUBLIC_BYTES,
-    "kem_ciphertext": crypto.KEM_CIPHERTEXT_BYTES,
-    "dh_public": crypto.DH_PUBLIC_BYTES,
-}
 
 
 def _check_keys(msg) -> None:
-    """Reject a message's key material before anything uses it: every key
-    field it has must have its exact width, a KEM public key must pass the
-    FIPS 203 modulus check, and an ECDH key must be a P-256 point."""
-    for name, width in _KEY_WIDTHS.items():
-        value = getattr(msg, name, None)
-        if value is not None and len(value) != width:
-            raise MalformedMessage(f"{name} must be {width} bytes, got {len(value)}")
+    """Reject a message's key material before anything uses it: a KEM public
+    key must pass the FIPS 203 modulus check and an ECDH key must be a P-256
+    point.  Decoding has already checked every width."""
     try:
         if hasattr(msg, "kem_public"):
             crypto.kem_check(msg.kem_public)
@@ -438,7 +393,11 @@ class _Party:
             raise MalformedMessage(f"unsupported wire version {env.version}")
         if abs(self.clock.now() - env.timestamp) > self.max_skew:
             raise StaleTimestamp(f"timestamp {env.timestamp} vs now {self.clock.now()}")
-        if crypto.address_of(env.sender_public) != env.sender_address:
+        try:
+            address = crypto.address_of(env.sender_public)
+        except ValueError as exc:
+            raise MalformedMessage(f"sender key: {exc}") from None
+        if address != env.sender_address:
             raise BadSignature("declared key does not match sender address")
         if env.sender_address != sender:
             raise BadSignature("sender is not the expected peer")

@@ -406,9 +406,11 @@ def test_cli_export_ledger_fresh_simulation(tmp_path):
 
 @pytest.mark.parametrize("argv, fragment", [
     (["run", "--out", "{file}"], "is not a directory"),
+    (["run", "--out", "{file}/run/deeper"], "is not a directory"),
     (["export-ledger", "--out", "{missing}/chain.txt"], "no directory"),
     (["export-ledger", "--out", "{dir}"], "is a directory"),
-], ids=["run-into-a-file", "export-into-a-missing-directory", "export-onto-a-directory"])
+], ids=["run-into-a-file", "run-under-a-file", "export-into-a-missing-directory",
+        "export-onto-a-directory"])
 def test_unwritable_out_rejected_before_simulating(
     argv, fragment, tmp_path, monkeypatch, capsys
 ):

@@ -14,6 +14,7 @@ from pqbfl.ledger import (
     Block,
     DeadlineExceeded,
     DuplicateClient,
+    DuplicateFeedback,
     DuplicateProject,
     DuplicateTask,
     InsufficientDeposit,
@@ -25,6 +26,7 @@ from pqbfl.ledger import (
     SimClock,
     UnknownProject,
     UnknownTask,
+    UnknownUpdate,
     UnregisteredClient,
     event_kind,
     payload_size,
@@ -155,14 +157,15 @@ def test_field_validation():
     with pytest.raises(BadField):
         ledger.publish_task(SERVER, 300, H32, b"", 1, 1, 600)  # round is one byte
     ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
+    ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
     with pytest.raises(BadField):
         ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 40000, 0, H32, H32)
     with pytest.raises(BadField):
         ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 2, H32, H32)
 
 
-# One valid call per transaction kind on a ledger holding project 1, CLIENT
-# and task 1; keyword names are the event's field names.
+# One valid call per transaction kind on a ledger holding project 1, CLIENT,
+# task 1 and CLIENT's update for it; keyword names are the event's field names.
 VALID_CALLS = {
     "RegProject": ("register_project", dict(
         sender=OTHER, project_id=2, capacity=4, h_model=H32, h_keys=H32)),
@@ -229,6 +232,7 @@ def test_out_of_range_field_rejected_live_and_on_replay(kind, name, bad, live_er
     ledger, _ = fresh()
     register_pair(ledger)
     ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
+    ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
     method, args = VALID_CALLS[kind]
     call = getattr(ledger, method)
     before = ledger.snapshot()
@@ -266,6 +270,33 @@ def test_task_update_feedback_flow_and_guards():
     assert ledger.score_of(1, CLIENT) == 3
 
 
+def test_feedback_scores_each_update_once_live_and_on_replay():
+    ledger, _ = fresh()
+    register_pair(ledger)
+    ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
+    before = ledger.snapshot()
+    with pytest.raises(BadField):   # not the task's round
+        ledger.feedback_model(SERVER, 7, 1, 1, CLIENT, 5, 0, H32, H32)
+    with pytest.raises(UnknownUpdate):   # nothing posted to score
+        ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 5, 0, H32, H32)
+    assert ledger.snapshot() == before
+    ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
+    scored = ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 5, 0, H32, H32)
+    with pytest.raises(DuplicateFeedback):
+        ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 5, 0, H32, H32)
+    assert ledger.score_of(1, CLIENT) == 5
+    *setup, update, _ = ledger.blocks
+    for blocks, error in (
+        ([*setup, update, Block(SERVER, replace(scored, round=7))], BadField),
+        ([*setup, Block(SERVER, replace(scored, block=update.event.block))], UnknownUpdate),
+        ([*ledger.blocks, Block(SERVER, replace(scored, block=len(ledger.blocks)))],
+         DuplicateFeedback),
+    ):
+        with pytest.raises(error):
+            Ledger.replay(blocks, LedgerConfig())
+    assert Ledger.replay(ledger.blocks, LedgerConfig()).score_of(1, CLIENT) == 5
+
+
 def test_deadline_enforced_by_clock():
     ledger, clock = fresh()
     register_pair(ledger)
@@ -278,14 +309,11 @@ def test_deadline_enforced_by_clock():
 def test_score_clamps_at_zero():
     ledger, _ = fresh()
     register_pair(ledger)
-    ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
-    ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, -5, 0, H32, H32)
-    assert ledger.score_of(1, CLIENT) == 0
-    ledger.publish_task(SERVER, 2, H32, b"", 1, 2, 600)
-    ledger.feedback_model(SERVER, 2, 1, 2, CLIENT, 4, 0, H32, H32)
-    ledger.publish_task(SERVER, 3, H32, b"", 1, 3, 600)
-    ledger.feedback_model(SERVER, 3, 1, 3, CLIENT, -2, 0, H32, H32)
-    assert ledger.score_of(1, CLIENT) == 2
+    for rnd, score, total in ((1, -5, 0), (2, 4, 4), (3, -2, 2)):
+        ledger.publish_task(SERVER, rnd, H32, b"", 1, rnd, 600)
+        ledger.update_model(CLIENT, rnd, H32, b"", 1, rnd)
+        ledger.feedback_model(SERVER, rnd, 1, rnd, CLIENT, score, 0, H32, H32)
+        assert ledger.score_of(1, CLIENT) == total
 
 
 def test_done_project_rejects_everything():
@@ -458,14 +486,14 @@ def _task(ledger, clock):
     ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)   # at 50, open until 650
 
 
-def _feedback(ledger, clock):
-    _task(ledger, clock)
-    ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32)
-
-
 def _update(ledger, clock):
     _task(ledger, clock)
     ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
+
+
+def _feedback(ledger, clock):
+    _update(ledger, clock)
+    ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32)
 
 
 @pytest.mark.parametrize("calls, changes, error", [

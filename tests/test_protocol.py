@@ -1,5 +1,6 @@
 """Session state machines: establishment, rounds, rejection paths, schedule."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -530,6 +531,33 @@ def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
     assert server.sessions[p.address].ratchet == p.ratchet
 
 
+@pytest.mark.parametrize(
+    "sender_public", [b"\x04" + bytes(10), b"\x05" + bytes(64)], ids=["short", "not-uncompressed"]
+)
+def test_bad_sender_key_is_malformed_in_every_handler(sender_public):
+    server, _, ledger, clock, model = establish(n=1, capacity=2, seed=b"badsender")
+    p = protocol.Participant(DeterministicRng(b"psender"), ledger, clock, server.config)
+    p.join(1)
+    server.admit_clients()
+
+    def refused(handler, blob, state):
+        before = state()
+        bad = replace(SignedEnvelope.decode(blob), sender_public=sender_public).encode()
+        with pytest.raises(MalformedMessage):
+            handler(bad)
+        assert state() == before
+        return handler(blob)   # the honest copy still lands
+
+    participant, session = lambda: _participant_state(p), lambda: _session_state(server, p.address)
+    response = refused(p.handle_keys, server.send_keys(p.address), participant)
+    refused(server.handle_key_response, response, session)
+    clock.advance(60)
+    _, envs = server.publish_round(model)
+    got = refused(p.handle_task, envs[p.address], participant)
+    update = p.send_update(fl.local_train(got, 1, 0.01, 1))
+    refused(server.handle_update, update, session)
+
+
 # --- rotation schedule ----------------------------------------------------------
 
 def test_rotation_on_last_round_of_epoch_only():
@@ -581,33 +609,110 @@ def test_publish_after_finish_refused():
 
 # --- wire codecs ------------------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 65535),
-    st.integers(0, 2**32 - 1),
-    st.binary(min_size=0, max_size=64),
-    st.binary(min_size=0, max_size=64),
+U8, U16, U32, U64 = (st.integers(0, 2**bits - 1) for bits in (8, 16, 32, 64))
+KEM_PUBLIC, KEM_CT, DH_PUBLIC = (
+    crypto.KEM_PUBLIC_BYTES, crypto.KEM_CIPHERTEXT_BYTES, crypto.DH_PUBLIC_BYTES
 )
-def test_key_announcement_codec(project, block, kem, dh):
-    msg = KeyAnnouncement(project, block, kem, dh)
-    assert KeyAnnouncement.decode(msg.encode()) == msg
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 65535),
-    st.integers(0, 65535),
-    st.integers(0, 2**32 - 1),
-    st.binary(min_size=1, max_size=80),
-    st.booleans(),
-)
-def test_task_and_update_codecs(project, task, rnd, model, fresh):
-    kem = b"\x01" * 16 if fresh else b""
-    dh = b"\x02" * 8 if fresh else b""
-    t = TaskPayload(project, task, rnd, 600, model, kem, dh)
-    assert TaskPayload.decode(t.encode()) == t
-    u = UpdatePayload(project, task, rnd, model, kem, dh)
-    assert UpdatePayload.decode(u.encode()) == u
+def _exact(width):
+    return st.binary(min_size=width, max_size=width)
+
+
+def _rotation(first, fresh):
+    """A rotation pair of exact widths, or the empty pair of a plain round."""
+    return st.tuples(_exact(first), _exact(DH_PUBLIC)) if fresh else st.just((b"", b""))
+
+
+# each class's valid messages, every key of its exact width; `fresh` says
+# whether a task or update carries its rotation pair
+MESSAGES = {
+    KeyAnnouncement: lambda fresh: st.builds(
+        KeyAnnouncement, U16, U32, _exact(KEM_PUBLIC), _exact(DH_PUBLIC)),
+    KeyResponse: lambda fresh: st.builds(
+        KeyResponse, U16, U32, _exact(KEM_CT), _exact(DH_PUBLIC)),
+    TaskPayload: lambda fresh: st.builds(
+        lambda head, model, pair: TaskPayload(*head, model, *pair),
+        st.tuples(U16, U16, U32, U16), st.binary(min_size=1, max_size=80),
+        _rotation(KEM_PUBLIC, fresh)),
+    UpdatePayload: lambda fresh: st.builds(
+        lambda head, model, pair: UpdatePayload(*head, model, *pair),
+        st.tuples(U16, U16, U32), st.binary(min_size=1, max_size=80),
+        _rotation(KEM_CT, fresh)),
+    SignedEnvelope: lambda fresh: st.builds(
+        SignedEnvelope, U8, U8, U32, U64, _exact(crypto.ADDRESS_BYTES),
+        _exact(crypto.SIG_PUBLIC_BYTES), st.binary(max_size=80), st.binary(max_size=80)),
+}
+
+KEY_FIELDS = [
+    (KeyAnnouncement, "kem_public", KEM_PUBLIC), (KeyAnnouncement, "dh_public", DH_PUBLIC),
+    (KeyResponse, "kem_ciphertext", KEM_CT), (KeyResponse, "dh_public", DH_PUBLIC),
+    (TaskPayload, "kem_public", KEM_PUBLIC), (TaskPayload, "dh_public", DH_PUBLIC),
+    (UpdatePayload, "kem_ciphertext", KEM_CT), (UpdatePayload, "dh_public", DH_PUBLIC),
+    (SignedEnvelope, "sender_public", crypto.SIG_PUBLIC_BYTES),
+]
+FRESH_BYTE_AT = {TaskPayload: 10, UpdatePayload: 8}   # the last byte of the header
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_message_round_trips(data):
+    cls = data.draw(st.sampled_from(list(MESSAGES)))
+    msg = data.draw(MESSAGES[cls](data.draw(st.booleans())))
+    decoded = cls.decode(msg.encode())
+    assert decoded == msg
+    for name in ("model", "payload"):   # bulk fields decode as views
+        if hasattr(decoded, name):
+            assert isinstance(getattr(decoded, name), memoryview)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_other_key_widths_and_fresh_bytes_are_malformed(data):
+    cls, name, width = data.draw(st.sampled_from(KEY_FIELDS))
+    msg = data.draw(MESSAGES[cls](True))
+    # an empty first key of a rotation pair would drop the pair, not break it
+    least = 1 if cls in FRESH_BYTE_AT and name != "dh_public" else 0
+    n = data.draw(st.integers(least, width + 40).filter(lambda n: n != width))
+    with pytest.raises(MalformedMessage, match=name):
+        cls.decode(replace(msg, **{name: b"\x04" * n}).encode())
+    cls = data.draw(st.sampled_from(list(FRESH_BYTE_AT)))
+    blob = bytearray(data.draw(MESSAGES[cls](data.draw(st.booleans()))).encode())
+    blob[FRESH_BYTE_AT[cls]] = data.draw(st.integers(2, 255))
+    with pytest.raises(MalformedMessage, match="fresh"):
+        cls.decode(blob)
+
+
+def _pinned_envelopes() -> dict[int, bytes]:
+    """One envelope per message type, from fixed keys, payloads and clock."""
+    pair = crypto.sig_keygen(DeterministicRng(b"pin"))
+    kem = crypto.kem_keygen(bytes(32))
+    dh = crypto.dh_keygen(DeterministicRng(b"pin-dh"))
+    ct, _ = crypto.kem_encap(kem.public, bytes(32))
+    payloads = {
+        protocol.MSG_KEY_ANNOUNCEMENT: (0, KeyAnnouncement(1, 3, kem.public, dh.public)),
+        protocol.MSG_KEY_RESPONSE: (0, KeyResponse(1, 4, ct, dh.public)),
+        protocol.MSG_TASK: (2, TaskPayload(1, 2, 2, 600, b"global model", kem.public, dh.public)),
+        protocol.MSG_UPDATE: (2, UpdatePayload(1, 2, 2, b"local model", ct, dh.public)),
+    }
+    return {
+        t: build_envelope(t, rnd, msg.encode(), pair, 1_000).encode()
+        for t, (rnd, msg) in payloads.items()
+    }
+
+
+def test_envelope_bytes_are_pinned():
+    digests = {t: hashlib.sha256(blob).hexdigest() for t, blob in _pinned_envelopes().items()}
+    assert digests == {
+        protocol.MSG_KEY_ANNOUNCEMENT:
+            "089234f4684d7a51964feac78396332ab3a8bbab31ed00333d19e0ca5a75bfff",
+        protocol.MSG_KEY_RESPONSE:
+            "78c6f933fc243b1b3f7f1e687c0a3351f10fe4e57e08d4afb13f135d5ffecd5e",
+        protocol.MSG_TASK:
+            "6cf5c120278fab06ad6634e9e532f2a0cfef205fbc8d34b14988fbcbd2b72302",
+        protocol.MSG_UPDATE:
+            "b89df1aee4bb787f65a80c937ae85732c7dd21835af5829ab0f933b9c2b73386",
+    }
 
 
 def test_envelope_codec_and_malformed_rejection():
