@@ -88,7 +88,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"off-chain key material: {metrics.key_material_bytes} bytes")
     print(f"scores: {metrics.scores}")
     for rec in metrics.attacks:
-        verdict = "rejected" if rec.rejected else "ACCEPTED"
+        # only an injection the handler took is ACCEPTED; a leak, a rejection
+        # with the wrong error or a plan that never fired is FAILED
+        verdict = "rejected" if rec.rejected else (
+            "ACCEPTED" if rec.outcome == "accepted" else "FAILED")
         print(
             f"injection {rec.scenario} ({rec.phase}, round {rec.round}, "
             f"{rec.victim}): {rec.outcome} [{verdict}]"

@@ -16,9 +16,9 @@ announced keys in transit (re-signed, modeling a compromised signing
 oracle), and `free_ride` withholds one participant's final update while
 eavesdropping on everything.  The first three each target one (round, phase,
 participant) delivery; injections ride alongside the honest copies, so an
-attacked run still completes and terminates, and every injection and its
-rejection lands in the attack log.  Only the `free_ride` eavesdropper keeps
-the envelopes it sees; otherwise the channel keeps no delivery past its hop.
+attacked run still completes and terminates.  Every injection, and every plan
+whose delivery never came, lands in the attack log.  No envelope outlives its
+hop unless the `free_ride` eavesdropper finds a model sent in the clear in it.
 
 Metrics rows are cumulative per party, one row per (round, party) starting
 at round 0 (registration plus establishment), so every counter column is
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import crypto, fl, protocol, ratchet
-from .ledger import Ledger, LedgerConfig, SimClock, TaskEvent, payload_size
+from .ledger import Ledger, LedgerConfig, SimClock, payload_size
 from .protocol import (
     AuthFailure,
     CommitmentMismatch,
@@ -53,6 +53,9 @@ SCENARIO_FLAGS = {
     "free_ride": "free_ride",
 }
 SCENARIOS = ("honest", *SCENARIO_FLAGS)
+
+# the rejection each injecting scenario expects from the receiving handler
+EXPECTED = {"replay": ReplayDetected, "tamper": AuthFailure, "mitm_key_swap": CommitmentMismatch}
 
 METRICS_HEADER = (
     "round", "party", "offchain_bytes", "onchain_bytes",
@@ -166,7 +169,7 @@ class RunMetrics:
     attacks: list[InjectionRecord]
     transcripts: dict[str, list[str]]
     scores: dict[str, int]
-    asymmetric_ratchets: int          # establishment plus rotations, per session
+    asymmetric_ratchets: int          # establishment plus rotations: the final epoch
     final_epoch: int
     key_material_bytes: int           # all parties, both directions
     final_model_digest: str
@@ -179,42 +182,36 @@ class RunMetrics:
 class Channel:
     """Instrumented delivery path between server and participants.
 
-    Carries envelope wire bytes.  An armed scenario targets one (round,
-    phase, participant) delivery and adds a forged, tampered or replayed copy
-    next to the honest one.  With a `free_ride` plan armed, which must happen
-    before the first delivery, the channel captures every envelope it carries
-    for the leak scan; otherwise `captured` stays empty.
+    Carries envelope wire bytes.  Every scenario the config arms gets its plan
+    here, drawn from `rng` in `SCENARIO_FLAGS` order.  A replay, tamper or mitm
+    plan targets one (round, phase, participant) delivery and adds a forged,
+    tampered or replayed copy next to the honest one.  A `free_ride` eavesdropper
+    scans each envelope as it is carried for the models `shown` so far, and
+    `captured` keeps only the envelopes it found one in.
     """
 
-    def __init__(self, rng: crypto.DeterministicRng, rounds: int, participants: int):
+    def __init__(self, rng: crypto.DeterministicRng, config: SimConfig):
         self.rng = rng
-        self.rounds = rounds
-        self.participants = participants
-        self.captured: list[bytes] = []
+        self.captured: list[bytes] = []      # envelopes a shown model was found in
+        self.shown: list[bytes] = []         # serialized models sent so far, free_ride only
+        self.scanned = self.leaked = 0
         self.records: list[InjectionRecord] = []
         self.plans: dict[str, dict] = {}     # armed scenario -> its injection plan
+        n = config.participants
+        for name in config.scenario_names():
+            if name == "free_ride":   # the last participant; SimConfig requires a second
+                self.plans[name] = {"victim": n - 1}
+            elif name == "mitm_key_swap":
+                self.plans[name] = {"round": 0, "phase": "establish", "victim": self._draw(n)}
+            else:
+                rnd, phase = 1 + self._draw(config.rounds), ("task", "update")[self._draw(2)]
+                self.plans[name] = {"round": rnd, "phase": phase, "victim": self._draw(n)}
 
     def _draw(self, modulus: int) -> int:
         return int.from_bytes(self.rng.bytes(4), "big") % modulus
 
-    def arm(self, scenario: str) -> None:
-        if scenario in ("replay", "tamper"):
-            self.plans[scenario] = {
-                "round": 1 + self._draw(self.rounds),
-                "phase": ("task", "update")[self._draw(2)],
-                "victim": self._draw(self.participants),
-            }
-        elif scenario == "mitm_key_swap":
-            self.plans[scenario] = {
-                "round": 0, "phase": "establish", "victim": self._draw(self.participants),
-            }
-        elif scenario == "free_ride":
-            # the last participant rides free if there is anyone else to carry it
-            self.plans[scenario] = {"victim": self.participants - 1}
-        else:
-            raise ValueError(f"unknown scenario {scenario!r}")
-
-    def _attempt(self, scenario, phase, round, victim, blob, deliver, expected) -> None:
+    def _attempt(self, scenario, phase, round, victim, blob, deliver) -> None:
+        expected = EXPECTED[scenario]
         try:
             deliver(blob)
             outcome, rejected = "accepted", False
@@ -223,7 +220,7 @@ class Channel:
             rejected = isinstance(exc, expected)
         self.records.append(
             InjectionRecord(
-                scenario=scenario, phase=phase, round=round, victim=victim,
+                scenario=scenario, phase=phase, round=round, victim=f"client-{victim + 1}",
                 expected=expected.__name__, outcome=outcome, rejected=rejected,
                 detail="injected copy alongside honest delivery",
             )
@@ -244,56 +241,65 @@ class Channel:
         "update"; `deliver` is the receiving handler and `forge` builds the
         key-swapped announcement a `mitm_key_swap` plan injects.
         """
-        eavesdrop = "free_ride" in self.plans
-        if eavesdrop:
-            self.captured.append(blob)
-        name = f"client-{victim + 1}"
+        if "free_ride" in self.plans:
+            self.scan_for_leak(blob)
         target = {"round": round, "phase": phase, "victim": victim}
         if self.plans.get("mitm_key_swap") == target:
             forged = forge()
-            if eavesdrop:
-                self.captured.append(forged)
-            self._attempt("mitm_key_swap", phase, round, name,
-                          forged, deliver, CommitmentMismatch)
+            if "free_ride" in self.plans:
+                self.scan_for_leak(forged)
+            self._attempt("mitm_key_swap", phase, round, victim, forged, deliver)
         if self.plans.get("tamper") == target:
-            self._attempt("tamper", phase, round, name,
-                          self._flip_payload_bit(blob), deliver, AuthFailure)
+            self._attempt("tamper", phase, round, victim, self._flip_payload_bit(blob), deliver)
         result = deliver(blob)
         if self.plans.get("replay") == target:
-            self._attempt("replay", phase, round, name, blob, deliver, ReplayDetected)
+            self._attempt("replay", phase, round, victim, blob, deliver)
         return result
 
-    def scan_for_leak(self, plaintexts: list[bytes], victim: int) -> None:
-        leaked = sum(
-            1 for pt in plaintexts for blob in self.captured if pt in blob
-        )
-        self.records.append(
-            InjectionRecord(
-                scenario="free_ride", phase="eavesdrop", round=0,
-                victim=f"client-{victim + 1}", expected="no_leak",
-                outcome="no_leak" if leaked == 0 else f"leaked {leaked}",
-                rejected=leaked == 0,
-                detail=f"scanned {len(self.captured)} captured envelopes "
-                       f"for {len(plaintexts)} plaintext models",
-            )
-        )
+    def scan_for_leak(self, blob: bytes) -> None:
+        """Count the shown models inside one carried envelope; keep it only if any."""
+        self.scanned += 1
+        found = sum(pt in blob for pt in self.shown)
+        if found:
+            self.leaked += found
+            self.captured.append(blob)
+
+    def report(self) -> list[InjectionRecord]:
+        """Close the attack log with the eavesdropper's verdict, and a failed
+        record for each armed injection whose target delivery never came."""
+        for scenario, plan in self.plans.items():
+            victim = f"client-{plan['victim'] + 1}"
+            if scenario == "free_ride":
+                self.records.append(InjectionRecord(
+                    scenario=scenario, phase="eavesdrop", round=0, victim=victim,
+                    expected="no_leak", rejected=not self.leaked,
+                    outcome=f"leaked {self.leaked}" if self.leaked else "no_leak",
+                    detail=f"scanned {self.scanned} captured envelopes "
+                           f"for {len(self.shown)} plaintext models",
+                ))
+            elif all(r.scenario != scenario for r in self.records):
+                self.records.append(InjectionRecord(
+                    scenario=scenario, phase=plan["phase"], round=plan["round"], victim=victim,
+                    expected=EXPECTED[scenario].__name__, outcome="not injected", rejected=False,
+                    detail="the targeted delivery never came",
+                ))
+        return self.records
 
 
 def run_simulation(config: SimConfig) -> RunMetrics:
     """Execute one full lifecycle and collect metrics.
 
     Honest runs must not raise; injected attacks are absorbed by the channel
-    and logged.  A withholding participant never desynchronizes the rotation
-    schedule because only the final round's update is withheld and rotations
-    never occur on the final round.
+    and logged.  Each model sent in the clear is shown to a `free_ride`
+    eavesdropper before the envelope carrying it.  A withholding participant
+    never desynchronizes the rotation schedule because only the final round's
+    update is withheld and rotations never occur on the final round.
     """
     root = crypto.DeterministicRng(config.seed)
     clock = SimClock()
     ledger = Ledger(LedgerConfig(deposit=config.deposit), clock)
     rconfig = ratchet.RatchetConfig(config.ratchet_range)
-    channel = Channel(root.fork("channel"), config.rounds, config.participants)
-    for name in config.scenario_names():
-        channel.arm(name)
+    channel = Channel(root.fork("channel"), config)
 
     server = protocol.Server(
         root.fork("server"), ledger, clock,
@@ -379,7 +385,6 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     snapshot(0)
 
     free_rider = channel.plans.get("free_ride", {}).get("victim")
-    plaintexts: list[bytes] = []   # serialized models, kept only for the leak scan
 
     def play_round(rnd: int, global_model: fl.ModelVector) -> fl.ModelVector:
         # one call per round, so a round's envelopes and models are freed
@@ -387,7 +392,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         clock.advance(60)
         _, envelopes = server.publish_round(global_model)
         if free_rider is not None:
-            plaintexts.append(fl.serialize_model(global_model))
+            channel.shown.append(fl.serialize_model(global_model))
         collected = []
         for i, p in enumerate(participants):
             got = channel.carry("task", envelopes.pop(p.address), rnd, i, p.handle_task)
@@ -398,7 +403,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
                 # withheld update: trained but never sent, never scored
                 continue
             if free_rider is not None:
-                plaintexts.append(fl.serialize_model(local))
+                channel.shown.append(fl.serialize_model(local))
             _, model = channel.carry(
                 "update", p.send_update(local), rnd, i, server.handle_update
             )
@@ -413,9 +418,6 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             server.finish()
         snapshot(rnd)
 
-    if free_rider is not None:
-        channel.scan_for_leak(plaintexts, free_rider)
-
     transcripts: dict[str, list[str]] = {"server": []}
     for i, p in enumerate(participants):
         name = f"client-{i + 1}"
@@ -425,21 +427,19 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         )
         transcripts[name] = [row.format() for row in p.transcript]
 
-    rotations = sum(
-        1 for b in ledger.blocks if isinstance(b.event, TaskEvent) and b.event.h_keys
-    )
+    final_epoch = next(iter(server.sessions.values())).ratchet.epoch
     return RunMetrics(
         config=config,
         rows=rows,
         events=ledger.export().splitlines(),
-        attacks=channel.records,
+        attacks=channel.report(),
         transcripts=transcripts,
         scores={
             f"client-{i + 1}": ledger.score_of(config.project_id, p.address)
             for i, p in enumerate(participants)
         },
-        asymmetric_ratchets=1 + rotations,
-        final_epoch=next(iter(server.sessions.values())).ratchet.epoch,
+        asymmetric_ratchets=final_epoch,
+        final_epoch=final_epoch,
         key_material_bytes=sum(p.counters.key_material_bytes for _, p in parties),
         final_model_digest=fl.model_digest(global_model).hex(),
         terminated=ledger.project_info(config.project_id)["done"],

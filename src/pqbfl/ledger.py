@@ -3,12 +3,13 @@
 Six transaction kinds drive a project's life cycle: the server registers a
 project with an escrowed deposit and a key commitment, clients register with
 their own key commitments, then each round publishes a task, collects model
-updates, and scores each update once; finishing the project releases the
-escrow.  Every accepted transaction emits one event and forms one block
-holding its sender and that event.  The block list is the one log, and the
-export prints its events.  Parties read on-chain facts through keyed lookups
-on the contract state (`registration`, `clients`, `task`, `update`,
-`current_keys`), as a real contract exposes getters.
+updates, and scores each update once, after which it cannot be replaced;
+finishing the project releases the escrow.  Every accepted transaction emits
+one event and forms one block holding its sender and that event.  The block
+list is the one log, and the export prints its events.  Parties read
+on-chain facts through keyed lookups on the contract state (`registration`,
+`clients`, `task`, `update`, `current_keys`), as a real contract exposes
+getters.
 
 Live calls and replayed blocks take one commit path, as a node re-executes
 every transaction of a block it imports: the guard of the event's class (the
@@ -85,6 +86,10 @@ class UnknownUpdate(LedgerError):
 
 
 class DuplicateFeedback(LedgerError):
+    pass
+
+
+class ScoredUpdate(LedgerError):
     pass
 
 
@@ -243,7 +248,8 @@ class _Project:
     done: bool = False       # finished; until then the deposit is in escrow
     clients: dict[bytes, _Client] = field(default_factory=dict)     # in block order
     tasks: dict[int, TaskEvent] = field(default_factory=dict)
-    updates: dict[tuple[int, bytes], UpdateEvent] = field(default_factory=dict)  # latest
+    # the latest update per (task, client); scoring it fixes it
+    updates: dict[tuple[int, bytes], UpdateEvent] = field(default_factory=dict)
     scored: set[tuple[int, bytes]] = field(default_factory=set)    # (task, client) fed back
 
 
@@ -405,6 +411,8 @@ class Ledger:
             deadline = task.time + task.deadline_window
             if e.time > deadline:
                 raise DeadlineExceeded(f"task {e.task_id} closed at {deadline}")
+            if (e.task_id, sender) in p.scored:
+                raise ScoredUpdate(f"client's update for task {e.task_id} is already scored")
         elif isinstance(e, FeedbackEvent):
             if p.registration.server != sender:
                 raise NotProjectOwner("only the registering server scores updates")
@@ -467,7 +475,8 @@ class Ledger:
         return self._project(project_id).tasks.get(task_id)
 
     def update(self, project_id: int, task_id: int, client: bytes) -> UpdateEvent | None:
-        """The client's latest update for the task, if it posted one."""
+        """The client's update for the task, if it posted one: the latest
+        before the server scored it, which no later update replaces."""
         return self._project(project_id).updates.get((task_id, client))
 
     def current_keys(self, project_id: int) -> bytes:

@@ -5,9 +5,11 @@ import json
 import os
 import runpy
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pqbfl import cli, crypto, fl, harness, protocol
@@ -201,23 +203,79 @@ def test_only_a_leak_scan_captures_envelopes(monkeypatch):
         init(channel, *args)
         channels.append(channel)
 
+    scans = []
+    scan_for_leak = harness.Channel.scan_for_leak
+
+    def counting(channel, blob):
+        scans.append(len(blob))
+        scan_for_leak(channel, blob)
+
     monkeypatch.setattr(harness.Channel, "__init__", remember)
+    monkeypatch.setattr(harness.Channel, "scan_for_leak", counting)
     run_simulation(small())
-    assert channels[-1].captured == []
+    assert channels[-1].captured == [] and scans == []
     cfg = small(free_ride=True)
     m = run_simulation(cfg)
     p, r = cfg.participants, cfg.rounds
     # every delivery but the withheld final update, and every model sent in
     # the clear: one global model and P local models a round, less that update
     envelopes, models = 2 * p * (r + 1) - 1, r + p * r - 1
-    assert len(channels[-1].captured) == envelopes
+    assert channels[-1].captured == [] and len(scans) == envelopes
     (scan,) = [a for a in m.attacks if a.phase == "eavesdrop"]
     assert scan.detail == (
         f"scanned {envelopes} captured envelopes for {models} plaintext models"
     )
 
 
+def test_eavesdropper_keeps_only_an_envelope_holding_a_shown_model():
+    channel = harness.Channel(crypto.DeterministicRng(0), small(free_ride=True))
+    model = fl.serialize_model(fl.ModelVector(np.arange(8.0), 1, fl.GLOBAL_TAG))
+    channel.shown.append(model)
+    blob = b"header" + model + b"trailer"
+    channel.carry("task", b"sealed", 1, 0, lambda got: None)
+    channel.carry("task", blob, 1, 1, lambda got: None)
+    (scan,) = channel.report()
+    assert (scan.outcome, scan.rejected) == ("leaked 1", False)
+    assert channel.captured == [blob]
+    assert scan.detail == "scanned 2 captured envelopes for 1 plaintext models"
+
+
+def test_free_ride_keeps_no_envelope_past_its_hop():
+    shape = dict(rounds=4, ratchet_range=4, model_dim=65536)
+    cfg = small(**shape)
+
+    def peak(config) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_simulation(config)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    honest, free_ride = peak(cfg), peak(small(free_ride=True, **shape))
+    p, r, model = cfg.participants, cfg.rounds, 8 * cfg.model_dim
+    shown = (r + p * r - 1) * model    # every model sent in the clear
+    one_round = 2 * p * model          # a task and an update envelope per participant
+    assert free_ride - honest < shown + one_round
+
+
 # --- fault injection ---------------------------------------------------------
+
+# the replay plan targets the free rider's final update, which is withheld
+NEVER_FIRES = dict(
+    participants=2, rounds=1, ratchet_range=1, replay_attack=True, free_ride=True,
+)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_an_injection_that_never_fires_is_not_rejected(seed):
+    m = run_simulation(SimConfig(seed=seed, **NEVER_FIRES))
+    (replay,) = [a for a in m.attacks if a.scenario == "replay"]
+    assert (replay.phase, replay.round, replay.victim) == ("update", 1, "client-2")
+    assert (replay.outcome, replay.rejected) == ("not injected", False)
+    assert not m.all_attacks_rejected()
+
 
 @pytest.mark.parametrize("scenario", list(SCENARIO_FLAGS))
 def test_each_scenario_is_rejected(scenario):
@@ -355,6 +413,14 @@ def test_cli_attack_run_exit_zero_when_rejected(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "tamper" in text and "rejected" in text
+
+
+def test_cli_reports_an_injection_that_never_fires_as_failed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_config_from", lambda args: SimConfig(seed=1, **NEVER_FIRES))
+    assert main(["run", "--out", str(tmp_path / "run")]) == 1
+    text = capsys.readouterr().out
+    assert "injection replay (update, round 1, client-2): not injected [FAILED]" in text
+    assert "ACCEPTED" not in text
 
 
 def test_cli_ratchet_range_pair(tmp_path):

@@ -23,6 +23,7 @@ from pqbfl.ledger import (
     NotProjectOwner,
     ProjectDone,
     ProjectFull,
+    ScoredUpdate,
     SimClock,
     UnknownProject,
     UnknownTask,
@@ -295,6 +296,23 @@ def test_feedback_scores_each_update_once_live_and_on_replay():
         with pytest.raises(error):
             Ledger.replay(blocks, LedgerConfig())
     assert Ledger.replay(ledger.blocks, LedgerConfig()).score_of(1, CLIENT) == 5
+
+
+def test_scored_update_is_not_replaced_live_or_on_replay():
+    ledger, _ = fresh()
+    register_pair(ledger)
+    ledger.publish_task(SERVER, 1, H32, b"", 1, 1, 600)
+    update = ledger.update_model(CLIENT, 1, H32, b"", 1, 1)
+    ledger.feedback_model(SERVER, 1, 1, 1, CLIENT, 1, 0, H32, H32)
+    before = ledger.snapshot()
+    other = bytes(32)
+    with pytest.raises(ScoredUpdate):
+        ledger.update_model(CLIENT, 1, other, b"", 1, 1)
+    assert ledger.snapshot() == before
+    assert ledger.update(1, 1, CLIENT).h_info == H32
+    late = Block(CLIENT, replace(update, block=len(ledger.blocks), h_info=other))
+    with pytest.raises(ScoredUpdate):
+        Ledger.replay([*ledger.blocks, late], LedgerConfig())
 
 
 def test_deadline_enforced_by_clock():
