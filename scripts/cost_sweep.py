@@ -37,7 +37,7 @@ def main() -> int:
         onchain = max(r.onchain_bytes for r in final if r.party == "server")
         rows.append({
             "interval": length,
-            "asym_ratchets": m.asymmetric_ratchets,
+            "asym_ratchets": m.final_epoch,
             "key_material_bytes": m.key_material_bytes,
             "offchain_bytes": offchain,
             "onchain_bytes": onchain,

@@ -6,10 +6,10 @@
 
 `run` executes one lifecycle and writes metrics.csv, ledger.txt, per-party
 transcripts, and run.json into --out.  `export-ledger` prints the event log
-of a finished run directory, or simulates first when given sim flags instead.
-`verify-transcripts` cross-checks the server's and every participant's view
-of a finished run.  Exit status is 0 only for an honest run, a run whose
-injected attacks were all rejected, or a clean verification.
+of a finished run directory.  `verify-transcripts` cross-checks the server's
+and every participant's view of a finished run against its ledger.  Exit
+status is 0 only for an honest run, a run whose injected attacks were all
+rejected, or a clean verification.
 """
 
 from __future__ import annotations
@@ -32,24 +32,6 @@ def _parse_ratchet_range(text: str) -> int | tuple[int, ...]:
     return values[0] if len(values) == 1 else values
 
 
-def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--participants", type=int, default=1, metavar="N")
-    sub.add_argument("--rounds", type=int, default=10, metavar="R")
-    sub.add_argument(
-        "--ratchet-range", type=_parse_ratchet_range, default=10, metavar="L[,L2,...]",
-        help="symmetric steps per epoch; a list applies per epoch, last repeats",
-    )
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--scenario", choices=SCENARIOS, default="honest",
-        help="fault to inject alongside the honest deliveries",
-    )
-    sub.add_argument("--model-dim", type=int, default=32)
-    sub.add_argument("--noise-scale", type=float, default=0.1)
-    sub.add_argument("--deposit", type=int, default=1000)
-    sub.add_argument("--skew", type=int, default=300, help="envelope freshness bound, seconds")
-
-
 def _config_from(args: argparse.Namespace) -> SimConfig:
     return SimConfig(
         participants=args.participants,
@@ -65,7 +47,7 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
 
 
 def _out_problem(args: argparse.Namespace) -> str | None:
-    """Why `--out` cannot be written, found before anything is simulated."""
+    """Why `--out` cannot be written, found before anything is simulated or read."""
     out = args.out
     if args.command == "run":   # created with its parents, under a directory
         held_by = os.path.abspath(out)
@@ -84,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     metrics = run_simulation(args.config)
     paths = write_outputs(metrics, args.out)
     print(f"run complete: {args.rounds} rounds, {args.participants} participants")
-    print(f"asymmetric ratchets per session: {metrics.asymmetric_ratchets}")
+    print(f"asymmetric ratchets per session: {metrics.final_epoch}")
     print(f"off-chain key material: {metrics.key_material_bytes} bytes")
     print(f"scores: {metrics.scores}")
     for rec in metrics.attacks:
@@ -104,12 +86,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_ledger(args: argparse.Namespace) -> int:
-    if args.run:
-        with open(f"{args.run}/ledger.txt") as fh:
-            text = fh.read()
-    else:
-        metrics = run_simulation(args.config)
-        text = "\n".join(metrics.events) + "\n"
+    with open(f"{args.run}/ledger.txt") as fh:
+        text = fh.read()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -136,13 +114,26 @@ def main(argv: list[str] | None = None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="execute one simulated lifecycle")
-    _add_sim_flags(run_p)
+    run_p.add_argument("--participants", type=int, default=1, metavar="N")
+    run_p.add_argument("--rounds", type=int, default=10, metavar="R")
+    run_p.add_argument(
+        "--ratchet-range", type=_parse_ratchet_range, default=10, metavar="L[,L2,...]",
+        help="symmetric steps per epoch; a list applies per epoch, last repeats",
+    )
+    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument(
+        "--scenario", choices=SCENARIOS, default="honest",
+        help="fault to inject alongside the honest deliveries",
+    )
+    run_p.add_argument("--model-dim", type=int, default=32)
+    run_p.add_argument("--noise-scale", type=float, default=0.1)
+    run_p.add_argument("--deposit", type=int, default=1000)
+    run_p.add_argument("--skew", type=int, default=300, help="envelope freshness bound, seconds")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.set_defaults(func=_cmd_run)
 
     exp_p = subs.add_parser("export-ledger", help="print a run's event log")
-    exp_p.add_argument("--run", help="finished run directory (skips simulating)")
-    _add_sim_flags(exp_p)
+    exp_p.add_argument("--run", required=True, help="finished run directory")
     exp_p.add_argument("--out", help="write to file instead of stdout")
     exp_p.set_defaults(func=_cmd_export_ledger)
 
@@ -153,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     ver_p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    if hasattr(args, "participants"):   # subcommands that take sim flags
+    if args.command == "run":
         try:
             args.config = _config_from(args)
         except ValueError as exc:

@@ -360,14 +360,13 @@ class _Party:
     """What the server and a participant share: a signer, a clock, counters,
     and the one send path, receive check and seal/open pair of both sides."""
 
-    def __init__(self, rng, ledger, clock, config, max_skew, key_log):
+    def __init__(self, rng, ledger, clock, config, max_skew):
         self.rng = rng
         self.ledger = ledger
         self.clock = clock
         self.config = config
         self.max_skew = max_skew
         self.counters = OpCounters()
-        self.key_log = key_log
         self._sig = crypto.sig_keygen(rng.fork("sig"))
         self.address = crypto.address_of(self._sig.public)
 
@@ -462,13 +461,12 @@ class Server(_Party):
         config: ratchet.RatchetConfig,
         deadline_window: int = 600,
         max_skew: int = MAX_SKEW_SECONDS,
-        key_log: list | None = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         if rounds_planned < 1:
             raise ValueError("rounds_planned must be at least 1")
-        super().__init__(rng, ledger, clock, config, max_skew, key_log)
+        super().__init__(rng, ledger, clock, config, max_skew)
         self.project_id = project_id
         self.capacity = capacity
         self.rounds_planned = rounds_planned
@@ -607,8 +605,6 @@ class Server(_Party):
         for addr, session in self.sessions.items():
             session.ratchet, key = ratchet.advance_symmetric(session.ratchet)
             self.counters.derive += 2
-            if self.key_log is not None:
-                self.key_log.append(("server", addr, key.round, key.epoch, key.step, key.key))
             envelopes[addr] = self._send(
                 MSG_TASK, rnd, self._seal(key, rnd, DIR_TASK, plaintext)
             )
@@ -696,9 +692,8 @@ class Participant(_Party):
         clock: SimClock,
         config: ratchet.RatchetConfig,
         max_skew: int = MAX_SKEW_SECONDS,
-        key_log: list | None = None,
     ):
-        super().__init__(rng, ledger, clock, config, max_skew, key_log)
+        super().__init__(rng, ledger, clock, config, max_skew)
         self._dh: crypto.DhKeyPair | None = None
         self.project_id: int | None = None
         self.server_address: bytes | None = None
@@ -765,6 +760,7 @@ class Participant(_Party):
         out = self._send(MSG_KEY_RESPONSE, 0, reply)
         self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
         self.ratchet = ratchet.init_root(*secrets, self.config)
+        self._dh = None   # the root key consumed it; a later capture must not find it
         self.transcript.append(
             TranscriptRow(0, 1, 0, "s2p", crypto.digest(env.payload), msg.registration_block)
         )
@@ -802,8 +798,6 @@ class Participant(_Party):
         # all checks passed; commit state changes
         self.ratchet = new_state
         self.counters.derive += 2
-        if self.key_log is not None:
-            self.key_log.append(("participant", self.address, key.round, key.epoch, key.step, key.key))
         key.mark_used(DIR_TASK)
         self.last_round = env.round
         self._active = {

@@ -14,12 +14,11 @@ Derivation layout, all HKDF-SHA384:
     K_{i,j}  = hkdf(salt=00*48, ikm=CK_{i-1,j},        label="model")
 
 Chain keys never leave the state; model keys are returned once and never
-stored, so serialized state retains nothing that re-derives past rounds.
+stored, so a state retains nothing that re-derives past rounds.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .crypto import hkdf
@@ -153,33 +152,3 @@ def round_of(epoch: int, step: int, config: RatchetConfig) -> int:
         )
     return sum(config.epoch_length(j) for j in range(1, epoch)) + step
 
-
-def serialize_state(state: RatchetState) -> bytes:
-    """Fixed-order binary: epoch, step, root key, chain key, config.  The config
-    is a kind (0 fixed, 1 per epoch), a count and that many 16-bit ranges."""
-    r = state.config.symmetric_range
-    kind, ranges = (0, (r,)) if isinstance(r, int) else (1, r)
-    if len(ranges) > 0xFFFF or max(ranges) > 0xFFFF:
-        raise ValueError("only up to 65535 symmetric ranges of at most 65535 serialize")
-    return (
-        struct.pack(">II", state.epoch, state.step)
-        + state.root_key
-        + state.chain_key
-        + struct.pack(f">BH{len(ranges)}H", kind, len(ranges), *ranges)
-    )
-
-
-def deserialize_state(blob: bytes) -> RatchetState:
-    """Inverse of `serialize_state`; raises ValueError for any other input."""
-    if len(blob) < 8 + 64 + 3:
-        raise ValueError("truncated ratchet state")
-    epoch, step = struct.unpack(">II", blob[:8])
-    root, chain = blob[8:40], blob[40:72]
-    kind, count = struct.unpack(">BH", blob[72:75])
-    if kind not in (0, 1) or count < 1 or (kind == 0 and count != 1):
-        raise ValueError(f"bad ratchet range header: kind {kind}, count {count}")
-    if len(blob) != 75 + 2 * count:
-        raise ValueError("ratchet state length does not match its header")
-    vals = struct.unpack(f">{count}H", blob[75:])
-    config = RatchetConfig(vals[0] if kind == 0 else vals)
-    return RatchetState(root_key=root, chain_key=chain, epoch=epoch, step=step, config=config)

@@ -19,8 +19,7 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def establish(
-    n=1, rounds=4, length=2, seed=b"proto-test", dim=8,
-    server_log=None, participant_logs=None, deadline_window=600, capacity=None,
+    n=1, rounds=4, length=2, seed=b"proto-test", dim=8, deadline_window=600, capacity=None,
 ):
     """Registered project with all sessions established; returns the actors."""
     clock = SimClock()
@@ -31,14 +30,12 @@ def establish(
         rng.fork("server"), ledger, clock, project_id=1,
         capacity=capacity if capacity is not None else n,
         rounds_planned=rounds, config=cfg, deadline_window=deadline_window,
-        key_log=server_log,
     )
     model = fl.ModelVector(np.zeros(dim), 0)
     server.bootstrap(model)
     participants = []
     for i in range(n):
-        log = participant_logs[i] if participant_logs is not None else None
-        p = Participant(rng.fork(f"part-{i}"), ledger, clock, cfg, key_log=log)
+        p = Participant(rng.fork(f"part-{i}"), ledger, clock, cfg)
         p.join(1)
         participants.append(p)
     server.admit_clients()
@@ -48,13 +45,30 @@ def establish(
     return server, participants, ledger, clock, model
 
 
-def run_round(server, participants, clock, model, train_seed=77):
-    """One full honest round; returns the aggregated next global model."""
+def key_row(role, address, key):
+    """(role, address, round, epoch, step, key bytes) of one issued model key."""
+    return (role, address, key.round, key.epoch, key.step, key.key)
+
+
+def run_round(
+    server, participants, clock, model, train_seed=77, server_log=None, participant_logs=None
+):
+    """One full honest round; returns the aggregated next global model.
+
+    Given logs, appends a `key_row` for each model key the round issued: the
+    server's per session, and each participant's for its open task.
+    """
     clock.advance(60)
     _, envelopes = server.publish_round(model)
+    if server_log is not None:
+        server_log.extend(
+            key_row("server", a, s.current_key) for a, s in server.sessions.items()
+        )
     collected = []
-    for p in participants:
+    for i, p in enumerate(participants):
         got = p.handle_task(envelopes[p.address])
+        if participant_logs is not None:
+            participant_logs[i].append(key_row("participant", p.address, p._active["key"]))
         local = fl.local_train(got, train_seed, 0.01, got.round + 1)
         update = p.send_update(local)
         _, received = server.handle_update(update)

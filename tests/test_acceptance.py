@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import conftest
-from conftest import establish, run_round
+from conftest import establish, key_row, run_round
 from pqbfl import crypto, fl, ratchet
 from pqbfl.harness import SimConfig, run_simulation, write_outputs
 from pqbfl.ledger import event_kind, payload_size
@@ -58,11 +58,9 @@ def test_criterion_02_round_byte_cost():
 def test_criterion_03_epoch_schedule():
     t0 = time.monotonic()
     plog = []
-    server, parts, _, clock, model = establish(
-        n=1, rounds=10, length=9, seed=b"c3", participant_logs=[plog]
-    )
+    server, parts, _, clock, model = establish(n=1, rounds=10, length=9, seed=b"c3")
     for _ in range(10):
-        model = run_round(server, parts, clock, model)
+        model = run_round(server, parts, clock, model, participant_logs=[plog])
     epoch_one = [row for row in plog if row[3] == 1]
     keys = {row[5] for row in plog}
     ok = (
@@ -78,12 +76,9 @@ def test_criterion_04_key_agreement():
     t0 = time.monotonic()
     slog = []
     plogs = [[] for _ in range(5)]
-    server, parts, _, clock, model = establish(
-        n=5, rounds=30, length=10, seed=b"c4",
-        server_log=slog, participant_logs=plogs,
-    )
+    server, parts, _, clock, model = establish(n=5, rounds=30, length=10, seed=b"c4")
     for _ in range(30):
-        model = run_round(server, parts, clock, model)
+        model = run_round(server, parts, clock, model, server_log=slog, participant_logs=plogs)
     server_keys = {(row[1], row[2]): row[5] for row in slog}
     pairs = 0
     matched = 0
@@ -126,16 +121,15 @@ def test_criterion_05_operation_counts():
 def test_criterion_06_compromise_window():
     t0 = time.monotonic()
     plog = []
-    server, parts, _, clock, model = establish(
-        n=1, rounds=10, length=5, seed=b"c6", participant_logs=[plog]
-    )
+    server, parts, _, clock, model = establish(n=1, rounds=10, length=5, seed=b"c6")
     p = parts[0]
     captures = {}
     for _ in range(10):
         clock.advance(60)
         _, envs = server.publish_round(model)
         got = p.handle_task(envs[p.address])
-        captures[server.round] = ratchet.serialize_state(p.ratchet)
+        plog.append(key_row("participant", p.address, p._active["key"]))
+        captures[server.round] = p.ratchet   # immutable: later rounds replace it
         local = fl.local_train(got, 7, 0.01, got.round + 1)
         _, received = server.handle_update(p.send_update(local))
         model = fl.aggregate([received])
@@ -143,8 +137,7 @@ def test_criterion_06_compromise_window():
 
     honest = {row[2]: (row[3], row[4], row[5]) for row in plog}  # round -> (j, i, key)
     ok = len(honest) == 10
-    for rnd, blob in captures.items():
-        state = ratchet.deserialize_state(blob)
+    for rnd, state in captures.items():
         j, i = honest[rnd][0], honest[rnd][1]
         ok = ok and (state.epoch, state.step) == (j, i)
         # an attacker holding the captured state ignores the epoch guard and

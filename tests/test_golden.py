@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from pqbfl.harness import SimConfig, run_simulation, write_outputs
+from pqbfl.harness import SimConfig, run_simulation, verify_transcripts, write_outputs
 
 CONFIGS = {
     "rekey-every-round": dict(participants=8, rounds=10, ratchet_range=1, seed=3),
@@ -107,3 +107,4 @@ def test_artifacts_match_golden_digests(name, tmp_path):
         with open(path, "rb") as fh:
             got[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN[name]
+    assert verify_transcripts(str(tmp_path)) == []

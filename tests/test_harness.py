@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import runpy
 import sys
 import tracemalloc
@@ -45,8 +46,7 @@ def test_honest_run_completes():
     assert m.attacks == []
     assert m.all_attacks_rejected()
     assert m.scores == {"client-1": 4, "client-2": 4}
-    assert m.final_epoch == 2          # rotations after rounds 2; none after 4
-    assert m.asymmetric_ratchets == 2  # establishment plus one rotation
+    assert m.final_epoch == 2          # establishment, then one rotation after round 2
 
 
 def test_row_count_and_parties():
@@ -155,6 +155,69 @@ def test_missing_transcript_reported(tmp_path):
     write_outputs(run_simulation(small()), str(run_dir))
     os.remove(run_dir / "transcript-client-2.txt")
     assert any("client-2" in p for p in verify_transcripts(str(run_dir)))
+
+
+def _swap_task_digests(rows, other):
+    # rounds 2 and 3 trade their s2p digests; each row keeps its block
+    a, b = rows[("2", "s2p")], rows[("3", "s2p")]
+    a["digest"], b["digest"] = b["digest"], a["digest"]
+
+
+def _borrow_other_update(rows, other):
+    # client-1 claims client-2's round-1 update: its digest and its block
+    rows[("1", "p2s")].update(
+        digest=other[("1", "p2s")]["digest"], block=other[("1", "p2s")]["block"]
+    )
+
+
+def _project_row_names_a_registration(rows, other):
+    # round 0 s2p must name the RegProject block, not the client's RegClient
+    rows[("0", "s2p")]["block"] = rows[("0", "p2s")]["block"]
+
+
+def _claim_other_registration(rows, other):
+    # round 0 p2s names client-2's RegClient block instead of client-1's own
+    rows[("0", "p2s")]["block"] = other[("0", "p2s")]["block"]
+
+
+def _update_row_names_the_task(rows, other):
+    # the round-1 p2s row points at that round's Task, whose h_info is not its digest
+    rows[("1", "p2s")]["block"] = rows[("1", "s2p")]["block"]
+
+
+def _row_names_an_absent_block(rows, other):
+    # no ledger line carries this block number
+    rows[("2", "s2p")]["block"] = "999999"
+
+
+@pytest.mark.parametrize("forge", [
+    _swap_task_digests, _borrow_other_update, _project_row_names_a_registration,
+    _claim_other_registration, _update_row_names_the_task, _row_names_an_absent_block,
+], ids=["swapped-task-digests", "another-clients-update", "project-row-on-a-registration",
+        "another-clients-registration", "update-row-on-the-task", "absent-block"])
+def test_consistent_forgery_of_a_row_block_detected(forge, tmp_path, capsys):
+    """Both sides tell the same forged story, so only the ledger blocks the
+    rows name can refute it."""
+    run_dir = tmp_path / "run"
+    write_outputs(run_simulation(small()), str(run_dir))
+
+    def rows_of(name):
+        lines = (run_dir / f"transcript-{name}.txt").read_text().splitlines()
+        rows = [dict(token.split("=", 1) for token in line.split()) for line in lines]
+        return {(row["round"], row["dir"]): row for row in rows}
+
+    rows, other = rows_of("client-1"), rows_of("client-2")
+    forge(rows, other)
+    lines = [" ".join(f"{k}={v}" for k, v in row.items()) for row in rows.values()]
+    (run_dir / "transcript-client-1.txt").write_text("\n".join(lines) + "\n")
+    server = run_dir / "transcript-server.txt"
+    kept = [line for line in server.read_text().splitlines()
+            if not line.startswith("session=client-1 ")]
+    server.write_text("\n".join([f"session=client-1 {line}" for line in lines] + kept) + "\n")
+
+    assert any("client-1" in p and "ledger block" in p for p in verify_transcripts(str(run_dir)))
+    assert main(["verify-transcripts", "--run", str(run_dir)]) == 1
+    assert "consistent" not in capsys.readouterr().out
 
 
 def test_key_material_shrinks_with_longer_epochs():
@@ -461,20 +524,30 @@ def test_cli_export_ledger_from_run_dir(tmp_path, capsys):
     assert "RegProject" in text and "ProjectTerminate" in text
 
 
-def test_cli_export_ledger_fresh_simulation(tmp_path):
+def test_cli_export_ledger_requires_a_run_dir(tmp_path, monkeypatch, capsys):
+    """There is no simulate mode: without --run the command is a usage error."""
+    monkeypatch.setattr(cli, "run_simulation", _never)
     target = tmp_path / "chain.txt"
-    assert main([
-        "export-ledger", "--participants", "1", "--rounds", "2",
-        "--ratchet-range", "2", "--out", str(target),
-    ]) == 0
-    assert target.read_text().strip()
+    with pytest.raises(SystemExit) as exc:
+        main(["export-ledger", "--out", str(target)])
+    assert exc.value.code == 2
+    assert "--run" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_cli_export_ledger_offers_only_run_and_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-ledger", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--run", "--out"}
 
 
 @pytest.mark.parametrize("argv, fragment", [
     (["run", "--out", "{file}"], "is not a directory"),
     (["run", "--out", "{file}/run/deeper"], "is not a directory"),
-    (["export-ledger", "--out", "{missing}/chain.txt"], "no directory"),
-    (["export-ledger", "--out", "{dir}"], "is a directory"),
+    (["export-ledger", "--run", "{dir}", "--out", "{missing}/chain.txt"], "no directory"),
+    (["export-ledger", "--run", "{dir}", "--out", "{dir}"], "is a directory"),
 ], ids=["run-into-a-file", "run-under-a-file", "export-into-a-missing-directory",
         "export-onto-a-directory"])
 def test_unwritable_out_rejected_before_simulating(

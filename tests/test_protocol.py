@@ -44,6 +44,22 @@ def test_establishment_operation_counts():
     assert (c.keygen, c.encap, c.decap, c.derive, c.sign, c.verify) == (1, 1, 0, 0, 1, 1)
 
 
+def test_no_registration_dh_pair_survives_establishment():
+    # the root key consumed the registration ECDH secret; a participant
+    # captured after establishment must not still hold it
+    server, _, ledger, clock, _ = establish(n=0, capacity=1, seed=b"dh-drop")
+    p = protocol.Participant(DeterministicRng(b"pdh"), ledger, clock, server.config)
+    p.join(1)
+
+    def held():
+        return [v for v in vars(p).values() if isinstance(v, crypto.DhKeyPair)]
+
+    assert held()
+    server.admit_clients()
+    server.handle_key_response(p.handle_keys(server.send_keys(p.address)))
+    assert p.ratchet is not None and held() == []
+
+
 def test_announcement_key_swap_is_caught():
     # same wire shape, same valid server signature, different KEM key: the
     # on-chain commitment made at registration must flag it
@@ -91,19 +107,22 @@ def test_response_key_swap_is_caught():
 
 
 def test_establishment_replay_rejected():
-    server, (p,), _, clock, _ = establish(seed=b"replay-est")
+    server, _, ledger, clock, _ = establish(n=0, capacity=1, seed=b"replay-est")
+    p = protocol.Participant(DeterministicRng(b"prep"), ledger, clock, server.config)
+    p.join(1)
+    server.admit_clients()
+    honest = p.handle_keys(server.send_keys(p.address))
+    server.handle_key_response(honest)
+    dh_public = KeyResponse.decode(SignedEnvelope.decode(honest).payload).dh_public
     ann = server.send_keys(p.address)
     with pytest.raises(ReplayDetected):
         p.handle_keys(ann)
-    response = build_envelope(
-        protocol.MSG_KEY_RESPONSE, 0, b"", p._sig, clock.now()
-    )
     # even a fresh-looking response is a replay once the session exists
     with pytest.raises(ReplayDetected):
         server.handle_key_response(
             build_envelope(
                 protocol.MSG_KEY_RESPONSE, 0,
-                KeyResponse(1, p.registration_block, b"\x00" * 1088, p._dh.public).encode(),
+                KeyResponse(1, p.registration_block, b"\x00" * 1088, dh_public).encode(),
                 p._sig, clock.now(),
             ).encode()
         )
@@ -166,11 +185,9 @@ def test_round_trip_returns_models_and_scores():
 
 def test_model_keys_lockstep_across_sides():
     slog, plog = [], []
-    server, (p,), _, clock, model = establish(
-        rounds=6, length=2, seed=b"lock", server_log=slog, participant_logs=[plog]
-    )
+    server, (p,), _, clock, model = establish(rounds=6, length=2, seed=b"lock")
     for _ in range(6):
-        model = run_round(server, [p], clock, model)
+        model = run_round(server, [p], clock, model, server_log=slog, participant_logs=[plog])
     assert [(r[2], r[3], r[4], r[5]) for r in slog] == [
         (r[2], r[3], r[4], r[5]) for r in plog
     ]
@@ -589,11 +606,9 @@ def test_no_rotation_when_no_rounds_remain():
 
 def test_epoch_boundary_round_numbers():
     slog = []
-    server, (p,), _, clock, model = establish(
-        rounds=10, length=9, seed=b"nine", server_log=slog
-    )
+    server, (p,), _, clock, model = establish(rounds=10, length=9, seed=b"nine")
     for _ in range(10):
-        model = run_round(server, [p], clock, model)
+        model = run_round(server, [p], clock, model, server_log=slog)
     rows = [(r[2], r[3], r[4]) for r in slog]  # (round, epoch, step)
     assert rows[:9] == [(k, 1, k) for k in range(1, 10)]
     assert rows[9] == (10, 2, 1)

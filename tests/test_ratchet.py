@@ -6,7 +6,6 @@ import hmac
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqbfl import ratchet
 from pqbfl.ratchet import (
     EpochExhausted,
     KeyReuse,
@@ -155,17 +154,16 @@ def test_repr_hides_key_bytes():
 
 
 def test_advanced_state_retains_no_spent_key_material():
-    """Forward secrecy at the state level: serialized post-advance state
-    contains neither the issued model key nor the chain key that made it."""
+    """Forward secrecy at the state level: a post-advance state holds neither
+    the issued model key nor the chain key that made it."""
     cfg = RatchetConfig(4)
     state = init_root(b"\x0f" * 32, b"\x10" * 32, cfg)
     spent = [state.chain_key]
     for _ in range(4):
         state, key = advance_symmetric(state)
-        blob = ratchet.serialize_state(state)
-        assert key.key not in blob
-        for old in spent:
-            assert old not in blob
+        held = {state.root_key, state.chain_key}
+        assert key.key not in held
+        assert not held & set(spent)
         spent.append(state.chain_key)
 
 
@@ -195,61 +193,6 @@ def test_captured_state_rederives_exactly_the_epoch_remainder():
             derived.append(key.key)
         assert derived == honest[i:]
         assert not set(derived) & set(next_epoch)
-
-
-# --- serialization -----------------------------------------------------------------
-
-def test_state_roundtrip_fixed_and_list_config():
-    for ranges in (7, (2, 9)):
-        cfg = RatchetConfig(ranges)
-        state = init_root(b"\x15" * 32, b"\x16" * 32, cfg)
-        state, _ = advance_symmetric(state)
-        blob = ratchet.serialize_state(state)
-        back = ratchet.deserialize_state(blob)
-        assert back == state
-        with pytest.raises(ValueError):
-            ratchet.deserialize_state(blob + b"\x00")
-        with pytest.raises(ValueError):
-            ratchet.deserialize_state(blob[:-1])
-
-
-@pytest.mark.parametrize("config", [
-    b"\x00\x00\x00",
-    b"\x07\x00\x01\x00\x05",
-    b"\x00\x00\x02\x00\x05\x00\x06",
-], ids=["fixed-range-without-value", "unknown-kind", "fixed-range-with-two-values"])
-def test_state_codec_refuses_configs_it_never_writes(config):
-    state = init_root(b"\x15" * 32, b"\x16" * 32, RatchetConfig(5))
-    blob = ratchet.serialize_state(state)
-    assert ratchet.deserialize_state(blob[:72] + b"\x00\x00\x01\x00\x05") == state
-    with pytest.raises(ValueError):
-        ratchet.deserialize_state(blob[:72] + config)
-
-
-@pytest.mark.parametrize("ranges", [70000, (3, 70000)])
-def test_ranges_beyond_two_bytes_refuse_to_serialize(ranges):
-    state = init_root(b"\x15" * 32, b"\x16" * 32, RatchetConfig(ranges))
-    with pytest.raises(ValueError, match="65535"):
-        ratchet.serialize_state(state)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.binary(min_size=32, max_size=32),
-    st.binary(min_size=32, max_size=32),
-    st.lists(st.integers(1, 9), min_size=1, max_size=4),
-    st.integers(min_value=0, max_value=12),
-)
-def test_walk_then_serialize_roundtrip(ss_kem, ss_dh, ranges, steps):
-    cfg = RatchetConfig(tuple(ranges))
-    state = init_root(ss_kem, ss_dh, cfg)
-    for n in range(steps):
-        try:
-            state, _ = advance_symmetric(state)
-        except EpochExhausted:
-            state = advance_asymmetric(state, bytes([n]) * 32, ss_dh)
-            state, _ = advance_symmetric(state)
-    assert ratchet.deserialize_state(ratchet.serialize_state(state)) == state
 
 
 @settings(max_examples=25, deadline=None)
