@@ -13,7 +13,8 @@ derivation and signing are pure Python (`secp256k1`, a fixed-base table),
 because OpenSSL has no fast path for that curve; they are not constant-time,
 which is acceptable here because every key is derived from a seed.  Hashing,
 sealing, opening and verification take any bytes-like input, so callers can
-pass views of larger buffers.
+pass views of larger buffers; sealing can write into a view of a larger
+buffer, and opening returns a writable buffer the caller may reuse in place.
 
 A peer's public keys can be checked before anything uses them: `kem_check`
 runs the ML-KEM length and modulus checks and `dh_check` decodes the P-256
@@ -50,6 +51,7 @@ ADDRESS_BYTES = 20
 DIGEST_BYTES = 32
 KEY_BYTES = 32
 NONCE_BYTES = 12
+TAG_BYTES = 16
 
 
 class AuthFailure(Exception):
@@ -199,20 +201,31 @@ def address_of(sig_public: bytes) -> bytes:
     return digest(sig_public)[-ADDRESS_BYTES:]
 
 
-def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
+def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext, out=None):
+    """AES-256-GCM: the ciphertext with its 16-byte tag appended.  Given `out`,
+    a writable buffer of exactly `len(plaintext) + TAG_BYTES` bytes, the sealed
+    bytes are written there and `out` is returned."""
     if len(key) != KEY_BYTES:
         raise ValueError("AEAD key must be 32 bytes")
     if len(nonce) != NONCE_BYTES:
         raise ValueError("AEAD nonce must be 12 bytes")
-    return AESGCM(key).encrypt(nonce, plaintext, aad)
+    if out is None:
+        return AESGCM(key).encrypt(nonce, plaintext, aad)
+    AESGCM(key).encrypt_into(nonce, plaintext, aad, out)
+    return out
 
 
-def aead_open(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-    """Decrypt and authenticate; raises AuthFailure on any mismatch."""
+def aead_open(key: bytes, nonce: bytes, aad: bytes, ciphertext) -> bytearray:
+    """Decrypt and authenticate into a new writable buffer, which the caller
+    owns; raises AuthFailure on any mismatch."""
+    if len(ciphertext) < TAG_BYTES:
+        raise AuthFailure("ciphertext is shorter than its tag")
+    out = bytearray(len(ciphertext) - TAG_BYTES)
     try:
-        return AESGCM(key).decrypt(nonce, ciphertext, aad)
+        AESGCM(key).decrypt_into(nonce, ciphertext, aad, out)
     except InvalidTag as exc:
         raise AuthFailure("ciphertext failed authentication") from exc
+    return out
 
 
 __all__ = [
@@ -244,4 +257,5 @@ __all__ = [
     "DIGEST_BYTES",
     "KEY_BYTES",
     "NONCE_BYTES",
+    "TAG_BYTES",
 ]

@@ -3,8 +3,10 @@
 Aggregation is the literal per-coordinate rule
     M[k] = sum_i (w_i / N) * m_i[k]
 with N the number of submitted updates, so unit weights give the plain
-federated average.  Vectors travel as (length, round, tag, IEEE-754
-big-endian doubles); anything truncated or non-finite is rejected.
+federated average; it is folded one update at a time (`RunningAverage`), so
+a round holds one running sum rather than every update.  Vectors travel as
+(length, round, tag, IEEE-754 big-endian doubles); anything truncated or
+non-finite is rejected.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 GLOBAL_TAG = "global"
 _MAX_TAG = 255
+_WIRE = np.dtype(">f8")   # how values travel: IEEE-754 binary64, big-endian
 
 
 @dataclass(eq=False)
@@ -49,15 +52,54 @@ def local_train(
     """Simulated training step: global weights plus a seeded Gaussian delta.
 
     The delta depends on (participant_seed, round) only, so reruns reproduce
-    the same update and distinct rounds produce distinct updates.
+    the same update and distinct rounds produce distinct updates.  The global
+    weights are added into the delta in place, which is bitwise the same sum
+    (IEEE 754 addition commutes), so training makes one new vector.
     """
     rng = np.random.default_rng((participant_seed, round))
-    delta = rng.normal(0.0, noise_scale, global_model.values.size)
-    return ModelVector(global_model.values + delta, round, tag)
+    values = rng.normal(0.0, noise_scale, global_model.values.size)
+    values += global_model.values
+    return ModelVector(values, round, tag)
+
+
+class RunningAverage:
+    """The aggregation rule folded over updates as they arrive.
+
+    `n` is the number of updates the round will add, so each one is scaled by
+    its `w / n` and summed into one running vector in arrival order; the
+    result is bitwise what summing a list of the same updates gives.
+    """
+
+    def __init__(self, n: int, dim: int):
+        if n < 1:
+            raise ValueError("nothing to aggregate")
+        self.n = n
+        self.added = 0
+        self.round: int | None = None
+        self._sum = np.zeros(dim, dtype=np.float64)
+
+    def add(self, model: ModelVector, weight: float = 1.0) -> None:
+        if self.added == self.n:
+            raise ValueError(f"all {self.n} updates already added")
+        if model.values.size != self._sum.size:
+            raise ValueError("models must share one dimension")
+        if self.round is None:
+            self.round = model.round
+        elif model.round != self.round:
+            raise ValueError("models must come from the same round")
+        self._sum += (weight / self.n) * model.values
+        self.added += 1
+
+    def result(self) -> ModelVector:
+        """The next global model, once all `n` updates are in."""
+        if self.added != self.n:
+            raise ValueError(f"{self.added} of {self.n} updates added")
+        return ModelVector(self._sum, self.round, GLOBAL_TAG)
 
 
 def aggregate(models: list[ModelVector], weights: list[float] | None = None) -> ModelVector:
-    """Weighted average of one round's updates into the next global model."""
+    """Weighted average of one round's updates into the next global model,
+    folded in list order by `RunningAverage`."""
     if not models:
         raise ValueError("nothing to aggregate")
     n = len(models)
@@ -67,42 +109,59 @@ def aggregate(models: list[ModelVector], weights: list[float] | None = None) -> 
         raise ValueError(f"{n} models but {len(weights)} weights")
     if any(not np.isfinite(w) for w in weights):
         raise ValueError("weights must be finite")
-    dim = models[0].values.size
-    round = models[0].round
-    for m in models:
-        if m.values.size != dim:
-            raise ValueError("models must share one dimension")
-        if m.round != round:
-            raise ValueError("models must come from the same round")
-    acc = np.zeros(dim, dtype=np.float64)
+    total = RunningAverage(n, models[0].values.size)
     for w, m in zip(weights, models):
-        acc += (w / n) * m.values
-    return ModelVector(acc, round, GLOBAL_TAG)
+        total.add(m, w)
+    return total.result()
 
 
-def model_parts(model: ModelVector) -> list:
-    """The serialized model as two parts for one `b"".join`: the header with
-    the tag, then the values as an f64 big-endian array."""
+def _header(model: ModelVector) -> bytes:
     tag = model.tag.encode()
-    header = struct.pack(">IIB", model.values.size, model.round, len(tag))
-    return [header + tag, model.values.astype(">f8")]
+    return struct.pack(">IIB", model.values.size, model.round, len(tag)) + tag
+
+
+class WireModel:
+    """`serialize_model(model)` as a writer: a wire encoder sizes its buffer
+    by `nbytes` and has `write_into` store the header and the values, f64
+    big-endian, straight into it, so no serialized copy is made first."""
+
+    __slots__ = ("header", "values")
+
+    def __init__(self, model: ModelVector):
+        self.header, self.values = _header(model), model.values
+
+    @property
+    def nbytes(self) -> int:
+        return len(self.header) + _WIRE.itemsize * self.values.size
+
+    def write_into(self, out: memoryview) -> None:
+        n = len(self.header)
+        out[:n] = self.header
+        np.frombuffer(out[n:], dtype=_WIRE)[...] = self.values
 
 
 def serialize_model(model: ModelVector) -> bytes:
     """(length u32, round u32, tag_len u8, tag, values f64 big-endian)."""
-    return b"".join(model_parts(model))
+    return b"".join((_header(model), model.values.astype(_WIRE)))
+
+
+_DIGEST_CHUNK = 1 << 14   # values byte-swapped per hash update: 128 KiB
 
 
 def model_digest(model: ModelVector) -> bytes:
-    """SHA-256 of `serialize_model(model)`, fed its parts without the join."""
-    h = hashlib.sha256()
-    for part in model_parts(model):
-        h.update(part)
+    """SHA-256 of `serialize_model(model)`, fed in chunks so that no
+    serialized copy of the model is made."""
+    h = hashlib.sha256(_header(model))
+    values = model.values
+    for start in range(0, values.size, _DIGEST_CHUNK):
+        h.update(values[start : start + _DIGEST_CHUNK].astype(_WIRE))
     return h.digest()
 
 
 def deserialize_model(blob) -> ModelVector:
-    """Decode any bytes-like blob; the values are copied once, into native order.
+    """Decode any bytes-like blob.  A writable blob is consumed: its values are
+    byte-swapped in place and the model views them, so the caller must not
+    read the blob afterwards.  A read-only blob's values are copied once.
 
     `ModelVector` rejects non-finite entries.
     """
@@ -113,5 +172,9 @@ def deserialize_model(blob) -> ModelVector:
     if len(view) != 9 + tag_len + 8 * size:
         raise ValueError("model length does not match header")
     tag = bytes(view[9 : 9 + tag_len]).decode()
-    values = np.frombuffer(view, dtype=">f8", offset=9 + tag_len).astype(np.float64)
+    values = np.frombuffer(view, dtype=_WIRE, offset=9 + tag_len)
+    if view.readonly:
+        values = values.astype(np.float64)
+    elif values.dtype != np.float64:   # a big-endian host has nothing to swap
+        values = values.byteswap(inplace=True).view(np.float64)
     return ModelVector(values, round, tag)

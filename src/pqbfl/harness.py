@@ -69,11 +69,25 @@ METRICS_HEADER = (
 # (max 1.8e308) for noise_scale < 4.4e304; round down.
 MAX_NOISE_SCALE = 1e304
 
+# A round's traced peak, in model sizes (8 * model_dim bytes): the task
+# plaintext, the running sum, and a participant's send, which holds its local
+# model, the update payload and the sealed envelope at once.
+ROUND_MODEL_COPIES = 5
+
 # The largest payload is a sealed rotation round: 8 * model_dim value bytes
 # plus under 2 KiB of headers, length prefixes, fresh keys, model tag and AEAD
 # tag.  Its length prefix, like the model's, is four bytes, so it fits for
 # model_dim <= (2**32 - 1 - 2048) // 8 = 536,870,655; round down.
 MAX_MODEL_DIM = 536_000_000
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory on this host, or None where unknown."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None   # sysconf reads -1 for an unknown value
 
 
 @dataclass
@@ -130,6 +144,22 @@ class SimConfig:
                 )
         if self.free_ride and self.participants < 2:
             raise ValueError("free_ride needs a second participant to compare against")
+        estimate, memory = self.peak_bytes(), physical_memory()
+        if memory is not None and estimate > memory:
+            raise ValueError(
+                f"estimated peak memory {estimate / 2**30:.1f} GiB exceeds this host's "
+                f"{memory / 2**30:.1f} GiB: lower model_dim"
+                + (", rounds or participants" if self.free_ride else "")
+            )
+
+    def peak_bytes(self) -> int:
+        """Estimated peak model bytes of a run: a round's copies, plus, under
+        `free_ride`, the eavesdropper's list of every model shown in the
+        clear (the global and each local model of every round)."""
+        copies = ROUND_MODEL_COPIES
+        if self.free_ride:
+            copies += self.rounds * (self.participants + 1)
+        return copies * 8 * self.model_dim
 
     def scenario_names(self) -> list[str]:
         return [name for name, flag in SCENARIO_FLAGS.items() if getattr(self, flag)]
@@ -293,6 +323,15 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     eavesdropper before the envelope carrying it.  A withholding participant
     never desynchronizes the rotation schedule because only the final round's
     update is withheld and rotations never occur on the final round.
+
+    A round holds the same model copies at any P, `ROUND_MODEL_COPIES` at its
+    peak: the task plaintext, the running sum, and the copies of the one hop
+    in flight.  The global model is dropped once published, each
+    participant's task envelope is sealed when it is taken, every copy a
+    participant's turn makes is dropped once the next step has it, and each
+    accepted update is folded into the running sum as it arrives, in arrival
+    order and scaled by `1 / n`, with `n` planned up front, so the next
+    global model is bitwise the list average.
     """
     root = crypto.DeterministicRng(config.seed)
     clock = SimClock()
@@ -370,10 +409,9 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             kem_public=atk_kem.public,
             dh_public=atk_dh.public,
         )
-        env = protocol.build_envelope(
+        return protocol.envelope_bytes(
             protocol.MSG_KEY_ANNOUNCEMENT, 0, msg.encode(), server._sig, clock.now()
         )
-        return env.encode()
 
     for i, p in enumerate(participants):
         resp = channel.carry(
@@ -385,34 +423,36 @@ def run_simulation(config: SimConfig) -> RunMetrics:
 
     free_rider = channel.plans.get("free_ride", {}).get("victim")
 
-    def play_round(rnd: int, global_model: fl.ModelVector) -> fl.ModelVector:
+    def play_round(rnd: int) -> None:
         # one call per round, so a round's envelopes and models are freed
         # before the next round's are built
+        nonlocal global_model
         clock.advance(60)
-        _, envelopes = server.publish_round(global_model)
+        _, tasks = server.publish_round(global_model)
         if free_rider is not None:
             channel.shown.append(fl.serialize_model(global_model))
-        collected = []
+        global_model = None   # the tasks hold its committed serialization
+        withheld = free_rider if rnd == config.rounds else None
+        total = fl.RunningAverage(config.participants - (withheld is not None), config.model_dim)
         for i, p in enumerate(participants):
-            got = channel.carry("task", envelopes.pop(p.address), rnd, i, p.handle_task)
+            got = channel.carry("task", tasks.pop(p.address), rnd, i, p.handle_task)
             local = fl.local_train(
                 got, train_seeds[i], config.noise_scale, rnd, tag=f"client-{i + 1}"
             )
-            if free_rider == i and rnd == config.rounds:
-                # withheld update: trained but never sent, never scored
-                continue
+            del got
+            if i == withheld:
+                continue   # trained but never sent, never scored
             if free_rider is not None:
                 channel.shown.append(fl.serialize_model(local))
-            _, model = channel.carry(
-                "update", p.send_update(local), rnd, i, server.handle_update
-            )
-            collected.append(model)
-        global_model = fl.aggregate(collected)
+            update = p.send_update(local)
+            del local
+            total.add(channel.carry("update", update, rnd, i, server.handle_update)[1])
+            del update
+        global_model = total.result()
         server.feedback(global_model)
-        return global_model
 
     for rnd in range(1, config.rounds + 1):
-        global_model = play_round(rnd, global_model)
+        play_round(rnd)
         if rnd == config.rounds:
             server.finish()
         snapshot(rnd)
@@ -533,7 +573,10 @@ def verify_transcripts(run_dir: str) -> list[str]:
     round 0 `p2s` the session's RegClient block (`client-i` registered i-th);
     a later round's `s2p` that round's Task and its `p2s` that round's Update
     by the session's client, each with `h_info` equal to the row's digest.
-    Returns a list of problems; empty means the views agree.
+    Each anchored block must have its rows too: every Task an `s2p` row in
+    every session, and every Update a `p2s` row in its client's session, so
+    rows cut from both transcripts are found.  Returns a list of problems;
+    empty means the views agree.
     """
     problems = []
     server_path = os.path.join(run_dir, "transcript-server.txt")
@@ -560,6 +603,8 @@ def verify_transcripts(run_dir: str) -> list[str]:
         _parse_transcript_line(line) for line in blocks.values() if line.startswith("RegClient ")
     ]
 
+    named: dict[str, set[tuple[str, str]]] = {}   # session -> (dir, block) of its rows
+    session_of: dict[str, str] = {}               # registered client -> its session
     for name, server_lines in sorted(sessions.items()):
         client_path = os.path.join(run_dir, f"transcript-{name}.txt")
         if not os.path.exists(client_path):
@@ -579,6 +624,8 @@ def verify_transcripts(run_dir: str) -> list[str]:
         index = name.removeprefix("client-")
         own = (registered[int(index) - 1]
                if index.isdecimal() and 1 <= int(index) <= len(registered) else {})
+        session_of[own.get("client", "")] = name
+        named[name] = set()
         for line in client_lines:
             fields = _parse_transcript_line(line)
             if not (fields.get("round", "").isdecimal() and fields.get("dir") in ("s2p", "p2s")
@@ -589,6 +636,20 @@ def verify_transcripts(run_dir: str) -> list[str]:
                     f"{name}: round {fields['round']} {fields['dir']} row does not "
                     f"match ledger block {fields['block']}"
                 )
+            else:
+                named[name].add((fields["dir"], fields["block"]))
+    for block, line in blocks.items():
+        kind = line.partition(" ")[0]
+        if kind == "Task":
+            owed = [(name, "s2p") for name in named]
+        elif kind == "Update":
+            client = _parse_transcript_line(line).get("client", "")
+            owed = [(session_of.get(client, f"client {client}"), "p2s")]
+        else:
+            continue
+        for name, direction in owed:
+            if (direction, block) not in named.get(name, ()):
+                problems.append(f"{name}: no {direction} row for {kind} block {block}")
     if not sessions:
         problems.append("server transcript lists no sessions")
     return problems

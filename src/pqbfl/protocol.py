@@ -18,12 +18,16 @@ accepted, flagging termination on the planned last round.
 
 Wire bytes are the delivery unit: every send returns the signed envelope's
 bytes, encoded once, and every handler takes those bytes, counts them and
-decodes them once.  A model is the bulk of a round's bytes, so it is copied
-only where the protocol needs new bytes: a send joins the model's header
-and byte-swapped values into the payload once, then the signed bytes once
-and the wire bytes once; a receive decodes through views of the wire bytes,
-verifies the signature over their signed prefix, and copies the model once,
-into the decoded vector.  Handlers are atomic: every check (freshness,
+decodes them once.  A model is the bulk of a round's bytes, so each hop
+writes it into one new buffer: a send stores the model's values big-endian
+straight into the payload buffer, then seals that payload straight into the
+envelope's wire buffer and signs a view of the wire prefix in place; a
+receive decodes through views of the wire bytes, verifies the signature over
+their signed prefix, opens the payload into one writable buffer and
+byte-swaps the model there, so the decoded vector views it.  A round's task
+plaintext is encoded once and each participant's envelope is sealed only
+when it is taken (`TaskEnvelopes`), so a round never holds every
+participant's envelope at once.  Handlers are atomic: every check (freshness,
 signature, replay, on-chain commitment, AEAD, model decoding, received key
 material) runs before any session state changes, so a rejected delivery
 leaves the session exactly as it was.  Received key material is checked where
@@ -47,7 +51,7 @@ separately counted.
 from __future__ import annotations
 
 import struct
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import crypto, fl, ratchet
 from .crypto import AuthFailure
@@ -125,7 +129,7 @@ class MalformedMessage(ProtocolError):
 # --- wire layouts ----------------------------------------------------------
 #
 # Each message class declares its layout once, as metadata on its fields;
-# `_message` builds it into one plan per class, which `_parts` (the one
+# `_message` builds it into one plan per class, which `_encode` (the one
 # encoder) and `_decode` (the one decoder) both follow: a header of every
 # integer field in declaration order, then the `fresh` byte if the class has a
 # rotation pair; that pair, present exactly when `fresh` is 1, which encode
@@ -134,6 +138,7 @@ class MalformedMessage(ProtocolError):
 # encode writes whatever it is given.
 
 _LENGTH = struct.Struct(">I")
+_MAX_SIGNATURE = 72   # a DER ECDSA signature over a 256-bit curve
 
 
 def _int(code: str):
@@ -143,9 +148,10 @@ def _int(code: str):
 
 def _bytes(width=None, *, fixed=False, view=False, rotation=False):
     """A byte field of exactly `width` bytes, if given, and length-prefixed
-    unless `fixed`; a prefixed field encodes from a bytes-like or a list of
-    parts (a model's `fl.model_parts`), so a model is joined into its payload
-    once.  A `view` field decodes as a view into the blob.  A `rotation`
+    unless `fixed`; it encodes from bytes, a bytearray or a memoryview, or
+    from a writer (an object with `nbytes` and `write_into`: a `_Sealed`
+    payload or an `fl.WireModel`), which writes itself straight into the wire
+    buffer.  A `view` field decodes as a view into the blob.  A `rotation`
     field is one key of the pair the `fresh` byte gates, empty when absent."""
     meta = {"spec": (width, fixed, view), "rotation": rotation}
     return field(default=b"" if rotation else MISSING, metadata=meta)
@@ -173,27 +179,64 @@ class _Reader:
             raise MalformedMessage("trailing bytes")
 
 
-def _parts(msg) -> list:
-    """The encoder: `msg`'s wire bytes, as parts for one `b"".join`."""
+class _Sealed:
+    """A payload sealed under a round key straight into the buffer that
+    encodes it, through `crypto.aead_seal`."""
+
+    __slots__ = ("key", "nonce", "aad", "plaintext")
+
+    def __init__(self, key: bytes, nonce: bytes, aad: bytes, plaintext):
+        self.key, self.nonce, self.aad, self.plaintext = key, nonce, aad, plaintext
+
+    @property
+    def nbytes(self) -> int:
+        return len(self.plaintext) + crypto.TAG_BYTES
+
+    def write_into(self, out: memoryview) -> None:
+        crypto.aead_seal(self.key, self.nonce, self.aad, self.plaintext, out)
+
+
+def _encode(msg, signer: crypto.SigKeyPair | None = None) -> bytearray:
+    """The encoder: `msg`'s wire bytes, each field written once into one
+    buffer.  A field is bytes, copied, or a writer (`_Sealed`,
+    `fl.WireModel`), which writes itself.  Given `signer`, the last
+    field must be empty: it receives the signature over every byte before its
+    length prefix, made over a view of the buffer."""
     header, ints, rotation, body = msg._layout
     values = [getattr(msg, name) for name in ints]
     if rotation:   # the fresh byte
         values.append(1 if getattr(msg, rotation[0][0]) else 0)
         body = (rotation if values[-1] else ()) + body
-    parts = [header.pack(*values)]
+    plan, end = [], header.size   # (value, its size, whether length-prefixed)
     for name, _, fixed, _ in body:
         value = getattr(msg, name)
-        if fixed:
-            parts.append(value)
-        elif isinstance(value, list):
-            parts += [_LENGTH.pack(sum(memoryview(c).nbytes for c in value)), *value]
-        else:
-            parts += [_LENGTH.pack(len(value)), value]
-    return parts
+        size = len(value) if isinstance(value, (bytes, bytearray)) else value.nbytes
+        plan.append((value, size, not fixed))
+        end += size if fixed else _LENGTH.size + size
+    out = bytearray(end + (_MAX_SIGNATURE if signer else 0))
+    header.pack_into(out, 0, *values)
+    at = header.size
+    with memoryview(out) as view:
+        for value, size, prefixed in plan:
+            if prefixed:
+                _LENGTH.pack_into(out, at, size)
+                at += _LENGTH.size
+            if isinstance(value, (bytes, bytearray, memoryview)):
+                view[at : at + size] = value
+            else:
+                value.write_into(view[at : at + size])
+            at += size
+        if signer is None:
+            return out
+        signature = crypto.sign(signer, view[: end - _LENGTH.size])
+    _LENGTH.pack_into(out, end - _LENGTH.size, len(signature))
+    out[end : end + len(signature)] = signature
+    del out[end + len(signature) :]   # the unused signature room
+    return out
 
 
 def _decode(cls, blob):
-    """The decoder: accepts exactly the layout `_parts` writes, with every
+    """The decoder: accepts exactly the layout `_encode` writes, with every
     declared width and a `fresh` byte of 0 or 1."""
     header, ints, rotation, body = cls._layout
     r = _Reader(blob)
@@ -224,7 +267,7 @@ def _message(cls):
             (rotation if m["rotation"] else body).append((f.name, *m["spec"]))
     header = "".join(f.metadata.get("code", "") for f in fields(cls)) + ("B" if rotation else "")
     cls._layout = (struct.Struct(">" + header), tuple(ints), tuple(rotation), tuple(body))
-    cls.encode = lambda msg: b"".join(_parts(msg))
+    cls.encode = _encode
     cls.decode = classmethod(_decode)
     return cls
 
@@ -262,7 +305,7 @@ class TaskPayload:
     task_id: int = _int("H")
     round: int = _int("I")
     deadline_window: int = _int("H")
-    model: bytes | list = _bytes(view=True)   # global model, or its fl.model_parts
+    model: bytes = _bytes(view=True)   # global model, or its fl.WireModel
     kem_public: bytes = _bytes(crypto.KEM_PUBLIC_BYTES, rotation=True)   # fresh keys
     dh_public: bytes = _bytes(crypto.DH_PUBLIC_BYTES, rotation=True)
 
@@ -272,7 +315,7 @@ class UpdatePayload:
     project_id: int = _int("H")
     task_id: int = _int("H")
     round: int = _int("I")
-    model: bytes | list = _bytes(view=True)   # local model, or its fl.model_parts
+    model: bytes = _bytes(view=True)   # local model, or its fl.WireModel
     kem_ciphertext: bytes = _bytes(crypto.KEM_CIPHERTEXT_BYTES, rotation=True)   # rotation reply
     dh_public: bytes = _bytes(crypto.DH_PUBLIC_BYTES, rotation=True)
 
@@ -285,20 +328,27 @@ class SignedEnvelope:
     timestamp: int = _int("Q")
     sender_address: bytes = _bytes(crypto.ADDRESS_BYTES, fixed=True)
     sender_public: bytes = _bytes(crypto.SIG_PUBLIC_BYTES)
-    payload: bytes = _bytes(view=True)
+    payload: bytes = _bytes(view=True)      # or a _Sealed payload, sealed as it is encoded
     signature: bytes = _bytes()             # last, so the fields before it are the signed prefix
+
+
+def envelope_bytes(
+    msg_type: int, round: int, payload, sig_pair: crypto.SigKeyPair, now: int
+) -> bytearray:
+    """A signed envelope's wire bytes, encoded once and signed over a view of
+    their prefix; a `_Sealed` payload is sealed straight into them."""
+    return SignedEnvelope(
+        version=WIRE_VERSION, msg_type=msg_type, round=round, timestamp=now,
+        sender_address=crypto.address_of(sig_pair.public),
+        sender_public=sig_pair.public, payload=payload, signature=b"",
+    ).encode(sig_pair)
 
 
 def build_envelope(
     msg_type: int, round: int, payload: bytes, sig_pair: crypto.SigKeyPair, now: int
 ) -> SignedEnvelope:
-    partial = SignedEnvelope(
-        version=WIRE_VERSION, msg_type=msg_type, round=round, timestamp=now,
-        sender_address=crypto.address_of(sig_pair.public),
-        sender_public=sig_pair.public, payload=payload, signature=b"",
-    )
-    signed = b"".join(_parts(partial)[:-2])   # all but the empty signature's prefix and bytes
-    return replace(partial, signature=crypto.sign(sig_pair, signed))
+    """The signed envelope `envelope_bytes` encodes, decoded."""
+    return SignedEnvelope.decode(envelope_bytes(msg_type, round, payload, sig_pair, now))
 
 
 # --- instrumentation -------------------------------------------------------
@@ -370,10 +420,13 @@ class _Party:
         self._sig = crypto.sig_keygen(rng.fork("sig"))
         self.address = crypto.address_of(self._sig.public)
 
-    def _send(self, msg_type: int, round: int, payload: bytes) -> bytes:
-        """Sign `payload` into an envelope and return its wire bytes."""
-        env = build_envelope(msg_type, round, payload, self._sig, self.clock.now())
-        blob = env.encode()
+    def _send(self, msg_type: int, round: int, payload, now: int | None = None) -> bytearray:
+        """Sign `payload` into an envelope timestamped `now` (by default the
+        clock's time) and return its wire bytes; a `_Sealed` payload is sealed
+        straight into them."""
+        if now is None:
+            now = self.clock.now()
+        blob = envelope_bytes(msg_type, round, payload, self._sig, now)
         self.counters.sign += 1
         self.counters.offchain_bytes += len(blob)
         return blob
@@ -408,17 +461,18 @@ class _Party:
             raise MalformedMessage(f"expected {what}")
 
     def _seal(
-        self, key: ratchet.ModelKey, round: int, direction: int, plaintext: bytes
-    ) -> bytes:
+        self, key: ratchet.ModelKey, round: int, direction: int, plaintext
+    ) -> _Sealed:
+        """`plaintext` to be sealed under `key` by the envelope that encodes it."""
         key.mark_used(direction)
         aad = seal_aad(self.project_id, round, round, direction)
-        return crypto.aead_seal(key.key, seal_nonce(round, direction), aad, plaintext)
+        return _Sealed(key.key, seal_nonce(round, direction), aad, plaintext)
 
     def _open(
         self, key: ratchet.ModelKey, env: SignedEnvelope, direction: int, h_info: bytes
     ) -> tuple[TaskPayload | UpdatePayload, fl.ModelVector]:
         """Open a sealed round payload, check it against its on-chain hash and
-        decode its model."""
+        decode its model, which views the opened buffer."""
         what, codec = _SEALED[direction]
         aad = seal_aad(self.project_id, env.round, env.round, direction)
         plaintext = crypto.aead_open(
@@ -437,6 +491,23 @@ class _Party:
 
 
 # --- server ----------------------------------------------------------------
+
+class TaskEnvelopes:
+    """One round's task envelopes by participant address.
+
+    Each is sealed and signed when it is taken, with the publish-time
+    timestamp, so a round holds its task plaintext once
+    rather than every participant's envelope.  `pop` seals an envelope and
+    forgets its session; taking it again raises KeyError.
+    """
+
+    def __init__(self, keys: dict[bytes, ratchet.ModelKey], send):
+        self._keys = keys     # sessions whose envelope is not taken yet
+        self._send = send     # model key -> that session's envelope wire bytes
+
+    def pop(self, address: bytes) -> bytearray:
+        return self._send(self._keys.pop(address))
+
 
 @dataclass
 class _ServerSession:
@@ -565,12 +636,13 @@ class Server(_Party):
 
     # rounds ----------------------------------------------------------------
 
-    def publish_round(self, model: fl.ModelVector) -> tuple[TaskEvent, dict[bytes, bytes]]:
-        """Advance every session one round and seal the global model to each.
+    def publish_round(self, model: fl.ModelVector) -> tuple[TaskEvent, TaskEnvelopes]:
+        """Anchor the round's task and advance every session one round.
 
-        Returns the task event and each participant's envelope wire bytes.  On
-        the epoch's last round (when more rounds remain) fresh keys ride in
-        the payload and their hash in the task transaction.
+        Returns the task event and each participant's envelope, sealed and
+        signed when taken (`TaskEnvelopes`).  On the epoch's last round (when
+        more rounds remain) fresh keys ride in the payload and their hash in
+        the task transaction.
         """
         if self.finished:
             raise SessionTerminated("project is finished")
@@ -593,7 +665,7 @@ class Server(_Party):
             task_id=rnd,
             round=rnd,
             deadline_window=self.deadline_window,
-            model=fl.model_parts(model),
+            model=fl.WireModel(model),
             kem_public=fresh_kem.public if rotate else b"",
             dh_public=fresh_dh.public if rotate else b"",
         ).encode()
@@ -601,14 +673,11 @@ class Server(_Party):
         event = self.ledger.publish_task(
             self.address, rnd, h_info, h_keys, self.project_id, rnd, self.deadline_window
         )
-        envelopes: dict[bytes, bytes] = {}
+        keys: dict[bytes, ratchet.ModelKey] = {}
         for addr, session in self.sessions.items():
             session.ratchet, key = ratchet.advance_symmetric(session.ratchet)
             self.counters.derive += 2
-            envelopes[addr] = self._send(
-                MSG_TASK, rnd, self._seal(key, rnd, DIR_TASK, plaintext)
-            )
-            session.current_key = key
+            session.current_key = keys[addr] = key
             session.transcript.append(
                 TranscriptRow(rnd, key.epoch, key.step, "s2p", h_info, event.block)
             )
@@ -617,7 +686,11 @@ class Server(_Party):
             self._kem, self._dh = fresh_kem, fresh_dh
             self._rotation_round = rnd
         self.round = rnd
-        return event, envelopes
+        now = self.clock.now()
+        return event, TaskEnvelopes(
+            keys,
+            lambda key: self._send(MSG_TASK, rnd, self._seal(key, rnd, DIR_TASK, plaintext), now),
+        )
 
     def handle_update(self, blob: bytes) -> tuple[bytes, fl.ModelVector]:
         """Verify, open, and absorb one participant's sealed update."""
@@ -824,7 +897,7 @@ class Participant(_Party):
             h_ct_key = crypto.digest(ct + dh_pub)
         plaintext = UpdatePayload(
             project_id=self.project_id, task_id=rnd, round=rnd,
-            model=fl.model_parts(model), kem_ciphertext=ct, dh_public=dh_pub,
+            model=fl.WireModel(model), kem_ciphertext=ct, dh_public=dh_pub,
         ).encode()
         h_info = crypto.digest(plaintext)
         event = self.ledger.update_model(

@@ -66,7 +66,7 @@ def run_round(
         )
     collected = []
     for i, p in enumerate(participants):
-        got = p.handle_task(envelopes[p.address])
+        got = p.handle_task(envelopes.pop(p.address))
         if participant_logs is not None:
             participant_logs[i].append(key_row("participant", p.address, p._active["key"]))
         local = fl.local_train(got, train_seed, 0.01, got.round + 1)

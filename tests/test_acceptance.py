@@ -127,7 +127,7 @@ def test_criterion_06_compromise_window():
     for _ in range(10):
         clock.advance(60)
         _, envs = server.publish_round(model)
-        got = p.handle_task(envs[p.address])
+        got = p.handle_task(envs.pop(p.address))
         plog.append(key_row("participant", p.address, p._active["key"]))
         captures[server.round] = p.ratchet   # immutable: later rounds replace it
         local = fl.local_train(got, 7, 0.01, got.round + 1)

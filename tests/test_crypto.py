@@ -344,6 +344,23 @@ def test_aead_roundtrip_and_tamper():
         crypto.aead_open(bytes(32), nonce, aad, ct)
 
 
+def test_aead_open_refuses_a_ciphertext_shorter_than_its_tag():
+    key, nonce = bytes(range(32)), bytes(12)
+    for n in range(crypto.TAG_BYTES):
+        with pytest.raises(crypto.AuthFailure):
+            crypto.aead_open(key, nonce, b"", bytes(n))
+    assert crypto.aead_open(key, nonce, b"", crypto.aead_seal(key, nonce, b"", b"")) == b""
+
+
+def test_aead_seals_into_a_view_of_a_larger_buffer():
+    key, nonce, aad, pt = bytes(range(32)), bytes(12), b"ctx", b"model bytes"
+    wire = bytearray(b"<" * 3 + bytes(len(pt) + crypto.TAG_BYTES) + b">" * 2)
+    crypto.aead_seal(key, nonce, aad, pt, memoryview(wire)[3:-2])
+    assert wire == b"<<<" + crypto.aead_seal(key, nonce, aad, pt) + b">>"
+    opened = crypto.aead_open(key, nonce, aad, memoryview(wire)[3:-2])
+    assert isinstance(opened, bytearray) and opened == pt
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.binary(min_size=32, max_size=32),

@@ -56,6 +56,76 @@ def test_aggregate_matches_brute_force(params):
     assert np.max(np.abs(agg.values - oracle)) <= 1e-12
 
 
+def _list_average(models, weights):
+    """The list rule as written before the fold: a zero vector plus each
+    update scaled by w / n, in list order."""
+    acc = np.zeros(models[0].values.size)
+    for w, m in zip(weights, models):
+        acc += (w / len(models)) * m.values
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 40).flatmap(
+                lambda dim: st.lists(
+                    arrays(np.float64, dim, elements=st.floats(
+                        min_value=-1e300, max_value=1e300, allow_nan=False)),
+                    min_size=n, max_size=n,
+                )
+            ),
+            st.one_of(
+                st.none(),
+                st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
+                         min_size=n, max_size=n),
+            ),
+        )
+    )
+)
+def test_running_average_is_the_list_average_bitwise(params):
+    values, weights = params
+    models = [fl.ModelVector(v, 4, f"c{i}") for i, v in enumerate(values)]
+    unit = [1.0] * len(models)
+    total = fl.RunningAverage(len(models), models[0].values.size)
+    for w, m in zip(weights or unit, models):   # as updates arrive, one at a time
+        total.add(m, w)
+    folded = total.result()
+    listed = fl.aggregate(models, weights)
+    expected = _list_average(models, weights or unit)
+    assert folded.values.tobytes() == listed.values.tobytes() == expected.tobytes()
+    assert folded.round == listed.round == 4
+
+
+def test_running_average_takes_exactly_its_planned_updates():
+    m = fl.ModelVector(np.ones(3), 2, "a")
+    total = fl.RunningAverage(2, 3)
+    with pytest.raises(ValueError):
+        total.result()                  # one update still missing
+    total.add(m)
+    with pytest.raises(ValueError):
+        total.add(fl.ModelVector(np.ones(4), 2, "b"))
+    with pytest.raises(ValueError):
+        total.add(fl.ModelVector(np.ones(3), 3, "b"))
+    total.add(m)
+    with pytest.raises(ValueError):
+        total.add(m)                    # beyond the planned count
+    assert np.array_equal(total.result().values, np.ones(3))
+    with pytest.raises(ValueError):
+        fl.RunningAverage(0, 3)
+
+
+def test_local_train_is_global_plus_delta_and_keeps_its_input():
+    base = fl.ModelVector(np.linspace(-3, 3, 9), 1)
+    before = base.values.copy()
+    local = fl.local_train(base, 42, 0.1, 2)
+    delta = np.random.default_rng((42, 2)).normal(0.0, 0.1, 9)
+    assert local.values.tobytes() == (before + delta).tobytes()
+    assert np.array_equal(base.values, before)
+    assert not np.shares_memory(local.values, base.values)
+
+
 def test_aggregate_linearity_in_weights():
     rng = np.random.default_rng(5)
     models = [fl.ModelVector(rng.normal(size=8), 1, f"c{i}") for i in range(4)]
@@ -133,6 +203,29 @@ def test_serialize_roundtrip(values, round, tag):
     assert np.array_equal(back.values, m.values)
     assert back.round == m.round and back.tag == m.tag
     assert fl.model_digest(m) == hashlib.sha256(blob).digest()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arrays(np.float64, st.integers(1, 48), elements=st.floats(allow_nan=False, allow_infinity=False)),
+    st.integers(0, 2**32 - 1),
+)
+def test_deserializing_a_writable_buffer_is_zero_copy(values, round):
+    blob = fl.serialize_model(fl.ModelVector(values, round, "w"))
+    copied = fl.deserialize_model(blob)
+    owned = bytearray(blob)
+    viewed = fl.deserialize_model(memoryview(owned)[:])   # as a payload field hands it over
+    assert np.shares_memory(viewed.values, np.frombuffer(owned, np.uint8))
+    assert viewed.values.tobytes() == copied.values.tobytes() == values.tobytes()
+    assert (viewed.round, viewed.tag) == (copied.round, copied.tag) == (round, "w")
+    # a read-only input is left as it was: its values are copied
+    assert not np.shares_memory(copied.values, np.frombuffer(blob, np.uint8))
+    assert fl.serialize_model(copied) == blob
+
+
+def test_model_digest_hashes_the_serialization_across_chunks():
+    m = fl.ModelVector(np.random.default_rng(2).normal(0, 1, 3 * fl._DIGEST_CHUNK + 5), 3, "d")
+    assert fl.model_digest(m) == hashlib.sha256(fl.serialize_model(m)).digest()
 
 
 def test_serialization_rejects_truncation_and_nonfinite():

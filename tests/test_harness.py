@@ -220,6 +220,32 @@ def test_consistent_forgery_of_a_row_block_detected(forge, tmp_path, capsys):
     assert "consistent" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scenario", ["honest", "free_ride"])
+def test_rows_cut_from_both_transcripts_detected(scenario, tmp_path, capsys):
+    """Both sides drop client-1's rounds 3 and 4 alike, so only the ledger's
+    Task and Update blocks for those rounds can show the rows are missing."""
+    run_dir = tmp_path / "run"
+    config = small(participants=2, rounds=4, ratchet_range=2,
+                   **({"free_ride": True} if scenario == "free_ride" else {}))
+    write_outputs(run_simulation(config), str(run_dir))
+    assert verify_transcripts(str(run_dir)) == []   # a withheld update has no block to answer
+
+    def cut(path, keep):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if keep(line)) + "\n")
+
+    late = re.compile(r"(^| )round=(3|4) ")
+    cut(run_dir / "transcript-client-1.txt", lambda line: not late.search(line))
+    cut(run_dir / "transcript-server.txt",
+        lambda line: not (line.startswith("session=client-1 ") and late.search(line)))
+    problems = verify_transcripts(str(run_dir))
+    assert len([p for p in problems if p.startswith("client-1: no s2p row for Task block")]) == 2
+    assert len([p for p in problems if p.startswith("client-1: no p2s row for Update block")]) == 2
+    assert all(p.startswith("client-1: ") for p in problems)
+    assert main(["verify-transcripts", "--run", str(run_dir)]) == 1
+    assert "consistent" not in capsys.readouterr().out
+
+
 def test_key_material_shrinks_with_longer_epochs():
     sizes = []
     for length in (5, 10, 20, 30):
@@ -323,6 +349,45 @@ def test_free_ride_keeps_no_envelope_past_its_hop():
     assert free_ride - honest < shown + one_round
 
 
+def _round_peaks(config: SimConfig, monkeypatch) -> list[float]:
+    """Each round's traced peak over what the run holds when the round
+    begins, in model sizes; a round runs from `publish_round` to `feedback`."""
+    publish, feedback = protocol.Server.publish_round, protocol.Server.feedback
+    rounds = []
+
+    def publish_round(server, model):
+        tracemalloc.reset_peak()
+        rounds.append(tracemalloc.get_traced_memory()[0])
+        return publish(server, model)
+
+    def close(server, model):
+        out = feedback(server, model)
+        rounds[-1] = tracemalloc.get_traced_memory()[1] - rounds[-1]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(protocol.Server, "publish_round", publish_round)
+        m.setattr(protocol.Server, "feedback", close)
+        tracemalloc.start()
+        try:
+            run_simulation(config)
+        finally:
+            tracemalloc.stop()
+    return [peak / (8 * config.model_dim) for peak in rounds]
+
+
+def test_a_round_holds_the_same_model_copies_at_any_participant_count(monkeypatch):
+    # round 1 rotates keys, round 2 is the last; the global model a round
+    # begins with is part of what the run holds, not of the round's peak
+    one, four = (
+        max(_round_peaks(SimConfig(participants=p, rounds=2, ratchet_range=1,
+                                   model_dim=2**16), monkeypatch))
+        for p in (1, 4)
+    )
+    assert one <= 5
+    assert four - one < 1
+
+
 # --- fault injection ---------------------------------------------------------
 
 # the replay plan targets the free rider's final update, which is withheld
@@ -404,13 +469,43 @@ def test_bad_configs_rejected_before_any_party_is_built(
     assert not any("Traceback" in line for line in err)
 
 
-def test_model_dim_bound_fits_every_length_prefix():
+def test_a_run_the_host_cannot_hold_is_refused_up_front(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "physical_memory", lambda: 64 * 2**20)
+    fits = dict(participants=4, rounds=255, model_dim=2**16)   # 2.5 MiB of round copies
+    assert SimConfig(**fits).peak_bytes() == harness.ROUND_MODEL_COPIES * 8 * 2**16
+    # the eavesdropper keeps every model shown in the clear: 255 * 5 more
+    with pytest.raises(ValueError, match="estimated peak memory 0.6 GiB exceeds"):
+        SimConfig(**fits, free_ride=True)
+    with pytest.raises(ValueError, match="estimated peak memory"):
+        SimConfig(model_dim=2**21)
+    monkeypatch.setattr(cli, "run_simulation", _never)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--participants", "4", "--rounds", "255", "--model-dim", str(2**16),
+              "--scenario", "free_ride", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "estimated peak memory" in capsys.readouterr().err
+    monkeypatch.setattr(harness, "physical_memory", lambda: None)   # unknown: not refused
+    SimConfig(model_dim=2**21)
+
+
+def test_the_largest_free_ride_run_is_refused_on_any_host(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", _never)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--participants", "4", "--rounds", "255", "--model-dim", "536000000",
+              "--scenario", "free_ride", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "estimated peak memory 5111.7 GiB" in capsys.readouterr().err
+
+
+def test_model_dim_bound_fits_every_length_prefix(monkeypatch):
+    # a host large enough for the run, so only the length bound is in question
+    monkeypatch.setattr(harness, "physical_memory", lambda: 2**40)
     SimConfig(model_dim=harness.MAX_MODEL_DIM)   # accepted; nothing is allocated
     # a sealed rotation-round task is the largest payload; measure everything
     # besides its model values on a one-entry model with the longest tag
     model = fl.ModelVector([0.0], 1, "t" * 255)
     plaintext = protocol.TaskPayload(
-        1, 1, 1, 600, fl.model_parts(model),
+        1, 1, 1, 600, fl.WireModel(model),
         b"k" * crypto.KEM_PUBLIC_BYTES, b"d" * crypto.DH_PUBLIC_BYTES,
     ).encode()
     overhead = len(crypto.aead_seal(bytes(32), bytes(12), b"", plaintext)) - 8

@@ -1,6 +1,7 @@
 """Session state machines: establishment, rounds, rejection paths, schedule."""
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_update_commitment_is_scoped_to_its_project():
     ledger.publish_task(other.address, 1, H, b"", 2, 1, 600)
     clock.advance(60)
     _, envelopes = server.publish_round(model)
-    got = p.handle_task(envelopes[p.address])
+    got = p.handle_task(envelopes.pop(p.address))
     blob = p.send_update(fl.local_train(got, 77, 0.01, 2))
     ledger.update_model(p.address, 1, H, b"", 2, 1)
     sender, _ = server.handle_update(blob)
@@ -231,6 +232,34 @@ def test_feedback_hashes_the_global_model_once_per_round(monkeypatch):
         assert len(hashed) == 1 and hashed[0] is model
 
 
+def test_a_task_is_sealed_when_taken_with_the_publish_time(monkeypatch):
+    server, parts, _, clock, model = establish(n=2, rounds=2, length=5, seed=b"lazy")
+    seals = []
+    real = crypto.aead_seal
+
+    def counting(key, nonce, aad, plaintext, out=None):
+        seals.append(key)
+        return real(key, nonce, aad, plaintext, out)
+
+    monkeypatch.setattr(crypto, "aead_seal", counting)
+    clock.advance(60)
+    published, signed = clock.now(), server.counters.sign
+    _, envs = server.publish_round(model)
+    assert seals == [] and server.counters.sign == signed   # nothing sealed or signed yet
+    clock.advance(30)
+    first, second = (p.address for p in parts)
+    blob = envs.pop(first)
+    assert SignedEnvelope.decode(blob).timestamp == published
+    assert seals == [server.sessions[first].current_key.key]
+    # a second take neither reseals nor reuses the session's key
+    with pytest.raises(KeyError):
+        envs.pop(first)
+    assert len(seals) == 1 and server.counters.sign == signed + 1
+    envs.pop(second)
+    assert len(seals) == 2 and server.counters.sign == signed + 2
+    assert parts[0].handle_task(blob).round == 0   # still fresh: 30 s after publishing
+
+
 def test_feedback_scores_only_the_updates_that_arrived():
     server, parts, ledger, clock, model = establish(n=3, rounds=3, length=5, seed=b"drop")
     for rnd in (1, 2, 3):
@@ -239,7 +268,7 @@ def test_feedback_scores_only_the_updates_that_arrived():
         senders = parts if rnd == 1 else [parts[0], parts[2]]   # parts[1] drops out
         collected = []
         for p in senders:
-            got = p.handle_task(envs[p.address])
+            got = p.handle_task(envs.pop(p.address))
             _, m = server.handle_update(p.send_update(fl.local_train(got, 5, 0.01, rnd)))
             collected.append(m)
         model = fl.aggregate(collected)
@@ -251,19 +280,14 @@ def test_feedback_scores_only_the_updates_that_arrived():
     assert [ledger.score_of(1, p.address) for p in parts] == [3, 1, 3]
 
 
-def _bad_parts(kind):
-    """`fl.model_parts` with a NaN entry or one value short of its header."""
-    real = fl.model_parts
+def _bad_model(kind):
+    """`fl.WireModel` as a model's bytes with a NaN entry, or one value short
+    of its header."""
 
-    def parts(model):
-        header, values = real(model)
-        if kind == "nan":
-            values = values.copy()
-            values[0] = np.nan
-        else:
-            values = values[:-1]
-        return [header, values]
-    return parts
+    def wire(model):
+        blob = fl.serialize_model(model)
+        return blob[:-8] + (struct.pack(">d", float("nan")) if kind == "nan" else b"")
+    return wire
 
 
 @pytest.mark.parametrize("kind", ["nan", "short"])
@@ -271,7 +295,7 @@ def test_bad_model_in_authentic_task_is_malformed(kind, monkeypatch):
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"badtask")
     clock.advance(60)
     with monkeypatch.context() as m:
-        m.setattr(fl, "model_parts", _bad_parts(kind))
+        m.setattr(fl, "WireModel", _bad_model(kind))
         _, envs = server.publish_round(model)
 
     def state():
@@ -279,7 +303,7 @@ def test_bad_model_in_authentic_task_is_malformed(kind, monkeypatch):
 
     before = state()
     with pytest.raises(MalformedMessage):
-        p.handle_task(envs[p.address])
+        p.handle_task(envs.pop(p.address))
     assert state() == before
 
 
@@ -288,9 +312,9 @@ def test_bad_model_in_authentic_update_is_malformed(kind):
     server, (p,), ledger, clock, model = establish(rounds=2, length=5, seed=b"badupd")
     clock.advance(60)
     _, envs = server.publish_round(model)
-    local = fl.local_train(p.handle_task(envs[p.address]), 1, 0.01, 1)
+    local = fl.local_train(p.handle_task(envs.pop(p.address)), 1, 0.01, 1)
     # signed, sealed under the round key and committed on chain like an honest update
-    plaintext = UpdatePayload(1, 1, 1, _bad_parts(kind)(local)).encode()
+    plaintext = UpdatePayload(1, 1, 1, _bad_model(kind)(local)).encode()
     ledger.update_model(p.address, 1, crypto.digest(plaintext), b"", 1, 1)
     sealed = crypto.aead_seal(
         p._active["key"].key, protocol.seal_nonce(1, protocol.DIR_UPDATE),
@@ -316,7 +340,7 @@ def test_task_replay_rejected_state_intact():
     server, (p,), _, clock, model = establish(rounds=3, length=5, seed=b"trep")
     clock.advance(60)
     _, envs = server.publish_round(model)
-    env = envs[p.address]
+    env = envs.pop(p.address)
     p.handle_task(env)
     with pytest.raises(ReplayDetected):
         p.handle_task(env)
@@ -332,7 +356,7 @@ def test_tampered_ciphertext_fails_signature():
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"tamper")
     clock.advance(60)
     _, envs = server.publish_round(model)
-    blob = envs[p.address]
+    blob = envs.pop(p.address)
     env = SignedEnvelope.decode(blob)
     mangled = bytearray(env.payload)
     mangled[0] ^= 0x80
@@ -351,7 +375,7 @@ def test_tamper_with_signing_oracle_fails_aead():
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"aead")
     clock.advance(60)
     _, envs = server.publish_round(model)
-    blob = envs[p.address]
+    blob = envs.pop(p.address)
     env = SignedEnvelope.decode(blob)
     mangled = bytearray(env.payload)
     mangled[-1] ^= 0x01
@@ -398,7 +422,7 @@ def test_deadline_expiry_rejected():
     _, envs = server.publish_round(model)
     clock.advance(150)  # past deadline yet within signature skew
     with pytest.raises(StaleDeadline):
-        p.handle_task(envs[p.address])
+        p.handle_task(envs.pop(p.address))
 
 
 def test_update_requires_open_task():
@@ -512,7 +536,7 @@ def test_bad_fresh_keys_in_authentic_task_are_malformed(kind, monkeypatch):
         _, envs = server.publish_round(model)   # a rotation round
     before = _participant_state(p)
     with pytest.raises(MalformedMessage):
-        p.handle_task(envs[p.address])
+        p.handle_task(envs.pop(p.address))
     assert _participant_state(p) == before
 
 
@@ -521,7 +545,7 @@ def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
     server, (p,), ledger, clock, model = establish(rounds=3, length=1, seed=b"badreply")
     clock.advance(60)
     _, envs = server.publish_round(model)   # a rotation round
-    local = fl.local_train(p.handle_task(envs[p.address]), 1, 0.01, 1)
+    local = fl.local_train(p.handle_task(envs.pop(p.address)), 1, 0.01, 1)
     ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
     dh_public = crypto.dh_keygen(DeterministicRng(b"fresh")).public
     if kind == "not a point":
@@ -529,7 +553,7 @@ def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
     else:
         ct = ct[:10]
     # signed, sealed and committed on chain like an honest rotation reply
-    plaintext = UpdatePayload(1, 1, 1, fl.model_parts(local), ct, dh_public).encode()
+    plaintext = UpdatePayload(1, 1, 1, fl.WireModel(local), ct, dh_public).encode()
     h_ct_key = crypto.digest(ct + dh_public)
     ledger.update_model(p.address, 1, crypto.digest(plaintext), h_ct_key, 1, 1)
     sealed = crypto.aead_seal(
@@ -570,7 +594,7 @@ def test_bad_sender_key_is_malformed_in_every_handler(sender_public):
     refused(server.handle_key_response, response, session)
     clock.advance(60)
     _, envs = server.publish_round(model)
-    got = refused(p.handle_task, envs[p.address], participant)
+    got = refused(p.handle_task, envs.pop(p.address), participant)
     update = p.send_update(fl.local_train(got, 1, 0.01, 1))
     refused(server.handle_update, update, session)
 
@@ -711,7 +735,7 @@ def _pinned_envelopes() -> dict[int, bytes]:
         protocol.MSG_UPDATE: (2, UpdatePayload(1, 2, 2, b"local model", ct, dh.public)),
     }
     return {
-        t: build_envelope(t, rnd, msg.encode(), pair, 1_000).encode()
+        t: protocol.envelope_bytes(t, rnd, msg.encode(), pair, 1_000)
         for t, (rnd, msg) in payloads.items()
     }
 
