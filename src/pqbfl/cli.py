@@ -5,11 +5,11 @@
     pqbfl verify-transcripts --run DIR
 
 `run` executes one lifecycle and writes metrics.csv, ledger.txt, per-party
-transcripts, and run.json into --out.  `export-ledger` prints the event log
-of a finished run directory.  `verify-transcripts` cross-checks the server's
-and every participant's view of a finished run against its ledger.  Exit
-status is 0 only for an honest run, a run whose injected attacks were all
-rejected, or a clean verification.
+transcripts, and run.json into --out.  `export-ledger` prints the replayed
+event log of a finished run directory.  `verify-transcripts` cross-checks the
+server's and every participant's view of a finished run against its replayed
+ledger.  Exit status is 0 only for an honest run, a run whose injected
+attacks were all rejected, a log that replays, or a clean verification.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 from .harness import (
     SCENARIO_FLAGS, SCENARIOS, SimConfig, run_simulation, verify_transcripts, write_outputs,
 )
+from .ledger import Ledger, LedgerError, read_blocks
 
 
 def _parse_ratchet_range(text: str) -> int | tuple[int, ...]:
@@ -86,8 +87,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_ledger(args: argparse.Namespace) -> int:
-    with open(f"{args.run}/ledger.txt") as fh:
-        text = fh.read()
+    with open(f"{args.run}/ledger.txt", errors="replace") as fh:
+        text = Ledger.replay(read_blocks(fh.read())).export()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -157,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         # downstream closed early (head, a pager); not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except OSError as exc:   # reading a run directory or writing outputs
+    except (OSError, LedgerError) as exc:   # reading or replaying a run, or writing outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

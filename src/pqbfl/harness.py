@@ -35,7 +35,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import crypto, fl, protocol, ratchet
-from .ledger import Ledger, LedgerConfig, SimClock, payload_size
+from .ledger import (
+    Ledger, LedgerConfig, LedgerError, RegClientEvent, RegProjectEvent, SimClock, TaskEvent,
+    UpdateEvent, event_kind, payload_size, read_blocks,
+)
 from .protocol import (
     AuthFailure,
     CommitmentMismatch,
@@ -531,125 +534,92 @@ def write_outputs(metrics: RunMetrics, out_dir: str) -> dict[str, str]:
 
 
 def _parse_transcript_line(line: str) -> dict[str, str]:
-    out = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        out[key] = value
-    return out
+    return dict(token.partition("=")[::2] for token in line.split())
 
 
-def _read_lines(path: str) -> list[str]:
+def _read(run_dir: str, name: str) -> str:
     # undecodable bytes become U+FFFD, so they surface as a mismatch
-    with open(path, errors="replace") as fh:
-        return fh.read().splitlines()
-
-
-def _names_its_block(row: dict[str, str], line: str, own: dict[str, str]) -> bool:
-    """Whether a transcript row names the ledger block it answers to.
-
-    `line` is the ledger line the row's `block=` names and `own` holds the
-    fields of the session's RegClient line; either is empty when the ledger
-    has none.
-    """
-    if row["dir"] == "p2s" and not own:
-        return False
-    kind, block = line.partition(" ")[0], _parse_transcript_line(line)
-    if int(row["round"]) == 0:
-        if row["dir"] == "s2p":
-            return kind == "RegProject"
-        return row["block"] == own.get("block")
-    return (
-        kind == ("Task" if row["dir"] == "s2p" else "Update")
-        and block.get("round") == row["round"]
-        and block.get("h_info") == row["digest"]
-        and (kind == "Task" or block.get("client") == own.get("client"))
-    )
+    with open(os.path.join(run_dir, name), errors="replace") as fh:
+        return fh.read()
 
 
 def verify_transcripts(run_dir: str) -> list[str]:
-    """Cross-check server vs participant transcripts and the ledger export.
+    """Cross-check a run's transcripts with each other and with its ledger.
 
-    Each row must name its block: round 0 `s2p` the RegProject block and
-    round 0 `p2s` the session's RegClient block (`client-i` registered i-th);
-    a later round's `s2p` that round's Task and its `p2s` that round's Update
-    by the session's client, each with `h_info` equal to the row's digest.
-    Each anchored block must have its rows too: every Task an `s2p` row in
-    every session, and every Update a `p2s` row in its client's session, so
-    rows cut from both transcripts are found.  Returns a list of problems;
-    empty means the views agree.
-    """
+    `ledger.txt` is replayed under `run.json`'s deposit, must re-export byte
+    for byte and must reach `run.json`'s scores and termination.  The replay
+    and the ratchet schedule give the rows each session is owed and the
+    rounds that carry key commitments.  Returns a list of problems; empty
+    means the views agree."""
     problems = []
-    server_path = os.path.join(run_dir, "transcript-server.txt")
-    if not os.path.exists(server_path):
-        return [f"missing {server_path}"]
+    if not os.path.exists(os.path.join(run_dir, "transcript-server.txt")):
+        return [f"missing {os.path.join(run_dir, 'transcript-server.txt')}"]
     sessions: dict[str, list[str]] = {}
-    for line in _read_lines(server_path):
+    for line in _read(run_dir, "transcript-server.txt").splitlines():
         head, _, row = line.partition(" ")
         if not head.startswith("session=") or not row:
             problems.append(f"malformed server transcript line: {line}")
             continue
         sessions.setdefault(head.removeprefix("session="), []).append(row)
-
-    ledger_path = os.path.join(run_dir, "ledger.txt")
-    # block= value -> that ledger line, parsed only when a row names it
-    # (parsing every line up front held 1.1 MB more at P=16, R=30)
-    blocks: dict[str, str] = {}
-    if os.path.exists(ledger_path):
-        for line in _read_lines(ledger_path):
-            blocks[_parse_transcript_line(line).get("block", "")] = line
-    else:
-        problems.append(f"missing {ledger_path}")
-    registered = [
-        _parse_transcript_line(line) for line in blocks.values() if line.startswith("RegClient ")
-    ]
-
-    named: dict[str, set[tuple[str, str]]] = {}   # session -> (dir, block) of its rows
-    session_of: dict[str, str] = {}               # registered client -> its session
-    for name, server_lines in sorted(sessions.items()):
-        client_path = os.path.join(run_dir, f"transcript-{name}.txt")
-        if not os.path.exists(client_path):
-            problems.append(f"missing {client_path}")
-            continue
-        client_lines = _read_lines(client_path)
-        if server_lines != client_lines:
-            limit = min(len(server_lines), len(client_lines))
-            at = next(
-                (k for k in range(limit) if server_lines[k] != client_lines[k]),
-                limit,
-            )
-            problems.append(
-                f"{name}: transcripts diverge at line {at + 1} "
-                f"(server has {len(server_lines)} lines, client {len(client_lines)})"
-            )
-        index = name.removeprefix("client-")
-        own = (registered[int(index) - 1]
-               if index.isdecimal() and 1 <= int(index) <= len(registered) else {})
-        session_of[own.get("client", "")] = name
-        named[name] = set()
-        for line in client_lines:
-            fields = _parse_transcript_line(line)
-            if not (fields.get("round", "").isdecimal() and fields.get("dir") in ("s2p", "p2s")
-                    and "digest" in fields and "block" in fields):
-                problems.append(f"{name}: malformed transcript line: {line}")
-            elif not _names_its_block(fields, blocks.get(fields["block"], ""), own):
-                problems.append(
-                    f"{name}: round {fields['round']} {fields['dir']} row does not "
-                    f"match ledger block {fields['block']}"
-                )
-            else:
-                named[name].add((fields["dir"], fields["block"]))
-    for block, line in blocks.items():
-        kind = line.partition(" ")[0]
-        if kind == "Task":
-            owed = [(name, "s2p") for name in named]
-        elif kind == "Update":
-            client = _parse_transcript_line(line).get("client", "")
-            owed = [(session_of.get(client, f"client {client}"), "p2s")]
-        else:
-            continue
-        for name, direction in owed:
-            if (direction, block) not in named.get(name, ()):
-                problems.append(f"{name}: no {direction} row for {kind} block {block}")
     if not sessions:
         problems.append("server transcript lists no sessions")
+    try:
+        summary, text = json.loads(_read(run_dir, "run.json")), _read(run_dir, "ledger.txt")
+        schedule = ratchet.RatchetConfig(summary["config"]["ratchet_range"])
+        project, rounds, deposit = (
+            int(summary["config"][k]) for k in ("project_id", "rounds", "deposit"))
+        ledger = Ledger.replay(read_blocks(text), LedgerConfig(deposit=deposit))
+        info = ledger.project_info(project)
+    except (OSError, ValueError, KeyError, TypeError, LedgerError) as exc:
+        return problems + [f"cannot replay the run: {type(exc).__name__}: {exc}"]
+    if ledger.export() != text:
+        problems.append("ledger.txt is not the replayed ledger's export")
+    names = {a: f"client-{i}" for i, a in enumerate(info["clients"], 1)}
+    scores = {names[a]: score for a, (_, score) in info["clients"].items()}
+    if scores != summary.get("scores") or info["done"] != summary.get("terminated"):
+        problems.append(f"replayed scores {scores} and done flag {info['done']} differ from "
+                        f"run.json's {summary.get('scores')} and {summary.get('terminated')}")
+
+    owed = {}   # (session, dir, block) -> the row's fields
+    for e in (b.event for b in ledger.blocks if b.event.project_id == project):
+        if not isinstance(e, (RegProjectEvent, RegClientEvent, TaskEvent, UpdateEvent)):
+            continue
+        rnd, s2p = getattr(e, "round", 0), isinstance(e, (RegProjectEvent, TaskEvent))
+        epoch, step = ratchet.key_of(rnd, schedule)
+        # round-0 digests are not on chain, so those rows owe only their block
+        want = _parse_transcript_line(protocol.TranscriptRow(
+            rnd, epoch, step, "s2p" if s2p else "p2s", getattr(e, "h_info", b""), e.block
+        ).format())
+        for name in names.values() if s2p else [names[e.client]]:
+            owed[name, want["dir"], want["block"]] = want
+        rotation = step == schedule.epoch_length(epoch) and rnd < rounds
+        if rnd and bool(e.h_keys if s2p else e.h_ct_key) != rotation:
+            problems.append(f"{event_kind(e)} block {e.block}: round {rnd} " + (
+                "rotates keys without a key commitment" if rotation else
+                "does not rotate keys but has a key commitment"))
+
+    for name, server_lines in sorted(sessions.items()):
+        try:
+            client_lines = _read(run_dir, f"transcript-{name}.txt").splitlines()
+        except FileNotFoundError as exc:   # the server's lines are still bound
+            problems.append(f"missing {exc.filename}")
+            client_lines = server_lines
+        if server_lines != client_lines:
+            at = next((k for k, (a, b) in enumerate(zip(server_lines, client_lines)) if a != b),
+                      min(len(server_lines), len(client_lines)))
+            problems.append(f"{name}: transcripts diverge at line {at + 1} (server has "
+                            f"{len(server_lines)} lines, client {len(client_lines)})")
+        for line in client_lines:
+            fields = _parse_transcript_line(line)
+            if not ({"dir", "digest", "block"} <= fields.keys()
+                    and fields.get("round", "").isdecimal()):
+                problems.append(f"{name}: malformed transcript line: {line}")
+                continue
+            want = owed.pop((name, fields["dir"], fields["block"]), {})
+            if dict(want, digest=want.get("digest") or fields["digest"]) != fields:
+                problems.append(f"{name}: round {fields['round']} {fields['dir']} row "
+                                f"does not match ledger block {fields['block']}")
+    for name, direction, block in owed:
+        kind = event_kind(ledger.blocks[int(block)].event)
+        problems.append(f"{name}: no {direction} row for {kind} block {block}")
     return problems

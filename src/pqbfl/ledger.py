@@ -6,10 +6,10 @@ their own key commitments, then each round publishes a task, collects model
 updates, and scores each update once, after which it cannot be replaced;
 finishing the project releases the escrow.  Every accepted transaction emits
 one event and forms one block holding its sender and that event.  The block
-list is the one log, and the export prints its events.  Parties read
-on-chain facts through keyed lookups on the contract state (`registration`,
-`clients`, `task`, `update`, `current_keys`), as a real contract exposes
-getters.
+list is the one log; the export prints its events and `read_blocks` reads
+them back.  Parties read on-chain facts through keyed lookups on the
+contract state (`registration`, `clients`, `task`, `update`,
+`current_keys`), as a real contract exposes getters.
 
 Live calls and replayed blocks take one commit path, as a node re-executes
 every transaction of a block it imports: the guard of the event's class (the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Iterator, get_args
 
 HASH_BYTES = 32
 ADDRESS_BYTES = 20
@@ -198,6 +198,11 @@ class ProjectTerminateEvent:
 LedgerEvent = (RegProjectEvent | RegClientEvent | TaskEvent | UpdateEvent
                | FeedbackEvent | ProjectTerminateEvent)
 
+# the event field that names the sender of its block; the project's registered
+# server sends the other kinds (a Feedback's `client` is the scored client)
+_SENDER = {RegProjectEvent: "server", RegClientEvent: "client", UpdateEvent: "client",
+           ProjectTerminateEvent: "server"}
+
 
 @cache
 def _declared(cls: type) -> tuple:
@@ -232,6 +237,23 @@ def format_event(event: LedgerEvent) -> str:
     return " ".join(parts)
 
 
+_EVENTS = {cls.__name__.removesuffix("Event"): cls for cls in get_args(LedgerEvent)}
+
+
+def parse_event(line: str) -> LedgerEvent:
+    """The inverse of `format_event`: any line it did not print raises BadField."""
+    kind, *tokens = line.split(" ")
+    try:
+        cls = _EVENTS[kind]
+        event = cls(*((bytes.fromhex if f.type == "bytes" else int)(token.partition("=")[2])
+                      for f, token in zip(fields(cls), tokens)))
+        if format_event(event) == line:
+            return event
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise BadField(f"not a ledger line: {line!r}")
+
+
 # --- internal state -------------------------------------------------------
 
 @dataclass
@@ -259,6 +281,16 @@ class Block:
 
     sender: bytes
     event: LedgerEvent
+
+
+def read_blocks(text: str) -> Iterator[Block]:
+    """The inverse of `Ledger.export`: each line's block, sent as `_SENDER` says."""
+    servers: dict[int, bytes] = {}
+    for e in map(parse_event, text.splitlines()):
+        if isinstance(e, RegProjectEvent):
+            servers.setdefault(e.project_id, e.server)
+        named = _SENDER.get(type(e))
+        yield Block(getattr(e, named) if named else servers.get(e.project_id, b""), e)
 
 
 @dataclass(frozen=True)
@@ -375,9 +407,10 @@ class Ledger:
         """Refuse the transaction unless the contract accepts it from `sender`
         now; return the project it acts on.  Entry points stamp their events,
         so only a replayed block can fail the sender, count or time checks."""
+        named = _SENDER.get(type(e))
+        if named and getattr(e, named) != sender:
+            raise BadField(f"the block is not sent by the event's {named}")
         if isinstance(e, RegProjectEvent):
-            if e.server != sender:
-                raise BadField("the block is not sent by the event's server")
             if e.project_id in self._projects:
                 raise DuplicateProject(f"project {e.project_id} already registered")
             if self.balance_of(sender) < self.config.deposit:
@@ -388,23 +421,19 @@ class Ledger:
         p = self._project(e.project_id)
         if p.done:
             raise ProjectDone(f"project {e.project_id} is finished")
+        if named != "client" and p.registration.server != sender:
+            raise NotProjectOwner(f"only the registering server sends a {event_kind(e)}")
         if isinstance(e, RegClientEvent):
-            if e.client != sender:
-                raise BadField("the block is not sent by the event's client")
             if sender in p.clients:
                 raise DuplicateClient("client already registered")
             if len(p.clients) >= p.registration.capacity:
                 raise ProjectFull(f"project {e.project_id} has {p.registration.capacity} clients")
         elif isinstance(e, TaskEvent):
-            if p.registration.server != sender:
-                raise NotProjectOwner("only the registering server publishes tasks")
             if e.task_id in p.tasks:
                 raise DuplicateTask(f"task {e.task_id} already published")
             if e.client_count != len(p.clients):
                 raise BadField(f"client_count {e.client_count} is not {len(p.clients)}")
         elif isinstance(e, UpdateEvent):
-            if e.client != sender:
-                raise BadField("the block is not sent by the event's client")
             if sender not in p.clients:
                 raise UnregisteredClient("client is not registered for this project")
             task = self._task(p, e)
@@ -414,8 +443,6 @@ class Ledger:
             if (e.task_id, sender) in p.scored:
                 raise ScoredUpdate(f"client's update for task {e.task_id} is already scored")
         elif isinstance(e, FeedbackEvent):
-            if p.registration.server != sender:
-                raise NotProjectOwner("only the registering server scores updates")
             if e.client not in p.clients:
                 raise UnregisteredClient("scored client is not registered")
             self._task(p, e)
@@ -423,11 +450,6 @@ class Ledger:
                 raise UnknownUpdate(f"client posted no update for task {e.task_id}")
             if (e.task_id, e.client) in p.scored:
                 raise DuplicateFeedback(f"client already scored for task {e.task_id}")
-        else:
-            if e.server != sender:
-                raise BadField("the block is not sent by the event's server")
-            if p.registration.server != sender:
-                raise NotProjectOwner("only the registering server finishes the project")
         return p
 
     @staticmethod

@@ -152,3 +152,10 @@ def round_of(epoch: int, step: int, config: RatchetConfig) -> int:
         )
     return sum(config.epoch_length(j) for j in range(1, epoch)) + step
 
+
+def key_of(round: int, config: RatchetConfig) -> tuple[int, int]:
+    """(epoch, step) of round `round`'s key, inverting `round_of`; round 0 is (1, 0)."""
+    epoch = 1
+    while round > config.epoch_length(epoch):
+        round, epoch = round - config.epoch_length(epoch), epoch + 1
+    return epoch, round

@@ -246,6 +246,98 @@ def test_rows_cut_from_both_transcripts_detected(scenario, tmp_path, capsys):
     assert "consistent" not in capsys.readouterr().out
 
 
+def _rewrite(path, edit):
+    path.write_text(edit(path.read_text()))
+
+
+def _rescore(run_dir):
+    # the contract accepts any score, but the replay no longer reaches run.json's
+    _rewrite(run_dir / "ledger.txt", lambda text: re.sub(
+        r"^(Feedback .*) score=1 ", r"\1 score=7 ", text, count=1, flags=re.M))
+
+
+def _renumber_round_3_key(run_dir):
+    # round 3 is epoch 2 step 1 under ratchet range 2; both sides claim epoch 1 step 3
+    def edit(text):
+        return text.replace("round=3 epoch=2 step=1 ", "round=3 epoch=1 step=3 ")
+    _rewrite(run_dir / "transcript-client-1.txt", edit)
+    _rewrite(run_dir / "transcript-server.txt", lambda text: "".join(
+        edit(line) if line.startswith("session=client-1 ") else line
+        for line in text.splitlines(keepends=True)))
+
+
+def _commit_keys_on_round_1(run_dir):
+    # round 2's key commitment copied into round 1's Task, which does not rotate
+    def edit(text):
+        h_keys = re.search(r"^Task .* round=2 h_info=\w+ h_keys=(\w+) ", text, re.M)[1]
+        return re.sub(r"^(Task .* round=1 h_info=\w+ h_keys=) ", rf"\g<1>{h_keys} ", text,
+                      flags=re.M)
+    _rewrite(run_dir / "ledger.txt", edit)
+
+
+def _drop_rotation_reply_commitment(run_dir):
+    # round 2 rotates keys, but the first of its Updates no longer commits to the reply
+    _rewrite(run_dir / "ledger.txt", lambda text: re.sub(
+        r"^(Update .* round=2 h_info=\w+ h_ct_key=)\w+", r"\1", text, count=1, flags=re.M))
+
+
+def _drop_feedback(run_dir):
+    _rewrite(run_dir / "ledger.txt", lambda text: re.sub(
+        r"^Feedback .*\n", "", text, count=1, flags=re.M))
+
+
+def _upper_case_hex(run_dir):
+    # a field no transcript row names: the first Feedback's model digest
+    _rewrite(run_dir / "ledger.txt", lambda text: re.sub(
+        r"^(Feedback .* h_model=)(\w+)", lambda m: m[1] + m[2].upper(), text,
+        count=1, flags=re.M))
+
+
+def _remove_run_json(run_dir):
+    os.remove(run_dir / "run.json")
+
+
+def _truncate_run_json(run_dir):
+    _rewrite(run_dir / "run.json", lambda text: text[: len(text) // 2])
+
+
+@pytest.mark.parametrize("forge, fragment", [
+    (_rescore, "replayed scores"),
+    (_renumber_round_3_key, "client-1: round 3 s2p row does not match ledger block"),
+    (_commit_keys_on_round_1, "round 1 does not rotate keys but has a key commitment"),
+    (_drop_rotation_reply_commitment, "round 2 rotates keys without a key commitment"),
+    (_drop_feedback, "cannot replay the run: BadField"),
+    (_upper_case_hex, "cannot replay the run: BadField: not a ledger line"),
+    (_remove_run_json, "cannot replay the run: FileNotFoundError"),
+    (_truncate_run_json, "cannot replay the run: JSONDecodeError"),
+], ids=["rescored-feedback", "renumbered-key", "keys-committed-off-schedule",
+        "rotation-reply-uncommitted", "dropped-feedback", "upper-case-hex", "missing-run-json", "truncated-run-json"])
+def test_forged_run_fails_verification(forge, fragment, tmp_path, capsys):
+    """Each forgery keeps the transcripts in agreement, so only the replayed
+    ledger, run.json or the ratchet schedule can refute it."""
+    run_dir = tmp_path / "run"
+    write_outputs(run_simulation(small()), str(run_dir))
+    forge(run_dir)
+    problems = verify_transcripts(str(run_dir))
+    assert any(fragment in p for p in problems), problems
+    if "run.json" in forge.__name__:
+        assert len(problems) == 1
+    assert main(["verify-transcripts", "--run", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "consistent" not in captured.out and "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("forge", [_drop_feedback, _upper_case_hex])
+def test_cli_export_ledger_refuses_a_log_that_does_not_replay(forge, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    write_outputs(run_simulation(small()), str(run_dir))
+    forge(run_dir)
+    assert main(["export-ledger", "--run", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_key_material_shrinks_with_longer_epochs():
     sizes = []
     for length in (5, 10, 20, 30):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import establish, run_round
+from test_golden import CONFIGS
 from pqbfl import harness, ledger as L
 from pqbfl.ledger import (
     BadField,
@@ -25,12 +26,16 @@ from pqbfl.ledger import (
     ProjectFull,
     ScoredUpdate,
     SimClock,
+    TaskEvent,
     UnknownProject,
     UnknownTask,
     UnknownUpdate,
     UnregisteredClient,
     event_kind,
+    format_event,
+    parse_event,
     payload_size,
+    read_blocks,
 )
 
 H32 = bytes(range(32))
@@ -537,8 +542,9 @@ def test_replay_refuses_what_the_live_contract_refuses(calls, changes, error):
 
 
 @cache
-def _simulated_ledger() -> Ledger:
-    """The live ledger of a small honest run, with a free rider scored down."""
+def _simulated_ledger(**config) -> Ledger:
+    """The live ledger of a run of `config`, by default a small honest one
+    with a free rider scored down."""
     made = []
 
     class Recording(Ledger):
@@ -548,9 +554,9 @@ def _simulated_ledger() -> Ledger:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "Ledger", Recording)
-        harness.run_simulation(harness.SimConfig(
+        harness.run_simulation(harness.SimConfig(**config or dict(
             participants=2, rounds=4, ratchet_range=2, model_dim=4, seed=5, free_ride=True,
-        ))
+        )))
     (ledger,) = made
     return ledger
 
@@ -611,3 +617,63 @@ def test_mangled_simulation_log_is_refused_or_conserves(mutations, renumber):
         return
     assert Ledger.replay(rebuilt.blocks, cfg).snapshot() == rebuilt.snapshot()
     assert rebuilt.total_balance() == cfg.initial_balance * rebuilt.account_count()
+
+
+# --- reading an export back ---------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_read_blocks_inverts_the_export_of_every_golden_run(name):
+    """Every event parses back to itself and every block gets its sender
+    back, so a golden run's export replays to its live blocks."""
+    live = _simulated_ledger(**CONFIGS[name])
+    assert all(parse_event(format_event(b.event)) == b.event for b in live.blocks)
+    assert list(read_blocks(live.export())) == live.blocks
+    config = LedgerConfig(deposit=harness.SimConfig(**CONFIGS[name]).deposit)
+    assert Ledger.replay(read_blocks(live.export()), config).export() == live.export()
+
+
+TASK = TaskEvent(2, 60, 1, H32, b"", 1, 1, 1, 600)
+TASK_LINE = format_event(TASK)
+
+
+def test_parse_event_reads_a_line_back():
+    assert TASK_LINE == (
+        f"Task block=2 time=60 round=1 h_info={H32.hex()} h_keys= project_id=1 "
+        "task_id=1 client_count=1 deadline_window=600"
+    )
+    assert parse_event(TASK_LINE) == TASK
+
+
+@pytest.mark.parametrize("line", [
+    TASK_LINE.replace("Task ", "Tusk ", 1),
+    TASK_LINE.removesuffix(" deadline_window=600"),
+    TASK_LINE.replace("round=1 h_info=", "h_info=", 1).replace(" h_keys=", " round=1 h_keys="),
+    TASK_LINE.replace("round=1 ", "rounds=1 ", 1),
+    TASK_LINE + " extra=1",
+    TASK_LINE.replace(f"h_info={H32.hex()}", "h_info=" + "zz" * 32),
+    TASK_LINE.replace(f"h_info={H32.hex()}", f"h_info={H32.hex()[:-1]}"),
+    TASK_LINE.replace(f"h_info={H32.hex()}", f"h_info={H32.hex().upper()}"),
+    TASK_LINE.replace("round=1 ", "round=one ", 1),
+    TASK_LINE.replace("round=1 ", "round=+1 ", 1),
+    TASK_LINE.replace("round=1 ", "round=01 ", 1),
+    TASK_LINE.replace("round=1 ", "round=1  ", 1),
+    TASK_LINE + "\r",
+    "",
+], ids=["unknown-kind", "missing-field", "reordered-fields", "renamed-field", "extra-field",
+        "non-hex-bytes", "odd-length-hex", "upper-case-hex", "non-integer", "signed-integer",
+        "leading-zero", "double-space", "carriage-return", "empty-line"])
+def test_parse_event_refuses_any_line_format_event_did_not_print(line):
+    with pytest.raises(BadField, match="not a ledger line"):
+        parse_event(line)
+
+
+def test_read_blocks_refuses_a_bad_line_where_replay_reaches_it():
+    ledger, _ = fresh()
+    register_pair(ledger)
+    text = ledger.export() + "Tusk block=2\n"
+    blocks = read_blocks(text)
+    assert [b.event for b in (next(blocks), next(blocks))] == [b.event for b in ledger.blocks]
+    with pytest.raises(BadField):
+        next(blocks)
+    with pytest.raises(BadField):
+        Ledger.replay(read_blocks(text), LedgerConfig())
