@@ -36,8 +36,8 @@ import numpy as np
 
 from . import crypto, fl, protocol, ratchet
 from .ledger import (
-    Ledger, LedgerConfig, LedgerError, RegClientEvent, RegProjectEvent, SimClock, TaskEvent,
-    UpdateEvent, event_kind, payload_size, read_blocks,
+    FeedbackEvent, Ledger, LedgerConfig, LedgerError, RegClientEvent, RegProjectEvent, SimClock,
+    TaskEvent, UpdateEvent, event_kind, payload_size, read_blocks,
 )
 from .protocol import (
     AuthFailure,
@@ -330,11 +330,11 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     A round holds the same model copies at any P, `ROUND_MODEL_COPIES` at its
     peak: the task plaintext, the running sum, and the copies of the one hop
     in flight.  The global model is dropped once published, each
-    participant's task envelope is sealed when it is taken, every copy a
-    participant's turn makes is dropped once the next step has it, and each
-    accepted update is folded into the running sum as it arrives, in arrival
-    order and scaled by `1 / n`, with `n` planned up front, so the next
-    global model is bitwise the list average.
+    participant's task envelope is sealed when the server sends it, every
+    copy a participant's turn makes is dropped once the next step has it, and
+    each accepted update is folded into the running sum as it arrives, in
+    arrival order and scaled by `1 / n`, with `n` planned up front, so the
+    next global model is bitwise the list average.
     """
     root = crypto.DeterministicRng(config.seed)
     clock = SimClock()
@@ -431,14 +431,14 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         # before the next round's are built
         nonlocal global_model
         clock.advance(60)
-        _, tasks = server.publish_round(global_model)
+        server.publish_round(global_model)
         if free_rider is not None:
             channel.shown.append(fl.serialize_model(global_model))
-        global_model = None   # the tasks hold its committed serialization
+        global_model = None   # the server holds the task's committed serialization
         withheld = free_rider if rnd == config.rounds else None
         total = fl.RunningAverage(config.participants - (withheld is not None), config.model_dim)
         for i, p in enumerate(participants):
-            got = channel.carry("task", tasks.pop(p.address), rnd, i, p.handle_task)
+            got = channel.carry("task", server.send_task(p.address), rnd, i, p.handle_task)
             local = fl.local_train(
                 got, train_seeds[i], config.noise_scale, rnd, tag=f"client-{i + 1}"
             )
@@ -549,8 +549,12 @@ def verify_transcripts(run_dir: str) -> list[str]:
     `ledger.txt` is replayed under `run.json`'s deposit, must re-export byte
     for byte and must reach `run.json`'s scores and termination.  The replay
     and the ratchet schedule give the rows each session is owed and the
-    rounds that carry key commitments.  Returns a list of problems; empty
-    means the views agree."""
+    rounds that carry key commitments.  Every Task must carry `run.json`'s
+    deadline window and participant count, every Feedback the key commitment
+    in force at its block (the project's, replaced by each rotation Task's),
+    and all Feedback of a round one model digest, the last round's being
+    `run.json`'s final one.  Returns a list of problems; empty means the
+    views agree."""
     problems = []
     if not os.path.exists(os.path.join(run_dir, "transcript-server.txt")):
         return [f"missing {os.path.join(run_dir, 'transcript-server.txt')}"]
@@ -565,9 +569,10 @@ def verify_transcripts(run_dir: str) -> list[str]:
         problems.append("server transcript lists no sessions")
     try:
         summary, text = json.loads(_read(run_dir, "run.json")), _read(run_dir, "ledger.txt")
-        schedule = ratchet.RatchetConfig(summary["config"]["ratchet_range"])
-        project, rounds, deposit = (
-            int(summary["config"][k]) for k in ("project_id", "rounds", "deposit"))
+        config = summary["config"]
+        schedule = ratchet.RatchetConfig(config["ratchet_range"])
+        project, rounds, deposit, window, participants = (int(config[k]) for k in (
+            "project_id", "rounds", "deposit", "deadline_window", "participants"))
         ledger = Ledger.replay(read_blocks(text), LedgerConfig(deposit=deposit))
         info = ledger.project_info(project)
     except (OSError, ValueError, KeyError, TypeError, LedgerError) as exc:
@@ -581,10 +586,24 @@ def verify_transcripts(run_dir: str) -> list[str]:
                         f"run.json's {summary.get('scores')} and {summary.get('terminated')}")
 
     owed = {}   # (session, dir, block) -> the row's fields
+    keys, models = None, {}   # the key commitment in force; round -> its Feedback h_models
     for e in (b.event for b in ledger.blocks if b.event.project_id == project):
+        if isinstance(e, FeedbackEvent):
+            models.setdefault(e.round, set()).add(e.h_model.hex())
+            if e.h_keys != keys:
+                problems.append(f"Feedback block {e.block}: h_keys is not the key commitment "
+                                "in force")
+            continue
+        if isinstance(e, TaskEvent):
+            for name, want in (("deadline_window", window), ("client_count", participants)):
+                if getattr(e, name) != want:
+                    problems.append(f"Task block {e.block}: {name}={getattr(e, name)} is not "
+                                    f"run.json's {want}")
         if not isinstance(e, (RegProjectEvent, RegClientEvent, TaskEvent, UpdateEvent)):
             continue
         rnd, s2p = getattr(e, "round", 0), isinstance(e, (RegProjectEvent, TaskEvent))
+        if s2p:
+            keys = e.h_keys or keys
         epoch, step = ratchet.key_of(rnd, schedule)
         # round-0 digests are not on chain, so those rows owe only their block
         want = _parse_transcript_line(protocol.TranscriptRow(
@@ -597,6 +616,11 @@ def verify_transcripts(run_dir: str) -> list[str]:
             problems.append(f"{event_kind(e)} block {e.block}: round {rnd} " + (
                 "rotates keys without a key commitment" if rotation else
                 "does not rotate keys but has a key commitment"))
+    for rnd, digests in sorted(models.items()):
+        if len(digests) > 1:
+            problems.append(f"round {rnd}: Feedback blocks disagree on h_model")
+        elif rnd == rounds and digests != {summary.get("final_model_digest")}:
+            problems.append(f"round {rnd}: Feedback h_model is not run.json's final_model_digest")
 
     for name, server_lines in sorted(sessions.items()):
         try:

@@ -25,12 +25,13 @@ envelope's wire buffer and signs a view of the wire prefix in place; a
 receive decodes through views of the wire bytes, verifies the signature over
 their signed prefix, opens the payload into one writable buffer and
 byte-swaps the model there, so the decoded vector views it.  A round's task
-plaintext is encoded once and each participant's envelope is sealed only
-when it is taken (`TaskEnvelopes`), so a round never holds every
-participant's envelope at once.  Handlers are atomic: every check (freshness,
-signature, replay, on-chain commitment, AEAD, model decoding, received key
-material) runs before any session state changes, so a rejected delivery
-leaves the session exactly as it was.  Received key material is checked where
+plaintext is encoded once, and `send_task` seals it to one participant at a
+time under the model key `publish_round` staged for that session, so a round
+never holds every participant's envelope at once.  Handlers are atomic: every
+check (freshness, signature, replay, on-chain commitment, AEAD, model
+decoding, received key material, the epoch's remaining keys) runs before any
+session state changes, so a rejected delivery leaves the session exactly as
+it was.  Received key material is checked where
 it arrives, even when it is used only later, and each fault is
 `MalformedMessage`: decoding refuses a key of the wrong width, the sender's
 signing key included, and a `fresh` byte other than 0 or 1, so for key
@@ -492,23 +493,6 @@ class _Party:
 
 # --- server ----------------------------------------------------------------
 
-class TaskEnvelopes:
-    """One round's task envelopes by participant address.
-
-    Each is sealed and signed when it is taken, with the publish-time
-    timestamp, so a round holds its task plaintext once
-    rather than every participant's envelope.  `pop` seals an envelope and
-    forgets its session; taking it again raises KeyError.
-    """
-
-    def __init__(self, keys: dict[bytes, ratchet.ModelKey], send):
-        self._keys = keys     # sessions whose envelope is not taken yet
-        self._send = send     # model key -> that session's envelope wire bytes
-
-    def pop(self, address: bytes) -> bytearray:
-        return self._send(self._keys.pop(address))
-
-
 @dataclass
 class _ServerSession:
     registration: RegClientEvent
@@ -549,6 +533,7 @@ class Server(_Party):
         self._kem: crypto.KemKeyPair | None = None
         self._dh: crypto.DhKeyPair | None = None
         self._rotation_round: int = 0
+        self._task: tuple[bytearray, int] | None = None   # open round's plaintext, publish time
 
     # hybrid exchange -------------------------------------------------------
 
@@ -636,16 +621,17 @@ class Server(_Party):
 
     # rounds ----------------------------------------------------------------
 
-    def publish_round(self, model: fl.ModelVector) -> tuple[TaskEvent, TaskEnvelopes]:
-        """Anchor the round's task and advance every session one round.
+    def publish_round(self, model: fl.ModelVector) -> TaskEvent:
+        """Anchor the round's task, advance every session one round and stage
+        its model key; `send_task` seals the task under it.
 
-        Returns the task event and each participant's envelope, sealed and
-        signed when taken (`TaskEnvelopes`).  On the epoch's last round (when
-        more rounds remain) fresh keys ride in the payload and their hash in
-        the task transaction.
+        On the epoch's last round (when more rounds remain) fresh keys ride in
+        the payload and their hash in the task transaction.
         """
         if self.finished:
             raise SessionTerminated("project is finished")
+        if self.round == self.rounds_planned:
+            raise SessionTerminated(f"all {self.rounds_planned} planned rounds are published")
         if not self.sessions:
             raise SessionNotReady("no registered participants")
         for addr, s in self.sessions.items():
@@ -656,6 +642,8 @@ class Server(_Party):
             raise ProtocolError("sessions fell out of lockstep")
         rnd = self.round + 1
         epoch, step = next(iter(states))
+        if step == self.config.epoch_length(epoch):
+            raise ProtocolError(f"epoch {epoch} is exhausted: no session completed the rotation")
         rotate = (
             step + 1 == self.config.epoch_length(epoch) and rnd < self.rounds_planned
         )
@@ -673,11 +661,10 @@ class Server(_Party):
         event = self.ledger.publish_task(
             self.address, rnd, h_info, h_keys, self.project_id, rnd, self.deadline_window
         )
-        keys: dict[bytes, ratchet.ModelKey] = {}
-        for addr, session in self.sessions.items():
+        for session in self.sessions.values():
             session.ratchet, key = ratchet.advance_symmetric(session.ratchet)
             self.counters.derive += 2
-            session.current_key = keys[addr] = key
+            session.current_key = key
             session.transcript.append(
                 TranscriptRow(rnd, key.epoch, key.step, "s2p", h_info, event.block)
             )
@@ -686,11 +673,20 @@ class Server(_Party):
             self._kem, self._dh = fresh_kem, fresh_dh
             self._rotation_round = rnd
         self.round = rnd
-        now = self.clock.now()
-        return event, TaskEnvelopes(
-            keys,
-            lambda key: self._send(MSG_TASK, rnd, self._seal(key, rnd, DIR_TASK, plaintext), now),
-        )
+        self._task = (plaintext, self.clock.now())
+        return event
+
+    def send_task(self, participant: bytes) -> bytearray:
+        """Seal the open round's task to one participant under its staged key
+        and sign it with the publish time; its key seals it once."""
+        if participant not in self.sessions:
+            raise UnknownClient("participant has not registered")
+        key = self.sessions[participant].current_key
+        if self._task is None or key is None:
+            raise SessionNotReady("no task open for this participant")
+        plaintext, published = self._task
+        sealed = self._seal(key, self.round, DIR_TASK, plaintext)
+        return self._send(MSG_TASK, self.round, sealed, published)
 
     def handle_update(self, blob: bytes) -> tuple[bytes, fl.ModelVector]:
         """Verify, open, and absorb one participant's sealed update."""
@@ -738,6 +734,7 @@ class Server(_Party):
         h_model = fl.model_digest(global_model)
         h_keys = self.ledger.current_keys(self.project_id)
         terminate = 1 if self.round == self.rounds_planned else 0
+        self._task = None
         return [
             self.ledger.feedback_model(
                 self.address, self.round, self.project_id, self.round,
@@ -860,7 +857,10 @@ class Participant(_Party):
             raise BadReference("no on-chain task for this round")
         if self.clock.now() > chain.time + chain.deadline_window:
             raise StaleDeadline(f"task deadline passed at {chain.time + chain.deadline_window}")
-        new_state, key = ratchet.advance_symmetric(self.ratchet)
+        try:
+            new_state, key = ratchet.advance_symmetric(self.ratchet)
+        except ratchet.EpochExhausted as exc:
+            raise ProtocolError(f"round {env.round} task skips the key rotation: {exc}") from None
         msg, model = self._open(key, env, DIR_TASK, chain.h_info)
         if bool(msg.kem_public) != bool(chain.h_keys):
             raise CommitmentMismatch("key rotation material missing or unexpected")

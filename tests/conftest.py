@@ -59,14 +59,14 @@ def run_round(
     server's per session, and each participant's for its open task.
     """
     clock.advance(60)
-    _, envelopes = server.publish_round(model)
+    server.publish_round(model)
     if server_log is not None:
         server_log.extend(
             key_row("server", a, s.current_key) for a, s in server.sessions.items()
         )
     collected = []
     for i, p in enumerate(participants):
-        got = p.handle_task(envelopes.pop(p.address))
+        got = p.handle_task(server.send_task(p.address))
         if participant_logs is not None:
             participant_logs[i].append(key_row("participant", p.address, p._active["key"]))
         local = fl.local_train(got, train_seed, 0.01, got.round + 1)

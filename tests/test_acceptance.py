@@ -126,8 +126,8 @@ def test_criterion_06_compromise_window():
     captures = {}
     for _ in range(10):
         clock.advance(60)
-        _, envs = server.publish_round(model)
-        got = p.handle_task(envs.pop(p.address))
+        server.publish_round(model)
+        got = p.handle_task(server.send_task(p.address))
         plog.append(key_row("participant", p.address, p._active["key"]))
         captures[server.round] = p.ratchet   # immutable: later rounds replace it
         local = fl.local_train(got, 7, 0.01, got.round + 1)

@@ -293,6 +293,35 @@ def _upper_case_hex(run_dir):
         count=1, flags=re.M))
 
 
+def _shorten_first_deadline(run_dir):
+    # updates land in the same second as their task, so the replay still accepts it
+    _rewrite(run_dir / "ledger.txt",
+             lambda text: text.replace(" deadline_window=600", " deadline_window=1", 1))
+
+
+def _miscount_participants(run_dir):
+    _rewrite(run_dir / "run.json",
+             lambda text: text.replace('"participants": 2,', '"participants": 3,', 1))
+
+
+def _rekey_first_feedback(run_dir):
+    _rewrite(run_dir / "ledger.txt", lambda text: re.sub(
+        r"^(Feedback .* h_keys=)\w+", r"\g<1>" + "ab" * 32, text, count=1, flags=re.M))
+
+
+def _remodel_last_feedback(run_dir):
+    def edit(text):
+        at = text.rindex("\nFeedback ") + 1
+        return text[:at] + re.sub(r"h_model=\w+", "h_model=" + "ab" * 32, text[at:], count=1)
+    _rewrite(run_dir / "ledger.txt", edit)
+
+
+def _remodel_last_round(run_dir):
+    # every round-4 Feedback agrees on a model digest that is not the final model's
+    _rewrite(run_dir / "ledger.txt", lambda text: re.sub(
+        r"^(Feedback .* round=4 .* h_model=)\w+", r"\g<1>" + "ab" * 32, text, flags=re.M))
+
+
 def _remove_run_json(run_dir):
     os.remove(run_dir / "run.json")
 
@@ -308,10 +337,17 @@ def _truncate_run_json(run_dir):
     (_drop_rotation_reply_commitment, "round 2 rotates keys without a key commitment"),
     (_drop_feedback, "cannot replay the run: BadField"),
     (_upper_case_hex, "cannot replay the run: BadField: not a ledger line"),
+    (_shorten_first_deadline, "deadline_window=1 is not run.json's 600"),
+    (_miscount_participants, "client_count=2 is not run.json's 3"),
+    (_rekey_first_feedback, "h_keys is not the key commitment in force"),
+    (_remodel_last_feedback, "round 4: Feedback blocks disagree on h_model"),
+    (_remodel_last_round, "round 4: Feedback h_model is not run.json's final_model_digest"),
     (_remove_run_json, "cannot replay the run: FileNotFoundError"),
     (_truncate_run_json, "cannot replay the run: JSONDecodeError"),
 ], ids=["rescored-feedback", "renumbered-key", "keys-committed-off-schedule",
-        "rotation-reply-uncommitted", "dropped-feedback", "upper-case-hex", "missing-run-json", "truncated-run-json"])
+        "rotation-reply-uncommitted", "dropped-feedback", "upper-case-hex", "shortened-deadline",
+        "miscounted-participants", "rekeyed-feedback", "remodelled-last-feedback",
+        "remodelled-last-round", "missing-run-json", "truncated-run-json"])
 def test_forged_run_fails_verification(forge, fragment, tmp_path, capsys):
     """Each forgery keeps the transcripts in agreement, so only the replayed
     ledger, run.json or the ratchet schedule can refute it."""

@@ -208,8 +208,8 @@ def test_update_commitment_is_scoped_to_its_project():
     ledger.register_client(p.address, 2, H)
     ledger.publish_task(other.address, 1, H, b"", 2, 1, 600)
     clock.advance(60)
-    _, envelopes = server.publish_round(model)
-    got = p.handle_task(envelopes.pop(p.address))
+    server.publish_round(model)
+    got = p.handle_task(server.send_task(p.address))
     blob = p.send_update(fl.local_train(got, 77, 0.01, 2))
     ledger.update_model(p.address, 1, H, b"", 2, 1)
     sender, _ = server.handle_update(blob)
@@ -244,31 +244,50 @@ def test_a_task_is_sealed_when_taken_with_the_publish_time(monkeypatch):
     monkeypatch.setattr(crypto, "aead_seal", counting)
     clock.advance(60)
     published, signed = clock.now(), server.counters.sign
-    _, envs = server.publish_round(model)
+    server.publish_round(model)
     assert seals == [] and server.counters.sign == signed   # nothing sealed or signed yet
     clock.advance(30)
     first, second = (p.address for p in parts)
-    blob = envs.pop(first)
+    blob = server.send_task(first)
     assert SignedEnvelope.decode(blob).timestamp == published
     assert seals == [server.sessions[first].current_key.key]
-    # a second take neither reseals nor reuses the session's key
-    with pytest.raises(KeyError):
-        envs.pop(first)
+    # a second send neither reseals nor signs: the session's key refuses it
+    with pytest.raises(ratchet.KeyReuse):
+        server.send_task(first)
     assert len(seals) == 1 and server.counters.sign == signed + 1
-    envs.pop(second)
+    server.send_task(second)
     assert len(seals) == 2 and server.counters.sign == signed + 2
     assert parts[0].handle_task(blob).round == 0   # still fresh: 30 s after publishing
+
+
+def test_a_task_is_sent_only_while_its_round_is_open():
+    server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"open")
+    stranger = crypto.address_of(crypto.sig_keygen(DeterministicRng(b"nobody")).public)
+    with pytest.raises(protocol.SessionNotReady):
+        server.send_task(p.address)   # nothing published yet
+    clock.advance(60)
+    server.publish_round(model)
+    with pytest.raises(protocol.UnknownClient):
+        server.send_task(stranger)
+    local = fl.local_train(p.handle_task(server.send_task(p.address)), 1, 0.01, 1)
+    server.handle_update(p.send_update(local))
+    with pytest.raises(protocol.SessionNotReady):
+        server.send_task(p.address)   # the accepted update cleared the round key
+    server.feedback(local)
+    with pytest.raises(protocol.SessionNotReady):
+        server.send_task(p.address)   # the round is closed
+    assert server._task is None
 
 
 def test_feedback_scores_only_the_updates_that_arrived():
     server, parts, ledger, clock, model = establish(n=3, rounds=3, length=5, seed=b"drop")
     for rnd in (1, 2, 3):
         clock.advance(60)
-        _, envs = server.publish_round(model)
+        server.publish_round(model)
         senders = parts if rnd == 1 else [parts[0], parts[2]]   # parts[1] drops out
         collected = []
         for p in senders:
-            got = p.handle_task(envs.pop(p.address))
+            got = p.handle_task(server.send_task(p.address))
             _, m = server.handle_update(p.send_update(fl.local_train(got, 5, 0.01, rnd)))
             collected.append(m)
         model = fl.aggregate(collected)
@@ -290,20 +309,32 @@ def _bad_model(kind):
     return wire
 
 
+def _forged_update(p, ledger, payload, h_ct_key=b""):
+    """`payload` committed on chain with `h_ct_key`, sealed under `p`'s open
+    round key and signed by `p`, like an honest update."""
+    rnd, plaintext = p.last_round, payload.encode()
+    ledger.update_model(p.address, rnd, crypto.digest(plaintext), h_ct_key, 1, rnd)
+    sealed = crypto.aead_seal(
+        p._active["key"].key, protocol.seal_nonce(rnd, protocol.DIR_UPDATE),
+        protocol.seal_aad(1, rnd, rnd, protocol.DIR_UPDATE), plaintext,
+    )
+    return p._send(protocol.MSG_UPDATE, rnd, sealed)
+
+
 @pytest.mark.parametrize("kind", ["nan", "short"])
 def test_bad_model_in_authentic_task_is_malformed(kind, monkeypatch):
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"badtask")
     clock.advance(60)
     with monkeypatch.context() as m:
         m.setattr(fl, "WireModel", _bad_model(kind))
-        _, envs = server.publish_round(model)
+        server.publish_round(model)
 
     def state():
         return (p.ratchet, p.last_round, p._active, list(p.transcript), p.counters.derive)
 
     before = state()
     with pytest.raises(MalformedMessage):
-        p.handle_task(envs.pop(p.address))
+        p.handle_task(server.send_task(p.address))
     assert state() == before
 
 
@@ -311,16 +342,9 @@ def test_bad_model_in_authentic_task_is_malformed(kind, monkeypatch):
 def test_bad_model_in_authentic_update_is_malformed(kind):
     server, (p,), ledger, clock, model = establish(rounds=2, length=5, seed=b"badupd")
     clock.advance(60)
-    _, envs = server.publish_round(model)
-    local = fl.local_train(p.handle_task(envs.pop(p.address)), 1, 0.01, 1)
-    # signed, sealed under the round key and committed on chain like an honest update
-    plaintext = UpdatePayload(1, 1, 1, _bad_model(kind)(local)).encode()
-    ledger.update_model(p.address, 1, crypto.digest(plaintext), b"", 1, 1)
-    sealed = crypto.aead_seal(
-        p._active["key"].key, protocol.seal_nonce(1, protocol.DIR_UPDATE),
-        protocol.seal_aad(1, 1, 1, protocol.DIR_UPDATE), plaintext,
-    )
-    blob = p._send(protocol.MSG_UPDATE, 1, sealed)
+    server.publish_round(model)
+    local = fl.local_train(p.handle_task(server.send_task(p.address)), 1, 0.01, 1)
+    blob = _forged_update(p, ledger, UpdatePayload(1, 1, 1, _bad_model(kind)(local)))
     session = server.sessions[p.address]
 
     def state():
@@ -339,8 +363,8 @@ def test_bad_model_in_authentic_update_is_malformed(kind):
 def test_task_replay_rejected_state_intact():
     server, (p,), _, clock, model = establish(rounds=3, length=5, seed=b"trep")
     clock.advance(60)
-    _, envs = server.publish_round(model)
-    env = envs.pop(p.address)
+    server.publish_round(model)
+    env = server.send_task(p.address)
     p.handle_task(env)
     with pytest.raises(ReplayDetected):
         p.handle_task(env)
@@ -355,8 +379,8 @@ def test_task_replay_rejected_state_intact():
 def test_tampered_ciphertext_fails_signature():
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"tamper")
     clock.advance(60)
-    _, envs = server.publish_round(model)
-    blob = envs.pop(p.address)
+    server.publish_round(model)
+    blob = server.send_task(p.address)
     env = SignedEnvelope.decode(blob)
     mangled = bytearray(env.payload)
     mangled[0] ^= 0x80
@@ -374,8 +398,8 @@ def test_tamper_with_signing_oracle_fails_aead():
     # sealed layer, which must refuse
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"aead")
     clock.advance(60)
-    _, envs = server.publish_round(model)
-    blob = envs.pop(p.address)
+    server.publish_round(model)
+    blob = server.send_task(p.address)
     env = SignedEnvelope.decode(blob)
     mangled = bytearray(env.payload)
     mangled[-1] ^= 0x01
@@ -419,10 +443,10 @@ def test_deadline_expiry_rejected():
         rounds=2, length=5, seed=b"late", deadline_window=100
     )
     clock.advance(60)
-    _, envs = server.publish_round(model)
+    server.publish_round(model)
     clock.advance(150)  # past deadline yet within signature skew
     with pytest.raises(StaleDeadline):
-        p.handle_task(envs.pop(p.address))
+        p.handle_task(server.send_task(p.address))
 
 
 def test_update_requires_open_task():
@@ -533,10 +557,10 @@ def test_bad_fresh_keys_in_authentic_task_are_malformed(kind, monkeypatch):
     clock.advance(60)
     with monkeypatch.context() as m:
         _bad_public_keys(m, kind)
-        _, envs = server.publish_round(model)   # a rotation round
+        server.publish_round(model)   # a rotation round
     before = _participant_state(p)
     with pytest.raises(MalformedMessage):
-        p.handle_task(envs.pop(p.address))
+        p.handle_task(server.send_task(p.address))
     assert _participant_state(p) == before
 
 
@@ -544,23 +568,18 @@ def test_bad_fresh_keys_in_authentic_task_are_malformed(kind, monkeypatch):
 def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
     server, (p,), ledger, clock, model = establish(rounds=3, length=1, seed=b"badreply")
     clock.advance(60)
-    _, envs = server.publish_round(model)   # a rotation round
-    local = fl.local_train(p.handle_task(envs.pop(p.address)), 1, 0.01, 1)
+    server.publish_round(model)   # a rotation round
+    local = fl.local_train(p.handle_task(server.send_task(p.address)), 1, 0.01, 1)
     ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
     dh_public = crypto.dh_keygen(DeterministicRng(b"fresh")).public
     if kind == "not a point":
         dh_public = NOT_A_POINT
     else:
         ct = ct[:10]
-    # signed, sealed and committed on chain like an honest rotation reply
-    plaintext = UpdatePayload(1, 1, 1, fl.WireModel(local), ct, dh_public).encode()
-    h_ct_key = crypto.digest(ct + dh_public)
-    ledger.update_model(p.address, 1, crypto.digest(plaintext), h_ct_key, 1, 1)
-    sealed = crypto.aead_seal(
-        p._active["key"].key, protocol.seal_nonce(1, protocol.DIR_UPDATE),
-        protocol.seal_aad(1, 1, 1, protocol.DIR_UPDATE), plaintext,
+    blob = _forged_update(
+        p, ledger, UpdatePayload(1, 1, 1, fl.WireModel(local), ct, dh_public),
+        crypto.digest(ct + dh_public),
     )
-    blob = p._send(protocol.MSG_UPDATE, 1, sealed)
     before = _session_state(server, p.address)
     for _ in range(2):   # a second delivery is rejected the same way
         with pytest.raises(MalformedMessage):
@@ -593,10 +612,208 @@ def test_bad_sender_key_is_malformed_in_every_handler(sender_public):
     response = refused(p.handle_keys, server.send_keys(p.address), participant)
     refused(server.handle_key_response, response, session)
     clock.advance(60)
-    _, envs = server.publish_round(model)
-    got = refused(p.handle_task, envs.pop(p.address), participant)
+    server.publish_round(model)
+    got = refused(p.handle_task, server.send_task(p.address), participant)
     update = p.send_update(fl.local_train(got, 1, 0.01, 1))
     refused(server.handle_update, update, session)
+
+
+# --- rejected deliveries --------------------------------------------------------
+# Each case is a delivery its handler must refuse, from a peer that signs it
+# with its own key; the receiver must be left exactly as it was.
+
+def _resigned(blob, signer, **changes):
+    """`blob`'s envelope with `changes`, signed again by `signer`."""
+    return replace(SignedEnvelope.decode(blob), signature=b"", **changes).encode(signer)
+
+
+def _newcomer(server, ledger, clock, establish=False):
+    """A second participant, joined and admitted, its session established if asked."""
+    q = protocol.Participant(DeterministicRng(b"newcomer"), ledger, clock, server.config)
+    q.join(1)
+    server.admit_clients()
+    if establish:
+        server.handle_key_response(q.handle_keys(server.send_keys(q.address)))
+    return q
+
+
+def _open_task(server, p, clock, model):
+    """Publish the next round and hand its task to `p`; returns its model."""
+    clock.advance(60)
+    server.publish_round(model)
+    return p.handle_task(server.send_task(p.address))
+
+
+def _forged_task(server, p, ledger, clock, payload, h_keys):
+    """`payload` as the next round's task: committed on chain with `h_keys`,
+    sealed under `p`'s next key and signed by the server."""
+    _, key = ratchet.advance_symmetric(p.ratchet)
+    rnd, plaintext = key.round, payload.encode()
+    ledger.publish_task(server.address, rnd, crypto.digest(plaintext), h_keys, 1, rnd, 600)
+    sealed = crypto.aead_seal(
+        key.key, protocol.seal_nonce(rnd, protocol.DIR_TASK),
+        protocol.seal_aad(1, rnd, rnd, protocol.DIR_TASK), plaintext,
+    )
+    return protocol.envelope_bytes(protocol.MSG_TASK, rnd, sealed, server._sig, clock.now())
+
+
+def _server_task(server, clock, rnd):
+    """A task envelope for round `rnd`, signed by the server, with no sealed payload."""
+    return protocol.envelope_bytes(protocol.MSG_TASK, rnd, b"x", server._sig, clock.now())
+
+
+def _wire_version(server, p, ledger, clock, model):
+    clock.advance(60)
+    server.publish_round(model)
+    blob = server.send_task(p.address)
+    return p.handle_task, _resigned(blob, server._sig, version=protocol.WIRE_VERSION + 1)
+
+
+def _update_sent_as_a_task(server, p, ledger, clock, model):
+    clock.advance(60)
+    server.publish_round(model)
+    blob = server.send_task(p.address)
+    return p.handle_task, _resigned(blob, server._sig, msg_type=protocol.MSG_UPDATE)
+
+
+def _payload_names_another_task(server, p, ledger, clock, model):
+    local = _open_task(server, p, clock, model)
+    payload = UpdatePayload(1, 2, 1, fl.WireModel(local))   # task 2, round 1
+    return server.handle_update, _forged_update(p, ledger, payload)
+
+
+def _sessions_out_of_lockstep(server, p, ledger, clock, model):
+    model = run_round(server, [p], clock, model)
+    _newcomer(server, ledger, clock, establish=True)   # one round behind `p`
+    return server.publish_round, model
+
+
+def _update_for_another_round(server, p, ledger, clock, model):
+    _open_task(server, p, clock, model)
+    return server.handle_update, p._send(protocol.MSG_UPDATE, 2, b"x")
+
+
+def _update_not_on_chain(server, p, ledger, clock, model):
+    _open_task(server, p, clock, model)
+    return server.handle_update, p._send(protocol.MSG_UPDATE, 1, b"x")
+
+
+def _update_with_no_staged_key(server, p, ledger, clock, model):
+    clock.advance(60)
+    server.publish_round(model)
+    q = _newcomer(server, ledger, clock, establish=True)   # established after the publish
+    ledger.update_model(q.address, 1, crypto.digest(b"x"), b"", 1, 1)
+    return server.handle_update, q._send(protocol.MSG_UPDATE, 1, b"x")
+
+
+def _unexpected_rotation_reply(server, p, ledger, clock, model):
+    local = _open_task(server, p, clock, model)   # round 1 does not rotate
+    ct, dh = bytes(crypto.KEM_CIPHERTEXT_BYTES), NOT_A_POINT
+    payload = UpdatePayload(1, 1, 1, fl.WireModel(local), ct, dh)
+    return server.handle_update, _forged_update(p, ledger, payload, crypto.digest(ct + dh))
+
+
+def _rotation_reply_off_its_commitment(server, p, ledger, clock, model):
+    model = run_round(server, [p], clock, model)
+    local = _open_task(server, p, clock, model)   # round 2 rotates
+    ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
+    dh = crypto.dh_keygen(DeterministicRng(b"fresh")).public
+    payload = UpdatePayload(1, 2, 2, fl.WireModel(local), ct, dh)
+    return server.handle_update, _forged_update(p, ledger, payload, crypto.digest(b"other"))
+
+
+def _task_skipping_a_round(server, p, ledger, clock, model):
+    return p.handle_task, _server_task(server, clock, 2)
+
+
+def _task_while_one_is_open(server, p, ledger, clock, model):
+    _open_task(server, p, clock, model)
+    return p.handle_task, _server_task(server, clock, 2)
+
+
+def _task_not_on_chain(server, p, ledger, clock, model):
+    return p.handle_task, _server_task(server, clock, 1)
+
+
+def _task_missing_committed_keys(server, p, ledger, clock, model):
+    payload = TaskPayload(1, 1, 1, 600, fl.WireModel(model))
+    return p.handle_task, _forged_task(server, p, ledger, clock, payload, crypto.digest(b"keys"))
+
+
+def _fresh_keys_off_their_commitment(server, p, ledger, clock, model):
+    kem = crypto.kem_keygen(bytes(32)).public
+    dh = crypto.dh_keygen(DeterministicRng(b"fresh")).public
+    payload = TaskPayload(1, 1, 1, 600, fl.WireModel(model), kem, dh)
+    return p.handle_task, _forged_task(server, p, ledger, clock, payload, crypto.digest(b"other"))
+
+
+def _response_from_a_stranger(server, p, ledger, clock, model):
+    stranger = crypto.sig_keygen(DeterministicRng(b"nobody"))
+    blob = protocol.envelope_bytes(protocol.MSG_KEY_RESPONSE, 0, b"x", stranger, clock.now())
+    return server.handle_key_response, blob
+
+
+def _edited_response(server, ledger, clock, **changes):
+    q = _newcomer(server, ledger, clock)
+    blob = q.handle_keys(server.send_keys(q.address))
+    msg = replace(KeyResponse.decode(SignedEnvelope.decode(blob).payload), **changes)
+    return server.handle_key_response, _resigned(blob, q._sig, payload=msg.encode())
+
+
+def _response_for_another_project(server, p, ledger, clock, model):
+    return _edited_response(server, ledger, clock, project_id=2)
+
+
+def _response_naming_another_registration(server, p, ledger, clock, model):
+    return _edited_response(server, ledger, clock, registration_block=p.registration_block)
+
+
+def _announcement_for_another_project(server, p, ledger, clock, model):
+    q = _newcomer(server, ledger, clock)
+    blob = server.send_keys(q.address)
+    msg = replace(KeyAnnouncement.decode(SignedEnvelope.decode(blob).payload), project_id=2)
+    return q.handle_keys, _resigned(blob, server._sig, payload=msg.encode())
+
+
+def _server_state(server):
+    sessions = [_session_state(server, a) for a in server.sessions]
+    return sessions, server.round, len(server.ledger.blocks)
+
+
+REJECTED = [
+    (_wire_version, MalformedMessage, "unsupported wire version"),
+    (_update_sent_as_a_task, MalformedMessage, "expected a task"),
+    (_payload_names_another_task, MalformedMessage, "payload identifiers disagree"),
+    (_sessions_out_of_lockstep, ProtocolError, "lockstep"),
+    (_update_for_another_round, ProtocolError, "update for round 2, current is 1"),
+    (_update_not_on_chain, BadReference, "no on-chain update"),
+    (_update_with_no_staged_key, protocol.SessionNotReady, "no model key staged"),
+    (_unexpected_rotation_reply, CommitmentMismatch, "missing or unexpected"),
+    (_rotation_reply_off_its_commitment, CommitmentMismatch, "rotation reply does not match"),
+    (_task_skipping_a_round, ProtocolError, "task skips to round 2"),
+    (_task_while_one_is_open, ProtocolError, "previous task still open"),
+    (_task_not_on_chain, BadReference, "no on-chain task"),
+    (_task_missing_committed_keys, CommitmentMismatch, "missing or unexpected"),
+    (_fresh_keys_off_their_commitment, CommitmentMismatch, "fresh keys do not match"),
+    (_response_from_a_stranger, protocol.UnknownClient, "unregistered"),
+    (_response_for_another_project, BadReference, "different project"),
+    (_response_naming_another_registration, BadReference, "wrong registration"),
+    (_announcement_for_another_project, BadReference, "different project"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, exc, fragment", REJECTED, ids=[case.__name__.strip("_") for case, _, _ in REJECTED]
+)
+def test_a_rejected_delivery_leaves_its_receiver_as_it_was(case, exc, fragment):
+    server, (p,), ledger, clock, model = establish(capacity=2, seed=b"refused")
+    handler, arg = case(server, p, ledger, clock, model)
+    state = _server_state if handler.__self__ is server else _participant_state
+    before = state(handler.__self__)
+    with pytest.raises(exc, match=fragment) as info:
+        handler(arg)
+    assert type(info.value) is exc
+    assert state(handler.__self__) == before
 
 
 # --- rotation schedule ----------------------------------------------------------
@@ -644,6 +861,44 @@ def test_publish_after_finish_refused():
     server.finish()
     with pytest.raises(protocol.SessionTerminated):
         server.publish_round(model)
+
+
+@pytest.mark.parametrize("length", [2, 3], ids=["epoch-ends-with-the-plan", "epoch-outlasts-it"])
+def test_publish_past_the_plan_refused_before_any_write(length):
+    server, parts, ledger, clock, model = establish(rounds=2, length=length, seed=b"plan")
+    for _ in range(2):
+        model = run_round(server, parts, clock, model)
+    blocks = len(ledger.blocks)
+    clock.advance(60)
+    with pytest.raises(protocol.SessionTerminated) as info:
+        server.publish_round(model)
+    assert type(info.value) is protocol.SessionTerminated
+    assert (len(ledger.blocks), server.round) == (blocks, 2)
+
+
+def test_publish_after_a_rotation_no_session_completed_refused_before_any_write():
+    server, (p,), ledger, clock, model = establish(rounds=3, length=1, seed=b"norot")
+    got = _open_task(server, p, clock, model)   # round 1 rotates; its update never comes
+    server.feedback(got)
+    blocks = len(ledger.blocks)
+    clock.advance(60)
+    with pytest.raises(ProtocolError, match="epoch 1 is exhausted") as info:
+        server.publish_round(got)
+    assert type(info.value) is ProtocolError
+    assert (len(ledger.blocks), server.round) == (blocks, 1)
+
+
+def test_task_past_an_exhausted_epoch_refused_state_intact():
+    server, parts, ledger, clock, model = establish(rounds=2, length=2, seed=b"exhausted")
+    for _ in range(2):
+        model = run_round(server, parts, clock, model)
+    (p,) = parts
+    ledger.publish_task(server.address, 3, crypto.digest(b"x"), b"", 1, 3, 600)
+    before = _participant_state(p)
+    with pytest.raises(ProtocolError, match="skips the key rotation") as info:
+        p.handle_task(_server_task(server, clock, 3))
+    assert type(info.value) is ProtocolError
+    assert _participant_state(p) == before
 
 
 # --- wire codecs ------------------------------------------------------------------
