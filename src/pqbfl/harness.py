@@ -348,44 +348,34 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         rounds_planned=config.rounds, config=rconfig,
         deadline_window=config.deadline_window, max_skew=config.skew_bound,
     )
-    participants = [
-        protocol.Participant(
+    clients = {
+        f"client-{i + 1}": protocol.Participant(
             root.fork(f"participant-{i}"), ledger, clock, rconfig,
             max_skew=config.skew_bound,
         )
         for i in range(config.participants)
-    ]
+    }
+    parties = {"server": server, **clients}
     train_seeds = [
         int.from_bytes(root.fork(f"train-{i}").bytes(8), "big")
         for i in range(config.participants)
     ]
     attacker_rng = root.fork("attacker")
 
-    names = {server.address: "server"}
-    for i, p in enumerate(participants):
-        names[p.address] = f"client-{i + 1}"
-    parties = [("server", server)] + [
-        (f"client-{i + 1}", p) for i, p in enumerate(participants)
-    ]
-
-    # on-chain bytes per sender, drained from new blocks at snapshot points
-    onchain: dict[str, int] = {name: 0 for name, _ in parties}
-    cursor = 0
-
-    def drain_blocks():
-        nonlocal cursor
-        while cursor < len(ledger.blocks):
-            block = ledger.blocks[cursor]
-            name = names.get(block.sender)
-            if name is not None:
-                onchain[name] += payload_size(block.event)
-            cursor += 1
-
+    # cumulative on-chain bytes per party, priced from the blocks new since
+    # the last snapshot
+    onchain = dict.fromkeys(parties, 0)
+    seen = 0
     rows: list[MetricsRow] = []
 
     def snapshot(round: int):
-        drain_blocks()
-        for name, party in parties:
+        nonlocal seen
+        spent: dict[bytes, int] = {}
+        for block in ledger.blocks[seen:]:
+            spent[block.sender] = spent.get(block.sender, 0) + payload_size(block.event)
+        seen = len(ledger.blocks)
+        for name, party in parties.items():
+            onchain[name] += spent.get(party.address, 0)
             rows.append(
                 MetricsRow(
                     round=round, party=name, onchain_bytes=onchain[name],
@@ -396,7 +386,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     # registration and establishment (round 0)
     global_model = fl.ModelVector(np.zeros(config.model_dim), 0, fl.GLOBAL_TAG)
     server.bootstrap(global_model)
-    for p in participants:
+    for p in clients.values():
         p.join(config.project_id)
     server.admit_clients()
 
@@ -416,7 +406,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             protocol.MSG_KEY_ANNOUNCEMENT, 0, msg.encode(), server._sig, clock.now()
         )
 
-    for i, p in enumerate(participants):
+    for i, p in enumerate(clients.values()):
         resp = channel.carry(
             "establish", server.send_keys(p.address), 0, i, p.handle_keys,
             forge=forge_announcement,
@@ -437,11 +427,9 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         global_model = None   # the server holds the task's committed serialization
         withheld = free_rider if rnd == config.rounds else None
         total = fl.RunningAverage(config.participants - (withheld is not None), config.model_dim)
-        for i, p in enumerate(participants):
+        for i, (name, p) in enumerate(clients.items()):
             got = channel.carry("task", server.send_task(p.address), rnd, i, p.handle_task)
-            local = fl.local_train(
-                got, train_seeds[i], config.noise_scale, rnd, tag=f"client-{i + 1}"
-            )
+            local = fl.local_train(got, train_seeds[i], config.noise_scale, rnd, tag=name)
             del got
             if i == withheld:
                 continue   # trained but never sent, never scored
@@ -461,11 +449,9 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         snapshot(rnd)
 
     transcripts: dict[str, list[str]] = {"server": []}
-    for i, p in enumerate(participants):
-        name = f"client-{i + 1}"
-        session = server.sessions[p.address]
+    for name, p in clients.items():
         transcripts["server"].extend(
-            f"session={name} {row.format()}" for row in session.transcript
+            f"session={name} {row.format()}" for row in server.sessions[p.address].transcript
         )
         transcripts[name] = [row.format() for row in p.transcript]
 
@@ -476,11 +462,10 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         attacks=channel.report(),
         transcripts=transcripts,
         scores={
-            f"client-{i + 1}": ledger.score_of(config.project_id, p.address)
-            for i, p in enumerate(participants)
+            name: ledger.score_of(config.project_id, p.address) for name, p in clients.items()
         },
         final_epoch=next(iter(server.sessions.values())).ratchet.epoch,
-        key_material_bytes=sum(p.counters.key_material_bytes for _, p in parties),
+        key_material_bytes=sum(p.counters.key_material_bytes for p in parties.values()),
         final_model_digest=fl.model_digest(global_model).hex(),
         terminated=ledger.project_info(config.project_id)["done"],
     )
@@ -611,7 +596,7 @@ def verify_transcripts(run_dir: str) -> list[str]:
         ).format())
         for name in names.values() if s2p else [names[e.client]]:
             owed[name, want["dir"], want["block"]] = want
-        rotation = step == schedule.epoch_length(epoch) and rnd < rounds
+        rotation = schedule.rotates(rnd, rounds)
         if rnd and bool(e.h_keys if s2p else e.h_ct_key) != rotation:
             problems.append(f"{event_kind(e)} block {e.block}: round {rnd} " + (
                 "rotates keys without a key commitment" if rotation else

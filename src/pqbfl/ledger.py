@@ -505,6 +505,10 @@ class Ledger:
         """The server's key commitment as of the latest rotation task."""
         return self._project(project_id).h_keys
 
+    def current_model(self, project_id: int) -> bytes:
+        """The anchored global model's digest: the registration's, then each Feedback's."""
+        return self._project(project_id).h_model
+
     def project_info(self, project_id: int) -> dict:
         p = self._project(project_id)
         return {

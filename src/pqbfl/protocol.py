@@ -27,19 +27,22 @@ their signed prefix, opens the payload into one writable buffer and
 byte-swaps the model there, so the decoded vector views it.  A round's task
 plaintext is encoded once, and `send_task` seals it to one participant at a
 time under the model key `publish_round` staged for that session, so a round
-never holds every participant's envelope at once.  Handlers are atomic: every
-check (freshness, signature, replay, on-chain commitment, AEAD, model
-decoding, received key material, the epoch's remaining keys) runs before any
-session state changes, so a rejected delivery leaves the session exactly as
-it was.  Received key material is checked where
-it arrives, even when it is used only later, and each fault is
-`MalformedMessage`: decoding refuses a key of the wrong width, the sender's
-signing key included, and a `fresh` byte other than 0 or 1, so for key
-messages that comes before the reference and commitment checks; then a KEM
-key must pass the FIPS 203 modulus check and an ECDH key must be a P-256
-point.  Each session fact is stored once: a session is established exactly
-when it holds a ratchet, and the server keeps a participant's on-chain
-registration itself rather than copies of its fields.
+never holds every participant's envelope at once.  `publish_round` first
+checks that each session stands one step before the round's key, and
+`ratchet.RatchetConfig.rotates` says which rounds re-key.  Handlers are
+atomic: every check (freshness, signature, replay, on-chain commitment, AEAD,
+model decoding, a task model's digest against the anchored global model, an
+update model's dimension and round against the task's, received key
+material, the epoch's remaining keys) runs before any session state changes,
+so a rejected delivery leaves the session exactly as it was.  Received key
+material is checked where it arrives, even when it is used only later, and
+each fault is `MalformedMessage`: decoding refuses a key of the wrong width,
+the sender's signing key included, and a `fresh` byte other than 0 or 1, so
+for key messages that comes before the reference and commitment checks; then
+a KEM key must pass the FIPS 203 modulus check and an ECDH key must be a
+P-256 point.  Each session fact is stored once: a session is established
+exactly when it holds a ratchet, and the server keeps a participant's
+on-chain registration itself rather than copies of its fields.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly; of all counters only `verify` and `offchain_recv_bytes`
@@ -532,8 +535,8 @@ class Server(_Party):
         self.registration_block: int | None = None
         self._kem: crypto.KemKeyPair | None = None
         self._dh: crypto.DhKeyPair | None = None
-        self._rotation_round: int = 0
         self._task: tuple[bytearray, int] | None = None   # open round's plaintext, publish time
+        self._task_dim = 0   # the latest task model's dimension, which updates must match
 
     # hybrid exchange -------------------------------------------------------
 
@@ -634,19 +637,18 @@ class Server(_Party):
             raise SessionTerminated(f"all {self.rounds_planned} planned rounds are published")
         if not self.sessions:
             raise SessionNotReady("no registered participants")
+        rnd = self.round + 1
+        epoch, step = ratchet.key_of(rnd, self.config)
         for addr, s in self.sessions.items():
             if s.ratchet is None:
                 raise SessionNotReady(f"session {addr.hex()} not established")
-        states = {(s.ratchet.epoch, s.ratchet.step) for s in self.sessions.values()}
-        if len(states) != 1:
-            raise ProtocolError("sessions fell out of lockstep")
-        rnd = self.round + 1
-        epoch, step = next(iter(states))
-        if step == self.config.epoch_length(epoch):
-            raise ProtocolError(f"epoch {epoch} is exhausted: no session completed the rotation")
-        rotate = (
-            step + 1 == self.config.epoch_length(epoch) and rnd < self.rounds_planned
-        )
+            if (s.ratchet.epoch, s.ratchet.step) != (epoch, step - 1):
+                raise ProtocolError(
+                    f"session {addr.hex()} is out of lockstep: it stands at epoch "
+                    f"{s.ratchet.epoch} step {s.ratchet.step}, round {rnd} needs epoch "
+                    f"{epoch} step {step - 1}"
+                )
+        rotate = self.config.rotates(rnd, self.rounds_planned)
         fresh_kem, fresh_dh, h_keys = self._new_keys() if rotate else (None, None, b"")
         plaintext = TaskPayload(
             project_id=self.project_id,
@@ -671,9 +673,9 @@ class Server(_Party):
         if rotate:
             self.counters.key_material_bytes += _KEY_ANNOUNCE_BYTES * len(self.sessions)
             self._kem, self._dh = fresh_kem, fresh_dh
-            self._rotation_round = rnd
         self.round = rnd
         self._task = (plaintext, self.clock.now())
+        self._task_dim = model.values.size
         return event
 
     def send_task(self, participant: bytes) -> bytearray:
@@ -707,7 +709,13 @@ class Server(_Party):
         if key is None or key.round != env.round:
             raise SessionNotReady("no model key staged for this round")
         msg, model = self._open(key, env, DIR_UPDATE, chain.h_info)
-        rotating = self._rotation_round == env.round
+        if model.values.size != self._task_dim:
+            raise MalformedMessage(
+                f"update model has {model.values.size} values, the task's {self._task_dim}"
+            )
+        if model.round != env.round:
+            raise MalformedMessage(f"update model labelled round {model.round}, not {env.round}")
+        rotating = self.config.rotates(env.round, self.rounds_planned)
         if rotating != bool(msg.kem_ciphertext):
             raise CommitmentMismatch("key rotation material missing or unexpected")
         if rotating:
@@ -862,6 +870,8 @@ class Participant(_Party):
         except ratchet.EpochExhausted as exc:
             raise ProtocolError(f"round {env.round} task skips the key rotation: {exc}") from None
         msg, model = self._open(key, env, DIR_TASK, chain.h_info)
+        if fl.model_digest(model) != self.ledger.current_model(self.project_id):
+            raise CommitmentMismatch("task model is not the anchored global model")
         if bool(msg.kem_public) != bool(chain.h_keys):
             raise CommitmentMismatch("key rotation material missing or unexpected")
         if msg.kem_public:

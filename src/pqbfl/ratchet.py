@@ -67,6 +67,12 @@ class RatchetConfig:
             return r
         return r[min(epoch - 1, len(r) - 1)]
 
+    def rotates(self, round: int, rounds: int) -> bool:
+        """Whether round `round` of `rounds` re-keys: its key is the last of its
+        epoch and another round follows."""
+        epoch, step = key_of(round, self)
+        return step == self.epoch_length(epoch) and round < rounds
+
 
 class ModelKey:
     """One round's encryption key.  Usable at most once per direction."""
@@ -101,12 +107,10 @@ class RatchetState:
 
 
 def init_root(ss_kem: bytes, ss_dh: bytes, config: RatchetConfig) -> RatchetState:
-    """Derive the first root key from the hybrid shared secrets."""
-    if len(ss_kem) != 32 or len(ss_dh) != 32:
-        raise ValueError("shared secrets must be 32 bytes each")
-    rk = hkdf(_ZERO_SALT, ss_kem + ss_dh, LABEL_ROOT, 32)
-    ck = hkdf(_ZERO_SALT, rk, LABEL_CHAIN_INIT, 32)
-    return RatchetState(root_key=rk, chain_key=ck, epoch=1, step=0, config=config)
+    """Derive the first root key from the hybrid shared secrets: the
+    asymmetric step from an empty root, since HMAC pads an empty salt to the
+    same zero block as `_ZERO_SALT`."""
+    return advance_asymmetric(RatchetState(b"", b"", 0, 0, config), ss_kem, ss_dh)
 
 
 def advance_symmetric(state: RatchetState) -> tuple[RatchetState, ModelKey]:
@@ -144,8 +148,6 @@ def advance_asymmetric(
 
 def round_of(epoch: int, step: int, config: RatchetConfig) -> int:
     """Global round index of key (epoch, step): earlier epochs' lengths, then step."""
-    if epoch < 1:
-        raise ValueError("epochs are numbered from 1")
     if not 1 <= step <= config.epoch_length(epoch):
         raise ValueError(
             f"step {step} outside 1..{config.epoch_length(epoch)} for epoch {epoch}"

@@ -210,7 +210,7 @@ def test_update_commitment_is_scoped_to_its_project():
     clock.advance(60)
     server.publish_round(model)
     got = p.handle_task(server.send_task(p.address))
-    blob = p.send_update(fl.local_train(got, 77, 0.01, 2))
+    blob = p.send_update(fl.local_train(got, 77, 0.01, 1))
     ledger.update_model(p.address, 1, H, b"", 2, 1)
     sender, _ = server.handle_update(blob)
     assert sender == p.address
@@ -229,7 +229,8 @@ def test_feedback_hashes_the_global_model_once_per_round(monkeypatch):
     for _ in range(2):
         hashed.clear()
         model = run_round(server, parts, clock, model)
-        assert len(hashed) == 1 and hashed[0] is model
+        # each participant hashes its task model once, then feedback the new model once
+        assert len(hashed) == len(parts) + 1 and hashed[-1] is model
 
 
 def test_a_task_is_sealed_when_taken_with_the_publish_time(monkeypatch):
@@ -707,7 +708,8 @@ def _update_with_no_staged_key(server, p, ledger, clock, model):
 
 
 def _unexpected_rotation_reply(server, p, ledger, clock, model):
-    local = _open_task(server, p, clock, model)   # round 1 does not rotate
+    # round 1 does not rotate
+    local = fl.local_train(_open_task(server, p, clock, model), 1, 0.01, 1)
     ct, dh = bytes(crypto.KEM_CIPHERTEXT_BYTES), NOT_A_POINT
     payload = UpdatePayload(1, 1, 1, fl.WireModel(local), ct, dh)
     return server.handle_update, _forged_update(p, ledger, payload, crypto.digest(ct + dh))
@@ -715,11 +717,34 @@ def _unexpected_rotation_reply(server, p, ledger, clock, model):
 
 def _rotation_reply_off_its_commitment(server, p, ledger, clock, model):
     model = run_round(server, [p], clock, model)
-    local = _open_task(server, p, clock, model)   # round 2 rotates
+    # round 2 rotates
+    local = fl.local_train(_open_task(server, p, clock, model), 1, 0.01, 2)
     ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
     dh = crypto.dh_keygen(DeterministicRng(b"fresh")).public
     payload = UpdatePayload(1, 2, 2, fl.WireModel(local), ct, dh)
     return server.handle_update, _forged_update(p, ledger, payload, crypto.digest(b"other"))
+
+
+def _update_one_value_short(server, p, ledger, clock, model):
+    local = fl.local_train(_open_task(server, p, clock, model), 1, 0.01, 1)
+    short = fl.ModelVector(local.values[:-1], 1, local.tag)   # 7 values against the task's 8
+    payload = UpdatePayload(1, 1, 1, fl.WireModel(short))
+    return server.handle_update, _forged_update(p, ledger, payload)
+
+
+def _update_labelled_another_round(server, p, ledger, clock, model):
+    local = fl.local_train(_open_task(server, p, clock, model), 1, 0.01, 8)
+    payload = UpdatePayload(1, 1, 1, fl.WireModel(local))   # a round-8 model in round 1
+    return server.handle_update, _forged_update(p, ledger, payload)
+
+
+def _task_model_not_the_anchored_one(server, p, ledger, clock, model):
+    # the task bytes match their on-chain hash, but the model in them is not
+    # the global model the round's Feedback anchored
+    model = run_round(server, [p], clock, model)
+    clock.advance(60)
+    server.publish_round(fl.ModelVector(model.values + 1.0, model.round))
+    return p.handle_task, server.send_task(p.address)
 
 
 def _task_skipping_a_round(server, p, ledger, clock, model):
@@ -790,11 +815,14 @@ REJECTED = [
     (_update_with_no_staged_key, protocol.SessionNotReady, "no model key staged"),
     (_unexpected_rotation_reply, CommitmentMismatch, "missing or unexpected"),
     (_rotation_reply_off_its_commitment, CommitmentMismatch, "rotation reply does not match"),
+    (_update_one_value_short, MalformedMessage, "update model has 7 values, the task's 8"),
+    (_update_labelled_another_round, MalformedMessage, "labelled round 8, not 1"),
     (_task_skipping_a_round, ProtocolError, "task skips to round 2"),
     (_task_while_one_is_open, ProtocolError, "previous task still open"),
     (_task_not_on_chain, BadReference, "no on-chain task"),
     (_task_missing_committed_keys, CommitmentMismatch, "missing or unexpected"),
     (_fresh_keys_off_their_commitment, CommitmentMismatch, "fresh keys do not match"),
+    (_task_model_not_the_anchored_one, CommitmentMismatch, "not the anchored global model"),
     (_response_from_a_stranger, protocol.UnknownClient, "unregistered"),
     (_response_for_another_project, BadReference, "different project"),
     (_response_naming_another_registration, BadReference, "wrong registration"),
@@ -882,7 +910,7 @@ def test_publish_after_a_rotation_no_session_completed_refused_before_any_write(
     server.feedback(got)
     blocks = len(ledger.blocks)
     clock.advance(60)
-    with pytest.raises(ProtocolError, match="epoch 1 is exhausted") as info:
+    with pytest.raises(ProtocolError, match="stands at epoch 1 step 1") as info:
         server.publish_round(got)
     assert type(info.value) is ProtocolError
     assert (len(ledger.blocks), server.round) == (blocks, 1)

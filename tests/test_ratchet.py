@@ -14,6 +14,7 @@ from pqbfl.ratchet import (
     advance_asymmetric,
     advance_symmetric,
     init_root,
+    key_of,
     round_of,
 )
 
@@ -109,6 +110,33 @@ def test_round_of_matches_brute_force_walk():
             for step in range(1, cfg.epoch_length(epoch) + 1):
                 rnd += 1
                 assert round_of(epoch, step, cfg) == rnd
+
+
+RANGES = st.one_of(
+    st.integers(1, 5), st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANGES, st.integers(1, 24), st.data())
+def test_key_of_inverts_round_of_and_rotates_ends_each_epoch(ranges, rounds, data):
+    cfg = RatchetConfig(ranges)
+    epoch = data.draw(st.integers(1, 6))
+    step = data.draw(st.integers(1, cfg.epoch_length(epoch)))
+    assert key_of(round_of(epoch, step, cfg), cfg) == (epoch, step)
+    assert key_of(0, cfg) == (1, 0) and not cfg.rotates(0, rounds)
+    # brute force: walk the chain and re-key exactly when it runs out
+    state = init_root(b"\x01" * 32, b"\x02" * 32, cfg)
+    for rnd in range(1, rounds + 1):
+        state, key = advance_symmetric(state)
+        assert key_of(rnd, cfg) == (key.epoch, key.step)
+        try:
+            advance_symmetric(state)
+            last = False
+        except EpochExhausted:
+            last = True
+            state = advance_asymmetric(state, b"\x03" * 32, b"\x04" * 32)
+        assert cfg.rotates(rnd, rounds) == (last and rnd < rounds)
 
 
 def test_round_of_rejects_out_of_range_step():
