@@ -20,16 +20,33 @@ A peer's public keys can be checked before anything uses them: `kem_check`
 runs the ML-KEM length and modulus checks and `dh_check` decodes the P-256
 point, each raising ValueError.
 
+A signature check may already have been made when `verify` is called.
+Inside a `Verifier.wave` of two or more envelopes, each envelope's check is
+submitted to `verifier`, whose child process checks it on a second core, as
+soon as the envelope exists.  `verify` hashes its message and takes the
+child's answer for exactly that (key, digest, signature), and checks
+in-process otherwise.  Both sides check with `secp256k1.verify_digest`, so
+the answer is the same either way.
+
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
-addresses and nonces; SHA-384 inside HKDF for key derivation.
+addresses, nonces and signed messages; SHA-384 inside HKDF for key
+derivation.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import hashlib
+import os
+import select
+import subprocess
+import sys
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -185,13 +202,184 @@ def sign(pair: SigKeyPair, message: bytes) -> bytes:
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff the signature is valid; malformed inputs count as invalid."""
+    """True iff the signature over SHA-256 of `message` is valid; malformed
+    inputs count as invalid.  If `verifier` was handed this exact check, its
+    child's answer is returned; otherwise the check runs here."""
+    digest = hashlib.sha256(message).digest()
+    answer = verifier.take(public, digest, signature)
+    return secp256k1.verify_digest(public, digest, signature) if answer is None else answer
+
+
+# the verifier child: a fresh interpreter that imports only `secp256k1` (and
+# through it `cryptography`) from the source tree named by its argument
+_CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from pqbfl.secp256k1 import _serve; _serve()"
+_SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _usable_cpus() -> int:
     try:
-        key = _point(public, ec.SECP256K1())
-        key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class Verifier:
+    """Signature checks made ahead of their handlers in one child process.
+
+    `wave(size)` opens one exchange of `size` envelopes.  The child starts on
+    the first wave of two or more, and only where a second CPU is usable; a
+    wave of one is checked in-process.  Inside a wave, `submit` sends the
+    child a check as raw bytes (the key, the SHA-256 of the signed message
+    and the signature), and the child answers each with one byte, in order.
+    `take` returns the answer to exactly that check, once per copy
+    submitted (the server sends every participant the same announcement); a
+    check never submitted, or already taken, gets None and runs in-process.
+    Answers not taken by the end of a wave are dropped.
+
+    At most `MAX_PENDING` checks are in flight: a request is at most
+    2 + 255 + 32 + 255 bytes, so they fit one 64 KiB pipe and their answers
+    another, and neither side can block on a full pipe.  A child that closes
+    its pipe, sends a byte that is no answer, or stays silent for `TIMEOUT`
+    seconds is killed, and every pending and later check runs in-process.
+    `close`, also run at exit, closes the pipes and waits for the child.
+    Threads may share a verifier: one lock keeps each request and its place
+    in the answer order together."""
+
+    MAX_PENDING = 64
+    TIMEOUT = 5.0   # a check takes under a millisecond
+
+    def __init__(self):
+        self._proc: subprocess.Popen | None = None
+        self._closed = False
+        self._ready = False     # the child has sent secp256k1.READY
+        self.accepting = False  # a wave of two or more is open and the child is usable
+        self._sent: deque = deque()   # checks in flight, oldest first; None once dropped
+        self._answers: dict[tuple, list[bool]] = {}   # one entry per copy submitted
+        self._lock = threading.RLock()
+
+    def __enter__(self) -> "Verifier":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def is_alive(self) -> bool:
+        return self._proc is not None and self._proc.poll() is None
+
+    @contextlib.contextmanager
+    def wave(self, size: int):
+        """One exchange of `size` envelopes: accept submissions inside it if
+        `size` is two or more, and drop the answers not taken by its end."""
+        with self._lock:
+            self.accepting = size > 1 and self._start()
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.accepting = False
+                self._answers.clear()
+                self._sent = deque([None] * len(self._sent))
+
+    def submit(self, public, message, signature) -> None:
+        """Hand one check to the child, if a wave is open and the child has
+        started; the request is written before this returns."""
+        if not self.accepting or len(public) > 255 or len(signature) > 255:
+            return
+        check = (bytes(public), hashlib.sha256(message).digest(), bytes(signature))
+        with self._lock:   # a request and its place in `_sent` must agree
+            if not self._ready and not self._receive(0):
+                return   # still starting: this check stays in-process
+            while len(self._sent) >= self.MAX_PENDING:
+                if not self._receive(self.TIMEOUT):
+                    return self._abandon()
+            if self._closed:
+                return
+            try:   # unbuffered: a blocking write writes it all
+                self._proc.stdin.write(bytes([len(check[0]), len(check[2])]) + b"".join(check))
+            except OSError:
+                return self._abandon()
+            self._sent.append(check)
+
+    def take(self, public, digest: bytes, signature) -> bool | None:
+        """The child's answer to this check, waiting for it if it is in
+        flight; None if it was not submitted or the child is gone."""
+        if not self._answers and not self._sent:
+            return None   # nothing in flight: the caller checks in-process
+        check = (bytes(public), digest, bytes(signature))
+        with self._lock:
+            while check not in self._answers:
+                if check not in self._sent:
+                    return None
+                if not self._receive(self.TIMEOUT):
+                    self._abandon()
+            answers = self._answers[check]
+            if len(answers) == 1:
+                del self._answers[check]
+            return answers.pop()
+
+    def close(self) -> None:
+        """Close the child's pipes and wait for it to exit; later checks run
+        in-process."""
+        with self._lock:
+            self._closed, self.accepting = True, False
+            self._sent.clear()
+            self._answers.clear()
+            if self._proc is None or self._proc.stdin.closed:
+                return
+            atexit.unregister(self.close)
+            self._proc.stdin.close()   # end of input: the child exits
+            self._proc.stdout.close()
+            try:
+                self._proc.wait(timeout=self.TIMEOUT)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+
+    def _start(self) -> bool:
+        if self._proc is None and not self._closed and _usable_cpus() > 1:
+            try:
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-c", _CHILD, _SOURCE], stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0,
+                )
+            except OSError:
+                self._closed = True
+            else:
+                atexit.register(self.close)
+        return self._proc is not None and not self._closed
+
+    def _abandon(self) -> None:
+        if self.is_alive():
+            self._proc.kill()
+        self.close()
+
+    def _receive(self, timeout: float) -> bool:
+        """Read the answers that arrive within `timeout` seconds; False if
+        none did.  A child that closed its pipe or sent a byte that is no
+        answer is abandoned."""
+        if self._closed:
+            return False
+        out = self._proc.stdout
+        if not select.select([out], [], [], timeout)[0]:
+            return False
+        data = out.read(65536)
+        if not self._ready and data[:1] == bytes([secp256k1.READY]):
+            self._ready, data = True, data[1:]
+        elif not data or not self._ready:
+            self._abandon()
+            return False
+        if max(data, default=0) > 1 or len(data) > len(self._sent):
+            self._abandon()
+            return False
+        for answer in data:
+            check = self._sent.popleft()
+            if check is not None:
+                self._answers.setdefault(check, []).append(answer == 1)
         return True
-    except (InvalidSignature, ValueError, TypeError):
-        return False
+
+
+# the one verifier `verify` consults; its child starts with the first wave
+verifier = Verifier()
 
 
 def address_of(sig_public: bytes) -> bytes:
@@ -246,6 +434,8 @@ __all__ = [
     "sig_keygen",
     "sign",
     "verify",
+    "Verifier",
+    "verifier",
     "address_of",
     "aead_seal",
     "aead_open",

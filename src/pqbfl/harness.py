@@ -4,9 +4,20 @@
 establishment, R rounds with the key-rotation schedule, one feedback call
 closing each round, termination) over an in-process ledger and an
 instrumented channel, entirely deterministically: every random choice flows
-from the config seed, and the clock is simulated.  Sessions run in lockstep round by round and metrics are
-snapshotted at round boundaries, so output files are reproducible
-byte for byte.
+from the config seed, and the clock is simulated.  Every session takes each
+round together, and metrics are snapshotted at round boundaries, so output
+files are reproducible byte for byte.
+
+Each exchange goes out in waves over windows of participants: the server
+sends a window's envelopes, each participant handles its own and replies,
+then the server handles the replies in participant order.  A window holds as
+many participants as its envelopes fit `WAVE_BYTES`, so small models make
+one window of every participant and wide ones a window of one, which is the
+participant-at-a-time order.  Within a window every envelope's signature
+check is handed to `crypto.verifier` as soon as the envelope exists, so a
+child process checks the wave on a second core while this one signs and
+handles.  The order of ledger blocks, folds, transcript rows, counters and
+channel injections is the same at any window size, so every artifact is too.
 
 Every delivery is envelope wire bytes handed from a send call through
 `Channel.carry` straight to the receiving handler.  The channel's fault
@@ -30,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -76,6 +88,10 @@ MAX_NOISE_SCALE = 1e304
 # plaintext, the running sum, and a participant's send, which holds its local
 # model, the update payload and the sealed envelope at once.
 ROUND_MODEL_COPIES = 5
+
+# The envelope bytes one exchange keeps in flight: a window holds as many
+# participants as their envelopes fit here, at least one.
+WAVE_BYTES = 256 * 1024
 
 # The largest payload is a sealed rotation round: 8 * model_dim value bytes
 # plus under 2 KiB of headers, length prefixes, fresh keys, model tag and AEAD
@@ -318,6 +334,26 @@ class Channel:
         return self.records
 
 
+def _windows(participants: int, send):
+    """The windows of one exchange, in participant order.  Each holds the
+    envelopes `send(i)` makes for as many participants as fit `WAVE_BYTES`,
+    judged by its first, and is one verifier wave: each envelope is submitted
+    for checking as soon as it exists, and the wave stays open while the
+    caller works through the window.  Yields a deque of (participant,
+    envelope) per window."""
+    start = 0
+    while start < participants:
+        sent = deque([(start, send(start))])
+        stop = min(participants, start + max(1, WAVE_BYTES // len(sent[0][1])))
+        with crypto.verifier.wave(stop - start):
+            protocol.submit_check(sent[0][1])
+            for i in range(start + 1, stop):
+                sent.append((i, send(i)))
+                protocol.submit_check(sent[-1][1])
+            yield sent
+        start = stop
+
+
 def run_simulation(config: SimConfig) -> RunMetrics:
     """Execute one full lifecycle and collect metrics.
 
@@ -327,14 +363,19 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     never desynchronizes the rotation schedule because only the final round's
     update is withheld and rotations never occur on the final round.
 
-    A round holds the same model copies at any P, `ROUND_MODEL_COPIES` at its
-    peak: the task plaintext, the running sum, and the copies of the one hop
-    in flight.  The global model is dropped once published, each
-    participant's task envelope is sealed when the server sends it, every
-    copy a participant's turn makes is dropped once the next step has it, and
-    each accepted update is folded into the running sum as it arrives, in
-    arrival order and scaled by `1 / n`, with `n` planned up front, so the
-    next global model is bitwise the list average.
+    Establishment and every round run window by window (see the module
+    docstring): the server sends a window's announcements or tasks, each
+    participant handles its own (and, in a round, trains) and replies, then
+    the server handles the replies in participant order.  A wide model's
+    window is one participant, so a round holds the same model copies at any
+    P, `ROUND_MODEL_COPIES` at its peak: the task plaintext, the running sum,
+    and the copies of the one hop in flight.  The global model is dropped
+    once published, each participant's task envelope is sealed when the
+    server sends it, every copy a participant's turn makes is dropped once
+    the next step has it, and each accepted update is folded into the running
+    sum as the server handles it, in participant order and scaled by `1 / n`,
+    with `n` planned up front, so the next global model is bitwise the list
+    average.
     """
     root = crypto.DeterministicRng(config.seed)
     clock = SimClock()
@@ -356,6 +397,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         for i in range(config.participants)
     }
     parties = {"server": server, **clients}
+    names, members = list(clients), list(clients.values())
     train_seeds = [
         int.from_bytes(root.fork(f"train-{i}").bytes(8), "big")
         for i in range(config.participants)
@@ -406,12 +448,17 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             protocol.MSG_KEY_ANNOUNCEMENT, 0, msg.encode(), server._sig, clock.now()
         )
 
-    for i, p in enumerate(clients.values()):
-        resp = channel.carry(
-            "establish", server.send_keys(p.address), 0, i, p.handle_keys,
-            forge=forge_announcement,
-        )
-        channel.carry("response", resp, 0, i, server.handle_key_response)
+    for sent in _windows(config.participants, lambda i: server.send_keys(members[i].address)):
+        replies = deque()
+        while sent:
+            i, blob = sent.popleft()
+            replies.append((i, channel.carry(
+                "establish", blob, 0, i, members[i].handle_keys, forge=forge_announcement,
+            )))
+            protocol.submit_check(replies[-1][1])
+        while replies:
+            i, blob = replies.popleft()
+            channel.carry("response", blob, 0, i, server.handle_key_response)
     snapshot(0)
 
     free_rider = channel.plans.get("free_ride", {}).get("victim")
@@ -427,18 +474,25 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         global_model = None   # the server holds the task's committed serialization
         withheld = free_rider if rnd == config.rounds else None
         total = fl.RunningAverage(config.participants - (withheld is not None), config.model_dim)
-        for i, (name, p) in enumerate(clients.items()):
-            got = channel.carry("task", server.send_task(p.address), rnd, i, p.handle_task)
-            local = fl.local_train(got, train_seeds[i], config.noise_scale, rnd, tag=name)
-            del got
-            if i == withheld:
-                continue   # trained but never sent, never scored
-            if free_rider is not None:
-                channel.shown.append(fl.serialize_model(local))
-            update = p.send_update(local)
-            del local
-            total.add(channel.carry("update", update, rnd, i, server.handle_update)[1])
-            del update
+        for sent in _windows(config.participants, lambda i: server.send_task(members[i].address)):
+            updates = deque()
+            while sent:
+                i, blob = sent.popleft()
+                got = channel.carry("task", blob, rnd, i, members[i].handle_task)
+                del blob
+                local = fl.local_train(got, train_seeds[i], config.noise_scale, rnd, tag=names[i])
+                del got
+                if i == withheld:
+                    continue   # trained but never sent, never scored
+                if free_rider is not None:
+                    channel.shown.append(fl.serialize_model(local))
+                updates.append((i, members[i].send_update(local)))
+                del local
+                protocol.submit_check(updates[-1][1])
+            while updates:
+                i, blob = updates.popleft()
+                total.add(channel.carry("update", blob, rnd, i, server.handle_update)[1])
+                del blob
         global_model = total.result()
         server.feedback(global_model)
 

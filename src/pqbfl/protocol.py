@@ -44,6 +44,11 @@ P-256 point.  Each session fact is stored once: a session is established
 exactly when it holds a ratchet, and the server keeps a participant's
 on-chain registration itself rather than copies of its fields.
 
+A signature check may already have been made when a handler asks for it:
+`submit_check` hands an envelope's check to `crypto.verifier` as soon as the
+envelope exists, and the handler's `crypto.verify` then takes the child's
+answer for exactly that check (see `crypto`).
+
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly; of all counters only `verify` and `offchain_recv_bytes`
 also move for a delivery that is then rejected.  `derive` counts the two
@@ -348,6 +353,22 @@ def envelope_bytes(
     ).encode(sig_pair)
 
 
+def _signed(env: SignedEnvelope, blob) -> memoryview:
+    """The bytes `env`'s signature covers: every byte of `blob`, the wire
+    bytes it was decoded from, before its signature field.  `decode` accepts
+    only the one layout, so they are byte for byte what the sender signed."""
+    return memoryview(blob)[: len(blob) - _LENGTH.size - len(env.signature)]
+
+
+def submit_check(blob) -> None:
+    """Hand the signature check of the envelope `blob` to `crypto.verifier`
+    ahead of its delivery, if a wave is open; the receiving handler's
+    `crypto.verify` then takes the answer to that exact check."""
+    if crypto.verifier.accepting:
+        env = SignedEnvelope.decode(blob)
+        crypto.verifier.submit(env.sender_public, _signed(env, blob), env.signature)
+
+
 def build_envelope(
     msg_type: int, round: int, payload: bytes, sig_pair: crypto.SigKeyPair, now: int
 ) -> SignedEnvelope:
@@ -440,10 +461,8 @@ class _Party:
     ) -> None:
         """Freshness, address binding, signature and type.  Raises; never mutates.
 
-        `blob` is the wire bytes `env` was decoded from.  The signature covers
-        every byte before the signature field, so it is checked over that
-        prefix of `blob`: `decode` accepts only the one layout, so the prefix
-        is byte for byte what the sender signed.
+        `blob` is the wire bytes `env` was decoded from; the signature is
+        checked over their `_signed` prefix.
         """
         if env.version != WIRE_VERSION:
             raise MalformedMessage(f"unsupported wire version {env.version}")
@@ -457,8 +476,7 @@ class _Party:
             raise BadSignature("declared key does not match sender address")
         if env.sender_address != sender:
             raise BadSignature("sender is not the expected peer")
-        signed = memoryview(blob)[: len(blob) - 4 - len(env.signature)]
-        if not crypto.verify(env.sender_public, signed, env.signature):
+        if not crypto.verify(env.sender_public, _signed(env, blob), env.signature):
             raise BadSignature("envelope signature invalid")
         self.counters.verify += 1
         if env.msg_type != msg_type:

@@ -3,8 +3,11 @@
 Curve and generator: SEC 2 v2, section 2.4.1.  Nonces: RFC 6979 with
 HMAC-SHA256.  Signatures are DER `SEQUENCE { INTEGER r, INTEGER s }` with
 minimal integers and no low-s normalisation, byte for byte what OpenSSL's
-deterministic ECDSA emits.  Verification is not here: `crypto.verify` uses
-OpenSSL.
+deterministic ECDSA emits.  Verification is OpenSSL's: `verify_digest` checks
+a signature against a SHA-256 digest the caller already made.  It is the one
+check both `crypto.verify` and the verifier child make; `_serve` is that
+child's loop, and this module imports nothing of pqbfl, so the child imports
+only this module and `cryptography`.
 
 k·G is a fixed-point multiplication (Hankerson, Menezes and Vanstone, *Guide
 to Elliptic Curve Cryptography*, ch. 3).  Adding 0x80 to each of the 33
@@ -27,12 +30,22 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
+import signal
+import sys
+
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed
 
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
+_PREHASHED = ec.ECDSA(Prehashed(hashes.SHA256()))
+READY = 2   # the verifier child's first byte; each answer after it is 0 or 1
 _BIAS = int.from_bytes(b"\x80" * 33, "little")
 _table: list[int] | None = None
 
@@ -150,3 +163,34 @@ def sign(d: int, message) -> bytes:
         if r and s:
             body = _der_int(r) + _der_int(s)
             return bytes([0x30, len(body)]) + body
+
+
+def verify_digest(public, digest, signature) -> bool:
+    """True iff `signature` is a valid DER ECDSA signature by the uncompressed
+    point `public` over the 32-byte SHA-256 `digest`; malformed inputs count
+    as invalid."""
+    try:
+        key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), public)
+        key.verify(signature, digest, _PREHASHED)
+        return True
+    except (InvalidSignature, ValueError, TypeError):
+        return False
+
+
+def _serve() -> None:
+    """The verifier child's loop (see `crypto.Verifier`).  It writes `READY`,
+    then answers each request read from stdin with one byte on stdout, 1 if
+    valid and 0 if not, in request order, until stdin ends.  A request is raw
+    bytes: the key length and the signature length, one byte each, then the
+    key, the 32-byte digest and the signature.  Interrupts are the parent's
+    to handle: the child ends when the parent closes its pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests, answers = sys.stdin.buffer, sys.stdout.fileno()
+    os.write(answers, bytes([READY]))
+    while len(head := requests.read(2)) == 2:
+        n_key, n_sig = head
+        body = requests.read(n_key + 32 + n_sig)
+        if len(body) != n_key + 32 + n_sig:
+            return
+        valid = verify_digest(body[:n_key], body[n_key : n_key + 32], body[n_key + 32 :])
+        os.write(answers, b"\x01" if valid else b"\x00")

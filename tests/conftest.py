@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pqbfl import fl, protocol
+from pqbfl import crypto, fl, protocol
 from pqbfl.crypto import DeterministicRng
 from pqbfl.ledger import Ledger, LedgerConfig, SimClock
 from pqbfl.protocol import Participant, Server
@@ -43,6 +43,17 @@ def establish(
         response = p.handle_keys(server.send_keys(p.address))
         server.handle_key_response(response)
     return server, participants, ledger, clock, model
+
+
+def ready_verifier(monkeypatch) -> crypto.Verifier:
+    """A `crypto.Verifier` whose child has started and said it is ready, on
+    any host: checks submitted before that stay in-process.  Close it with
+    `with`."""
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    verifier = crypto.Verifier()
+    with verifier.wave(2):
+        assert verifier._receive(verifier.TIMEOUT) and verifier._ready
+    return verifier
 
 
 def key_row(role, address, key):

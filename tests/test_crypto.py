@@ -5,6 +5,8 @@ import hmac
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
-from pqbfl import crypto, mlkem
+from conftest import ready_verifier
+from pqbfl import crypto, mlkem, secp256k1
 
 # --- references -------------------------------------------------------------
 
@@ -313,6 +316,145 @@ def test_importing_the_package_does_not_build_the_table():
     src = str(Path(crypto.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_importing_starts_no_process_and_one_participant_never_starts_the_child():
+    code = (
+        "import os, subprocess\n"
+        "popen = subprocess.Popen\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('started a process')\n"
+        "subprocess.Popen = os.fork = os.posix_spawn = refuse\n"
+        "import pqbfl.__main__, pqbfl.cli, pqbfl.harness, pqbfl.protocol\n"
+        "from pqbfl import crypto, harness\n"
+        "harness.run_simulation(harness.SimConfig(participants=1, rounds=3, ratchet_range=2))\n"
+        "assert crypto.verifier._proc is None\n"
+        "subprocess.Popen = popen\n"
+        "crypto._usable_cpus = lambda: 2\n"
+        "harness.run_simulation(harness.SimConfig(participants=2, rounds=1))\n"
+        "assert crypto.verifier.is_alive()\n"
+    )
+    src = str(Path(crypto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+# --- the verifier child --------------------------------------------------------
+
+def _check_table():
+    pair = crypto.sig_keygen(crypto.DeterministicRng(b"signer"))
+    other = crypto.sig_keygen(crypto.DeterministicRng(b"other"))
+    msg = b"an envelope's signed prefix"
+    sig = crypto.sign(pair, msg)
+    x, y = pair.public[1:33], int.from_bytes(pair.public[33:], "big")
+    return {   # name: (key, message, signature, valid)
+        "valid": (pair.public, msg, sig, True),
+        "flipped digest": (pair.public, msg[:-1] + bytes([msg[-1] ^ 1]), sig, False),
+        "truncated DER": (pair.public, msg, sig[:-1], False),
+        "trailing bytes after DER": (pair.public, msg, sig + b"\x00", False),
+        "64-byte key": (pair.public[1:], msg, sig, False),
+        "off-curve point": (b"\x04" + x + (y + 1).to_bytes(32, "big"), msg, sig, False),
+        "the other party's key": (other.public, msg, sig, False),
+    }
+
+
+def test_the_child_and_the_in_process_check_agree(monkeypatch):
+    # each check goes twice, as the server sends every participant the same
+    # announcement: each copy gets one answer
+    table = _check_table()
+    with ready_verifier(monkeypatch) as verifier:
+        with verifier.wave(len(table)):
+            for key, msg, sig, _ in [*table.values(), *table.values()]:
+                verifier.submit(key, msg, sig)
+            time.sleep(0.2)   # let every answer arrive before the first take
+            for name, (key, msg, sig, valid) in table.items():
+                digest = hashlib.sha256(msg).digest()
+                assert secp256k1.verify_digest(key, digest, sig) is valid, name
+                assert verifier.take(key, digest, sig) is valid, name
+                assert verifier.take(key, digest, sig) is valid, name
+                assert verifier.take(key, digest, sig) is None, name
+    assert not verifier.is_alive()
+
+
+@pytest.mark.parametrize("child,ready", [
+    ("import time; time.sleep(60)", False),   # never ready: nothing is submitted
+    # ready, then silent past the bound: killed
+    ("import os, time; os.write(1, bytes([2])); time.sleep(60)", True),
+])
+def test_a_silent_child_leaves_its_checks_in_process(child, ready, monkeypatch):
+    monkeypatch.setattr(crypto, "_CHILD", child)
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    key, msg, sig, _ = _check_table()["valid"]
+    monkeypatch.setattr(crypto.Verifier, "TIMEOUT", 0.5)
+    with crypto.Verifier() as verifier:
+        monkeypatch.setattr(crypto, "verifier", verifier)
+        with verifier.wave(2):
+            if ready:   # however slowly the stub starts
+                assert verifier._receive(30) and verifier._ready
+            verifier.submit(key, msg, sig)
+            start = time.perf_counter()
+            assert crypto.verify(key, msg, sig)
+            assert time.perf_counter() - start < verifier.TIMEOUT + 2
+            assert verifier.is_alive() is not ready
+    assert not verifier.is_alive()
+    assert crypto.verify(key, msg, sig)
+
+
+def test_a_wave_larger_than_both_pipes_completes(monkeypatch):
+    # a key that is no point makes each check cheap; 20,000 requests of about
+    # 170 bytes are 50 times a 64 KiB pipe
+    checks = [(b"\x04" + bytes(64), i.to_bytes(4, "big"), b"\x30\x00") for i in range(20000)]
+    answers = []
+    with ready_verifier(monkeypatch) as verifier:
+        def wave():
+            with verifier.wave(len(checks)):
+                for check in checks:
+                    verifier.submit(*check)
+                for key, msg, sig in checks:
+                    answers.append(verifier.take(key, hashlib.sha256(msg).digest(), sig))
+        worker = threading.Thread(target=wave)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert answers == [False] * len(checks)
+    assert not verifier.is_alive()
+
+
+def test_threads_sharing_a_verifier_each_get_their_own_answers(monkeypatch):
+    # alternate valid and invalid checks, so an answer handed to the wrong
+    # check shows; a short switch interval makes threads interleave often
+    pair = crypto.sig_keygen(crypto.DeterministicRng(b"signer"))
+    other = crypto.sig_keygen(crypto.DeterministicRng(b"other"))
+    per_thread = [[] for _ in range(4)]
+    for t, checks in enumerate(per_thread):
+        for j in range(60):
+            msg = bytes([t, j])
+            checks.append((pair.public if j % 2 else other.public, msg, crypto.sign(pair, msg)))
+    wrong, answered = [], []
+
+    def work(checks):
+        for check in checks:
+            verifier.submit(*check)
+        for key, msg, sig in checks:
+            answer = verifier.take(key, hashlib.sha256(msg).digest(), sig)
+            answered.append(answer is not None)
+            if answer is not None and answer != (key == pair.public):
+                wrong.append((key, msg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ready_verifier(monkeypatch) as verifier, verifier.wave(2):
+            workers = [threading.Thread(target=work, args=(c,)) for c in per_thread]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not verifier.is_alive()
+    assert not wrong and len(answered) == 4 * 60 and any(answered)
 
 
 # --- addresses ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ready_verifier
 from pqbfl import cli, crypto, fl, harness, protocol
 from pqbfl.cli import main
 from pqbfl.harness import (
@@ -514,6 +515,42 @@ def test_a_round_holds_the_same_model_copies_at_any_participant_count(monkeypatc
     )
     assert one <= 5
     assert four - one < 1
+
+
+def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypatch, tmp_path):
+    cfg = small(participants=3, rounds=4)
+    train, trained = fl.local_train, []
+    take, answered = crypto.Verifier.take, []   # (child answered, before the kill)
+
+    def counting_take(*args):
+        out = take(*args)
+        answered.append((out is not None, len(trained) < 5))
+        return out
+
+    def train_then_kill(*args, **kwargs):
+        trained.append(None)
+        if len(trained) == 5:   # round 2, second participant: checks are in flight
+            assert verifier.is_alive() and verifier._sent
+            verifier._proc.kill()
+            verifier._proc.wait(timeout=10)
+        return train(*args, **kwargs)
+
+    with ready_verifier(monkeypatch) as verifier:
+        monkeypatch.setattr(crypto, "verifier", verifier)
+        monkeypatch.setattr(fl, "local_train", train_then_kill)
+        monkeypatch.setattr(crypto.Verifier, "take", counting_take)
+        killed = write_outputs(run_simulation(cfg), str(tmp_path / "killed"))
+        assert len(trained) == cfg.participants * cfg.rounds
+    assert not verifier.is_alive()
+    assert (True, True) in answered and (True, False) not in answered
+    monkeypatch.setattr(fl, "local_train", train)
+    with crypto.Verifier() as in_process:
+        in_process.close()   # never starts a child: every check runs here
+        monkeypatch.setattr(crypto, "verifier", in_process)
+        clean = write_outputs(run_simulation(cfg), str(tmp_path / "clean"))
+    assert killed.keys() == clean.keys()
+    for name in killed:
+        assert Path(killed[name]).read_bytes() == Path(clean[name]).read_bytes(), name
 
 
 # --- fault injection ---------------------------------------------------------
