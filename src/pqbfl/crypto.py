@@ -23,10 +23,12 @@ point, each raising ValueError.
 A signature check may already have been made when `verify` is called.
 Inside a `Verifier.wave` of two or more envelopes, each envelope's check is
 submitted to `verifier`, whose child process checks it on a second core, as
-soon as the envelope exists.  `verify` hashes its message and takes the
-child's answer for exactly that (key, digest, signature), and checks
-in-process otherwise.  Both sides check with `secp256k1.verify_digest`, so
-the answer is the same either way.
+soon as the envelope exists; inside a `Verifier.ahead` exchange of wide
+envelopes, its helper thread hashes and checks each one instead.  `verify`
+takes the helper's verdict for the very buffer submitted, or hashes its
+message and takes the child's answer for exactly that (key, digest,
+signature), and checks in-process otherwise.  All of them check with
+`secp256k1.verify_digest`, so the answer is the same either way.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses, nonces and signed messages; SHA-384 inside HKDF for key
@@ -39,12 +41,15 @@ import atexit
 import contextlib
 import hashlib
 import os
+import queue
 import select
 import subprocess
 import sys
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -204,10 +209,15 @@ def sign(pair: SigKeyPair, message: bytes) -> bytes:
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """True iff the signature over SHA-256 of `message` is valid; malformed
     inputs count as invalid.  If `verifier` was handed this exact check, its
-    child's answer is returned; otherwise the check runs here."""
-    digest = hashlib.sha256(message).digest()
-    answer = verifier.take(public, digest, signature)
-    return secp256k1.verify_digest(public, digest, signature) if answer is None else answer
+    helper thread's or its child's answer is returned; otherwise the check
+    runs here."""
+    answer = verifier.verdict(public, message, signature)
+    if answer is None:
+        digest = hashlib.sha256(message).digest()
+        answer = verifier.take(public, digest, signature)
+        if answer is None:
+            answer = secp256k1.verify_digest(public, digest, signature)
+    return answer
 
 
 # the verifier child: a fresh interpreter that imports only `secp256k1` (and
@@ -223,15 +233,65 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class Verifier:
-    """Signature checks made ahead of their handlers in one child process.
+def _address(buffer) -> int:
+    """Where the first byte of a bytes-like object lies in memory."""
+    return np.frombuffer(buffer, np.uint8).__array_interface__["data"][0]
 
-    `wave(size)` opens one exchange of `size` envelopes.  The child starts on
-    the first wave of two or more, and only where a second CPU is usable; a
-    wave of one is checked in-process.  Inside a wave, `submit` sends the
-    child a check as raw bytes (the key, the SHA-256 of the signed message
-    and the signature), and the child answers each with one byte, in order.
-    `take` returns the answer to exactly that check, once per copy
+
+def _check(public: bytes, message, signature: bytes) -> bool:
+    """One signature check, hashing included, as the helper thread makes it."""
+    return secp256k1.verify_digest(public, hashlib.sha256(message).digest(), signature)
+
+
+class _Job:
+    """One call for the helper thread; `result()` waits for it.  A job
+    cancelled before it starts is skipped, and its result is None."""
+
+    __slots__ = ("_call", "_done", "_value", "_error")
+
+    def __init__(self, call):
+        self._call, self._value, self._error = call, None, None
+        self._done = threading.Lock()
+        self._done.acquire()   # released once the job has run or been skipped
+
+    def run(self) -> "_Job":
+        call, self._call = self._call, None
+        try:
+            if call is not None:
+                self._value = call()
+        except Exception as exc:
+            self._error = exc
+        finally:
+            self._done.release()
+        return self
+
+    def cancel(self) -> None:
+        self._call = None
+
+    def result(self):
+        with self._done:
+            pass
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _serve_jobs(jobs: queue.SimpleQueue) -> None:
+    """The helper thread's loop: run each job in turn until None."""
+    while (job := jobs.get()) is not None:
+        job.run()
+
+
+class Verifier:
+    """Signature checks made ahead of their handlers, on a second core.
+
+    Small envelopes go to one child process.  `wave(size)` opens one exchange
+    of `size` envelopes.  The child starts on the first wave of two or more,
+    and only where a second CPU is usable; a wave of one is checked
+    in-process.  Inside a wave, `submit` sends the child a check as raw bytes
+    (the key, the SHA-256 of the signed message and the signature), once per
+    distinct check in flight, and the child answers each with one byte, in
+    order.  `take` returns the answer to exactly that check, once per copy
     submitted (the server sends every participant the same announcement); a
     check never submitted, or already taken, gets None and runs in-process.
     Answers not taken by the end of a wave are dropped.
@@ -241,9 +301,26 @@ class Verifier:
     another, and neither side can block on a full pipe.  A child that closes
     its pipe, sends a byte that is no answer, or stays silent for `TIMEOUT`
     seconds is killed, and every pending and later check runs in-process.
-    `close`, also run at exit, closes the pipes and waits for the child.
-    Threads may share a verifier: one lock keeps each request and its place
-    in the answer order together."""
+
+    Wide envelopes go to one helper thread instead: hashing a wide message
+    dominates its check, and SHA-256 releases the GIL, so a thread overlaps
+    it with this one.  `ahead(size)` opens one exchange of `size` wide
+    envelopes.  Inside it, `submit` hands the helper each check, which it
+    hashes and checks with the same `secp256k1.verify_digest`, and `run` any
+    other job (the harness draws training noise there).  `verdict` returns
+    the helper's answer for the very buffer submitted: the same object, at
+    the same address and of the same length, with the same key and signature,
+    once; anything else gets None and is checked by `take` or in-process.
+    The verdict is matched by buffer, not hashed again, which relies on one
+    invariant: no wire buffer is written after its send returns (the channel
+    builds a new buffer for every copy it injects).  Verdicts not taken by
+    the end of the exchange are dropped.  The helper starts on the first
+    `ahead` exchange of two or more, only where a second CPU is usable, and
+    is joined at exit; an exchange of one is checked in-process.
+
+    `close`, also run at exit, closes the child's pipes, waits for the child
+    and joins the helper.  Threads may share a verifier: one lock keeps each
+    request and its place in the answer order together."""
 
     MAX_PENDING = 64
     TIMEOUT = 5.0   # a check takes under a millisecond
@@ -252,9 +329,14 @@ class Verifier:
         self._proc: subprocess.Popen | None = None
         self._closed = False
         self._ready = False     # the child has sent secp256k1.READY
-        self.accepting = False  # a wave of two or more is open and the child is usable
-        self._sent: deque = deque()   # checks in flight, oldest first; None once dropped
-        self._answers: dict[tuple, list[bool]] = {}   # one entry per copy submitted
+        self.accepting = False  # `submit` has somewhere to send a check
+        self._sent: deque = deque()   # distinct checks in flight, oldest first; None once dropped
+        self._answers: dict[tuple, bool] = {}   # the child's answers not yet taken
+        self._copies: dict[tuple, int] = {}     # copies submitted and not taken, per check
+        self._helper: threading.Thread | None = None   # started on the first `ahead`
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.helping = False    # an `ahead` exchange is open and the helper is usable
+        self._verdicts: dict[int, list] = {}    # id(buffer) -> its pending helper checks
         self._lock = threading.RLock()
 
     def __enter__(self) -> "Verifier":
@@ -278,15 +360,63 @@ class Verifier:
             with self._lock:
                 self.accepting = False
                 self._answers.clear()
+                self._copies.clear()
                 self._sent = deque([None] * len(self._sent))
 
+    @contextlib.contextmanager
+    def ahead(self, size: int):
+        """One exchange of `size` wide envelopes: if `size` is two or more,
+        hand their checks, and the jobs `run` is given, to the helper thread,
+        and drop the verdicts not taken by its end."""
+        with self._lock:
+            if size > 1 and self._helper is None and not self._closed and _usable_cpus() > 1:
+                self._helper = threading.Thread(
+                    target=_serve_jobs, args=(self._jobs,), name="pqbfl-helper", daemon=True)
+                self._helper.start()
+                atexit.register(self.close)
+            self.accepting = self.helping = (
+                size > 1 and self._helper is not None and not self._closed)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.accepting = self.helping = False
+                for pending in self._verdicts.values():
+                    for *_, job in pending:
+                        job.cancel()
+                self._verdicts.clear()
+
+    def run(self, call) -> _Job:
+        """`call()` on the helper thread inside an `ahead` exchange, or here
+        otherwise; the job's `result()` waits for it and returns its value."""
+        job = _Job(call)
+        with self._lock:
+            if self.helping:
+                self._jobs.put(job)
+                return job
+        return job.run()
+
     def submit(self, public, message, signature) -> None:
-        """Hand one check to the child, if a wave is open and the child has
-        started; the request is written before this returns."""
+        """Hand one check to the helper, inside an `ahead` exchange, or to
+        the child, if a wave is open and the child has started; the request
+        is made before this returns."""
         if not self.accepting or len(public) > 255 or len(signature) > 255:
+            return
+        if self.helping:
+            public, signature = bytes(public), bytes(signature)
+            job = _Job(lambda: _check(public, message, signature))
+            buffer = getattr(message, "obj", message)
+            with self._lock:
+                if self.helping:
+                    self._jobs.put(job)
+                    self._verdicts.setdefault(id(buffer), []).append(
+                        (buffer, _address(message), len(message), public, signature, job))
             return
         check = (bytes(public), hashlib.sha256(message).digest(), bytes(signature))
         with self._lock:   # a request and its place in `_sent` must agree
+            if check in self._copies:   # in flight or answered: one answer serves every copy
+                self._copies[check] += 1
+                return
             if not self._ready and not self._receive(0):
                 return   # still starting: this check stays in-process
             while len(self._sent) >= self.MAX_PENDING:
@@ -299,34 +429,62 @@ class Verifier:
             except OSError:
                 return self._abandon()
             self._sent.append(check)
+            self._copies[check] = 1
+
+    def verdict(self, public, message, signature) -> bool | None:
+        """The helper's answer to this check, waiting for it if it is still
+        running; None unless this very buffer was submitted with this key and
+        signature, and its verdict not yet taken."""
+        if not self._verdicts:
+            return None   # nothing in flight: the caller checks otherwise
+        buffer = getattr(message, "obj", message)
+        with self._lock:
+            pending = self._verdicts.get(id(buffer), [])
+            for k, (held, at, size, key, sig, job) in enumerate(pending):
+                if (held is buffer and size == len(message) and key == public
+                        and sig == signature and at == _address(message)):
+                    del pending[k]
+                    if not pending:
+                        del self._verdicts[id(buffer)]
+                    break
+            else:
+                return None
+        return job.result()   # None if it was cancelled: checked otherwise
 
     def take(self, public, digest: bytes, signature) -> bool | None:
         """The child's answer to this check, waiting for it if it is in
         flight; None if it was not submitted or the child is gone."""
-        if not self._answers and not self._sent:
+        if not self._copies:
             return None   # nothing in flight: the caller checks in-process
         check = (bytes(public), digest, bytes(signature))
         with self._lock:
+            if check not in self._copies:
+                return None
             while check not in self._answers:
                 if check not in self._sent:
                     return None
                 if not self._receive(self.TIMEOUT):
                     self._abandon()
-            answers = self._answers[check]
-            if len(answers) == 1:
-                del self._answers[check]
-            return answers.pop()
+            answer = self._answers[check]
+            self._copies[check] -= 1
+            if not self._copies[check]:
+                del self._copies[check], self._answers[check]
+            return answer
 
     def close(self) -> None:
-        """Close the child's pipes and wait for it to exit; later checks run
-        in-process."""
+        """Close the child's pipes and wait for it to exit, and join the
+        helper; later checks run in-process."""
         with self._lock:
-            self._closed, self.accepting = True, False
+            self._closed, self.accepting, self.helping = True, False, False
             self._sent.clear()
             self._answers.clear()
+            self._copies.clear()
+            atexit.unregister(self.close)
+            if self._helper is not None and self._helper.is_alive():
+                self._jobs.put(None)   # after the jobs queued: the helper ends
+                self._helper.join(self.TIMEOUT)
             if self._proc is None or self._proc.stdin.closed:
                 return
-            atexit.unregister(self.close)
             self._proc.stdin.close()   # end of input: the child exits
             self._proc.stdout.close()
             try:
@@ -374,7 +532,7 @@ class Verifier:
         for answer in data:
             check = self._sent.popleft()
             if check is not None:
-                self._answers.setdefault(check, []).append(answer == 1)
+                self._answers[check] = answer == 1
         return True
 
 

@@ -4,7 +4,9 @@ Aggregation is the literal per-coordinate rule
     M[k] = sum_i (w_i / N) * m_i[k]
 with N the number of submitted updates, so unit weights give the plain
 federated average; it is folded one update at a time (`RunningAverage`), so
-a round holds one running sum rather than every update.  Vectors travel as
+a round holds one running sum rather than every update.  Training noise can
+be drawn ahead, on another thread (`delta_job`), bitwise as `local_train`
+draws it.  Vectors travel as
 (length, round, tag, IEEE-754 big-endian doubles); anything truncated or
 non-finite is rejected.
 """
@@ -32,7 +34,9 @@ class ModelVector:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("model must be a non-empty 1-D vector")
-        if not np.isfinite(v).all():
+        # min and max propagate NaN, so this is `isfinite(v).all()` without
+        # a mask as long as the model
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("model entries must be finite")
         if self.round < 0:
             raise ValueError("round must be non-negative")
@@ -48,18 +52,43 @@ def local_train(
     noise_scale: float,
     round: int,
     tag: str = "local",
+    *,
+    delta: np.ndarray | None = None,
 ) -> ModelVector:
     """Simulated training step: global weights plus a seeded Gaussian delta.
 
     The delta depends on (participant_seed, round) only, so reruns reproduce
-    the same update and distinct rounds produce distinct updates.  The global
+    the same update and distinct rounds produce distinct updates.  It is
+    drawn here, or ahead of the call (`delta_job`, which may run on another
+    thread) and passed as `delta`, which this call consumes.  The global
     weights are added into the delta in place, which is bitwise the same sum
     (IEEE 754 addition commutes), so training makes one new vector.
     """
+    if delta is None:
+        delta = _draw(participant_seed, noise_scale, round, np.empty(global_model.values.size))
+    elif delta.shape != global_model.values.shape:
+        raise ValueError("delta and model must share one dimension")
+    delta += global_model.values
+    return ModelVector(delta, round, tag)
+
+
+def delta_job(participant_seed: int, noise_scale: float, round: int, dim: int):
+    """A job that draws `local_train`'s delta, to be run elsewhere: it draws
+    into a buffer this call allocates, on the caller's thread, and returns
+    it for `local_train`'s `delta`."""
+    out = np.empty(dim)
+    return lambda: _draw(participant_seed, noise_scale, round, out)
+
+
+def _draw(participant_seed: int, noise_scale: float, round: int, out: np.ndarray) -> np.ndarray:
+    """Bitwise `rng.normal(0.0, noise_scale, out.size)`, drawn into `out`:
+    normal's value is loc + scale * z, and adding loc = 0.0 turns the -0.0
+    of a zero scale into 0.0, as normal does."""
     rng = np.random.default_rng((participant_seed, round))
-    values = rng.normal(0.0, noise_scale, global_model.values.size)
-    values += global_model.values
-    return ModelVector(values, round, tag)
+    rng.standard_normal(out=out)
+    out *= noise_scale
+    out += 0.0
+    return out
 
 
 class RunningAverage:
@@ -67,7 +96,9 @@ class RunningAverage:
 
     `n` is the number of updates the round will add, so each one is scaled by
     its `w / n` and summed into one running vector in arrival order; the
-    result is bitwise what summing a list of the same updates gives.
+    result is bitwise what summing a list of the same updates gives.  An
+    update is scaled and summed a chunk at a time, so the fold holds no
+    full-size temporary and leaves the caller's model as it was.
     """
 
     def __init__(self, n: int, dim: int):
@@ -87,7 +118,10 @@ class RunningAverage:
             self.round = model.round
         elif model.round != self.round:
             raise ValueError("models must come from the same round")
-        self._sum += (weight / self.n) * model.values
+        scale, values = weight / self.n, model.values
+        for start in range(0, values.size, _DIGEST_CHUNK):
+            end = start + _DIGEST_CHUNK
+            self._sum[start:end] += scale * values[start:end]
         self.added += 1
 
     def result(self) -> ModelVector:
@@ -145,12 +179,17 @@ def serialize_model(model: ModelVector) -> bytes:
     return b"".join((_header(model), model.values.astype(_WIRE)))
 
 
-_DIGEST_CHUNK = 1 << 14   # values byte-swapped per hash update: 128 KiB
+_DIGEST_CHUNK = 1 << 12   # values byte-swapped per hash update, or folded per step: 32 KiB
 
 
-def model_digest(model: ModelVector) -> bytes:
+def model_digest(model) -> bytes:
     """SHA-256 of `serialize_model(model)`, fed in chunks so that no
-    serialized copy of the model is made."""
+    serialized copy of the model is made.  Given a model's wire bytes (any
+    bytes-like object) instead, it hashes them as they are: for every blob
+    `deserialize_model` accepts, that is the digest of the model it decodes,
+    since decoding is exact and the tag is strict UTF-8."""
+    if not isinstance(model, ModelVector):
+        return hashlib.sha256(model).digest()
     h = hashlib.sha256(_header(model))
     values = model.values
     for start in range(0, values.size, _DIGEST_CHUNK):

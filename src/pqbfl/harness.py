@@ -12,12 +12,16 @@ Each exchange goes out in waves over windows of participants: the server
 sends a window's envelopes, each participant handles its own and replies,
 then the server handles the replies in participant order.  A window holds as
 many participants as its envelopes fit `WAVE_BYTES`, so small models make
-one window of every participant and wide ones a window of one, which is the
-participant-at-a-time order.  Within a window every envelope's signature
-check is handed to `crypto.verifier` as soon as the envelope exists, so a
-child process checks the wave on a second core while this one signs and
-handles.  The order of ledger blocks, folds, transcript rows, counters and
-channel injections is the same at any window size, so every artifact is too.
+one window of every participant and wide ones a window of one.  Within a
+window every envelope's signature check is handed to `crypto.verifier` as
+soon as the envelope exists, so a child process checks the wave on a second
+core while this one signs and handles.  Windows of one, with more than one
+participant, are sent ahead instead: the server sends participant i+1's
+envelope before it handles participant i's reply, and the verifier's helper
+thread checks each envelope, and draws each participant's training noise,
+while this thread works on another participant.  The order of channel
+carries, ledger blocks, folds, transcript rows, counters and injections is
+the same either way and at any window size, so every artifact is too.
 
 Every delivery is envelope wire bytes handed from a send call through
 `Channel.carry` straight to the receiving handler.  The channel's fault
@@ -85,8 +89,9 @@ METRICS_HEADER = (
 MAX_NOISE_SCALE = 1e304
 
 # A round's traced peak, in model sizes (8 * model_dim bytes): the task
-# plaintext, the running sum, and a participant's send, which holds its local
-# model, the update payload and the sealed envelope at once.
+# plaintext, the running sum, and three copies in flight, as a participant's
+# send holds its local model, the update payload and the sealed envelope at
+# once (see `run_simulation`).
 ROUND_MODEL_COPIES = 5
 
 # The envelope bytes one exchange keeps in flight: a window holds as many
@@ -334,24 +339,60 @@ class Channel:
         return self.records
 
 
-def _windows(participants: int, send):
-    """The windows of one exchange, in participant order.  Each holds the
-    envelopes `send(i)` makes for as many participants as fit `WAVE_BYTES`,
-    judged by its first, and is one verifier wave: each envelope is submitted
-    for checking as soon as it exists, and the wave stays open while the
-    caller works through the window.  Yields a deque of (participant,
-    envelope) per window."""
-    start = 0
-    while start < participants:
-        sent = deque([(start, send(start))])
-        stop = min(participants, start + max(1, WAVE_BYTES // len(sent[0][1])))
+def _exchange(participants: int, send, answer, handle) -> None:
+    """One exchange between the server and every participant.  `send(i)`
+    makes the server's envelope to participant i; `answer(i, inbox)` has
+    participant i take it with `inbox.popleft()`, so that no one else keeps
+    it, and returns its reply or None; `handle(i, reply)` has the server
+    handle the reply.  Each step runs in participant order.
+
+    A window holds as many participants as their envelopes fit `WAVE_BYTES`,
+    judged by the first envelope (every envelope of an exchange has the same
+    length), at least one.  A window of two or more is one verifier wave:
+    its envelopes are sent and submitted for checking, then answered, then
+    the replies handled.  Windows of one run as one `ahead` exchange, whose
+    checks the verifier's helper thread makes, and the server sends
+    participant i+1's envelope before it handles participant i's reply, so
+    each check overlaps another participant's work.  Every envelope is
+    submitted as soon as it exists, except an `ahead` exchange's first,
+    which is needed at once.  Either way the channel carries envelope i,
+    reply i, envelope i+1, ... in the same order."""
+    inbox = deque([send(0)])
+    window = max(1, WAVE_BYTES // len(inbox[0]))
+    if window == 1:
+        # the first envelope is checked here, while the helper draws its
+        # participant's noise
+        with crypto.verifier.ahead(participants):
+            for i in range(participants):
+                reply = answer(i, inbox)
+                if reply is not None:
+                    protocol.submit_check(reply)
+                if i + 1 < participants:
+                    inbox.append(send(i + 1))
+                    protocol.submit_check(inbox[0])
+                if reply is not None:
+                    handle(i, reply)
+                del reply   # before the next participant's copies exist
+        return
+    for start in range(0, participants, window):
+        stop = min(participants, start + window)
+        if start:
+            inbox.append(send(start))
         with crypto.verifier.wave(stop - start):
-            protocol.submit_check(sent[0][1])
+            protocol.submit_check(inbox[0])
             for i in range(start + 1, stop):
-                sent.append((i, send(i)))
-                protocol.submit_check(sent[-1][1])
-            yield sent
-        start = stop
+                inbox.append(send(i))
+                protocol.submit_check(inbox[-1])
+            replies = deque()
+            for i in range(start, stop):
+                reply = answer(i, inbox)
+                if reply is not None:
+                    replies.append((i, reply))
+                    protocol.submit_check(reply)
+            while replies:
+                i, reply = replies.popleft()
+                handle(i, reply)
+                del reply
 
 
 def run_simulation(config: SimConfig) -> RunMetrics:
@@ -363,19 +404,22 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     never desynchronizes the rotation schedule because only the final round's
     update is withheld and rotations never occur on the final round.
 
-    Establishment and every round run window by window (see the module
+    Establishment and every round are one `_exchange` each (see the module
     docstring): the server sends a window's announcements or tasks, each
     participant handles its own (and, in a round, trains) and replies, then
     the server handles the replies in participant order.  A wide model's
-    window is one participant, so a round holds the same model copies at any
-    P, `ROUND_MODEL_COPIES` at its peak: the task plaintext, the running sum,
-    and the copies of the one hop in flight.  The global model is dropped
-    once published, each participant's task envelope is sealed when the
-    server sends it, every copy a participant's turn makes is dropped once
-    the next step has it, and each accepted update is folded into the running
-    sum as the server handles it, in participant order and scaled by `1 / n`,
-    with `n` planned up front, so the next global model is bitwise the list
-    average.
+    window is one participant, and the next task goes out before the last
+    update is handled, so a round holds the same model copies at any P,
+    `ROUND_MODEL_COPIES` at its peak: the task plaintext, the running sum
+    and three in flight (a send's local model, payload and envelope; an
+    update's envelope and plaintext beside the next task's envelope; or a
+    task's envelope and plaintext beside the noise drawn ahead for its
+    participant).  The global model is dropped once published, each
+    participant's task envelope is sealed when the server sends it, every
+    copy a participant's turn makes is dropped once the next step has it,
+    and each accepted update is folded into the running sum as the server
+    handles it, in participant order and scaled by `1 / n`, with `n` planned
+    up front, so the next global model is bitwise the list average.
     """
     root = crypto.DeterministicRng(config.seed)
     clock = SimClock()
@@ -448,17 +492,15 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             protocol.MSG_KEY_ANNOUNCEMENT, 0, msg.encode(), server._sig, clock.now()
         )
 
-    for sent in _windows(config.participants, lambda i: server.send_keys(members[i].address)):
-        replies = deque()
-        while sent:
-            i, blob = sent.popleft()
-            replies.append((i, channel.carry(
-                "establish", blob, 0, i, members[i].handle_keys, forge=forge_announcement,
-            )))
-            protocol.submit_check(replies[-1][1])
-        while replies:
-            i, blob = replies.popleft()
-            channel.carry("response", blob, 0, i, server.handle_key_response)
+    def take_keys(i, inbox):
+        return channel.carry(
+            "establish", inbox.popleft(), 0, i, members[i].handle_keys, forge=forge_announcement,
+        )
+
+    _exchange(
+        config.participants, lambda i: server.send_keys(members[i].address), take_keys,
+        lambda i, reply: channel.carry("response", reply, 0, i, server.handle_key_response),
+    )
     snapshot(0)
 
     free_rider = channel.plans.get("free_ride", {}).get("victim")
@@ -474,25 +516,28 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         global_model = None   # the server holds the task's committed serialization
         withheld = free_rider if rnd == config.rounds else None
         total = fl.RunningAverage(config.participants - (withheld is not None), config.model_dim)
-        for sent in _windows(config.participants, lambda i: server.send_task(members[i].address)):
-            updates = deque()
-            while sent:
-                i, blob = sent.popleft()
-                got = channel.carry("task", blob, rnd, i, members[i].handle_task)
-                del blob
-                local = fl.local_train(got, train_seeds[i], config.noise_scale, rnd, tag=names[i])
-                del got
-                if i == withheld:
-                    continue   # trained but never sent, never scored
-                if free_rider is not None:
-                    channel.shown.append(fl.serialize_model(local))
-                updates.append((i, members[i].send_update(local)))
-                del local
-                protocol.submit_check(updates[-1][1])
-            while updates:
-                i, blob = updates.popleft()
-                total.add(channel.carry("update", blob, rnd, i, server.handle_update)[1])
-                del blob
+
+        def train(i, inbox):
+            drawn = None
+            if crypto.verifier.helping:   # draw the delta while the task opens
+                drawn = crypto.verifier.run(
+                    fl.delta_job(train_seeds[i], config.noise_scale, rnd, config.model_dim))
+            got = channel.carry("task", inbox.popleft(), rnd, i, members[i].handle_task)
+            local = fl.local_train(got, train_seeds[i], config.noise_scale, rnd, tag=names[i],
+                                   delta=None if drawn is None else drawn.result())
+            del got, drawn
+            if i == withheld:
+                return None   # trained but never sent, never scored
+            if free_rider is not None:
+                channel.shown.append(fl.serialize_model(local))
+            return members[i].send_update(local)
+
+        def fold(i, reply):
+            total.add(channel.carry("update", reply, rnd, i, server.handle_update)[1])
+
+        _exchange(
+            config.participants, lambda i: server.send_task(members[i].address), train, fold,
+        )
         global_model = total.result()
         server.feedback(global_model)
 

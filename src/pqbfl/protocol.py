@@ -46,8 +46,9 @@ on-chain registration itself rather than copies of its fields.
 
 A signature check may already have been made when a handler asks for it:
 `submit_check` hands an envelope's check to `crypto.verifier` as soon as the
-envelope exists, and the handler's `crypto.verify` then takes the child's
-answer for exactly that check (see `crypto`).
+envelope exists, and the handler's `crypto.verify` then takes the helper
+thread's or the child's answer for exactly that check (see `crypto`).  No
+send writes a wire buffer after it returns, which the helper relies on.
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly; of all counters only `verify` and `offchain_recv_bytes`
@@ -362,8 +363,9 @@ def _signed(env: SignedEnvelope, blob) -> memoryview:
 
 def submit_check(blob) -> None:
     """Hand the signature check of the envelope `blob` to `crypto.verifier`
-    ahead of its delivery, if a wave is open; the receiving handler's
-    `crypto.verify` then takes the answer to that exact check."""
+    ahead of its delivery, if a wave or an `ahead` exchange is open; the
+    receiving handler's `crypto.verify` then takes the answer to that exact
+    check."""
     if crypto.verifier.accepting:
         env = SignedEnvelope.decode(blob)
         crypto.verifier.submit(env.sender_public, _signed(env, blob), env.signature)
@@ -492,9 +494,11 @@ class _Party:
 
     def _open(
         self, key: ratchet.ModelKey, env: SignedEnvelope, direction: int, h_info: bytes
-    ) -> tuple[TaskPayload | UpdatePayload, fl.ModelVector]:
+    ) -> tuple[TaskPayload | UpdatePayload, fl.ModelVector, bytes | None]:
         """Open a sealed round payload, check it against its on-chain hash and
-        decode its model, which views the opened buffer."""
+        decode its model, which views the opened buffer.  A task's model
+        digest is taken over its wire bytes, before decoding swaps them in
+        place and before the model is checked."""
         what, codec = _SEALED[direction]
         aad = seal_aad(self.project_id, env.round, env.round, direction)
         plaintext = crypto.aead_open(
@@ -505,11 +509,12 @@ class _Party:
         msg = codec.decode(plaintext)
         if msg.project_id != self.project_id or msg.round != env.round or msg.task_id != env.round:
             raise MalformedMessage("payload identifiers disagree with envelope")
+        h_model = fl.model_digest(msg.model) if direction == DIR_TASK else None
         try:
             model = fl.deserialize_model(msg.model)
         except ValueError as exc:
             raise MalformedMessage(f"{what} model: {exc}") from None
-        return msg, model
+        return msg, model, h_model
 
 
 # --- server ----------------------------------------------------------------
@@ -726,7 +731,7 @@ class Server(_Party):
         key = session.current_key
         if key is None or key.round != env.round:
             raise SessionNotReady("no model key staged for this round")
-        msg, model = self._open(key, env, DIR_UPDATE, chain.h_info)
+        msg, model, _ = self._open(key, env, DIR_UPDATE, chain.h_info)
         if model.values.size != self._task_dim:
             raise MalformedMessage(
                 f"update model has {model.values.size} values, the task's {self._task_dim}"
@@ -887,8 +892,8 @@ class Participant(_Party):
             new_state, key = ratchet.advance_symmetric(self.ratchet)
         except ratchet.EpochExhausted as exc:
             raise ProtocolError(f"round {env.round} task skips the key rotation: {exc}") from None
-        msg, model = self._open(key, env, DIR_TASK, chain.h_info)
-        if fl.model_digest(model) != self.ledger.current_model(self.project_id):
+        msg, model, h_model = self._open(key, env, DIR_TASK, chain.h_info)
+        if h_model != self.ledger.current_model(self.project_id):
             raise CommitmentMismatch("task model is not the anchored global model")
         if bool(msg.kem_public) != bool(chain.h_keys):
             raise CommitmentMismatch("key rotation material missing or unexpected")

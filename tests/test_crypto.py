@@ -290,6 +290,24 @@ def test_secp256k1_frozen_vectors(k, msg, der):
     assert crypto.verify(pair.public, msg, bytes.fromhex(der))
 
 
+def test_signing_the_last_key_and_message_again_reuses_its_signature(monkeypatch):
+    nonces, made = secp256k1._nonces, []
+
+    def counting(d, h):
+        made.append(h)
+        return nonces(d, h)
+
+    monkeypatch.setattr(secp256k1, "_nonces", counting)
+    pair = crypto.sig_keygen(crypto.DeterministicRng(b"memo"))
+    other = crypto.sig_keygen(crypto.DeterministicRng(b"memo-other"))
+    first = crypto.sign(pair, b"announcement")
+    assert crypto.sign(pair, bytearray(b"announcement")) == first and len(made) == 1
+    assert crypto.sign(other, b"announcement") != first and len(made) == 2
+    assert crypto.sign(pair, b"announcement") == first and len(made) == 3
+    assert crypto.sign(pair, b"another") != first and len(made) == 4
+    assert crypto.verify(pair.public, b"announcement", first)
+
+
 def test_secp256k1_keys_are_never_built_in_openssl(monkeypatch):
     curves = []
     real = crypto.ec.derive_private_key
@@ -374,6 +392,115 @@ def test_the_child_and_the_in_process_check_agree(monkeypatch):
                 assert verifier.take(key, digest, sig) is valid, name
                 assert verifier.take(key, digest, sig) is None, name
     assert not verifier.is_alive()
+
+
+class _CountingPipe:
+    """Stands in for the child's stdin, counting the requests written."""
+
+    def __init__(self, pipe):
+        self.pipe, self.requests = pipe, 0
+
+    def write(self, data):
+        self.requests += 1
+        return self.pipe.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.pipe, name)
+
+
+def test_the_child_checks_each_distinct_check_once_and_answers_every_copy(monkeypatch):
+    table = _check_table()
+    with ready_verifier(monkeypatch) as verifier:
+        verifier._proc.stdin = pipe = _CountingPipe(verifier._proc.stdin)
+        with verifier.wave(4):
+            for key, msg, sig, _ in [table["valid"]] * 3 + [table["truncated DER"]] * 2:
+                verifier.submit(key, msg, sig)
+            assert pipe.requests == 2
+            for name, copies in (("valid", 3), ("truncated DER", 2)):
+                key, msg, sig, valid = table[name]
+                digest = hashlib.sha256(msg).digest()
+                assert [verifier.take(key, digest, sig) for _ in range(copies + 1)] == (
+                    [valid] * copies + [None])
+            # every copy taken: the same check is asked again
+            verifier.submit(*table["valid"][:3])
+            assert pipe.requests == 3
+        verifier._proc.stdin = pipe.pipe
+    assert not verifier.is_alive()
+
+
+def _wide_message(n=1 << 20):
+    pair = crypto.sig_keygen(crypto.DeterministicRng(b"wide"))
+    message = bytearray(os.urandom(n))
+    return pair, message, crypto.sign(pair, message)
+
+
+def test_the_helper_answers_only_the_very_buffer_submitted(monkeypatch):
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    pair, message, sig = _wide_message()
+    with crypto.Verifier() as verifier:
+        monkeypatch.setattr(crypto, "verifier", verifier)
+        with verifier.ahead(2):
+            assert verifier.helping
+            prefix = memoryview(message)[:-1]
+            verifier.submit(pair.public, prefix, sig)
+            verifier.submit(pair.public, message, sig)
+            # an equal copy, a view at another offset, another key or
+            # signature: none is the submitted check
+            assert verifier.verdict(pair.public, bytes(prefix), sig) is None
+            assert verifier.verdict(pair.public, memoryview(message)[1:], sig) is None
+            assert verifier.verdict(pair.public[:-1] + b"\x00", prefix, sig) is None
+            assert verifier.verdict(pair.public, prefix, sig[:-1]) is None
+            # the submitted prefix is answered once, through a new view of it
+            assert verifier.verdict(pair.public, memoryview(message)[:-1], sig) is False
+            assert verifier.verdict(pair.public, memoryview(message)[:-1], sig) is None
+            assert verifier.verdict(pair.public, message, sig) is True
+            assert crypto.verify(pair.public, message, sig)   # taken: checked here
+            verifier.submit(pair.public, message, sig)
+        assert not verifier._verdicts   # untaken verdicts end with the exchange
+        assert verifier.verdict(pair.public, message, sig) is None
+        assert verifier.run(lambda: 7).result() == 7   # outside an exchange: run here
+    assert not verifier._helper.is_alive()   # joined at close
+
+
+def test_threads_sharing_the_helper_each_get_their_own_verdicts(monkeypatch):
+    # distinct buffers, alternately valid and invalid, taken while other
+    # threads submit; a short switch interval makes threads interleave often
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    pair = crypto.sig_keygen(crypto.DeterministicRng(b"signer"))
+    other = crypto.sig_keygen(crypto.DeterministicRng(b"other"))
+    per_thread = []
+    for t in range(4):
+        checks = []
+        for j in range(40):
+            message = bytearray(bytes([t, j]) * 2048)
+            checks.append((pair.public if j % 2 else other.public, message,
+                           crypto.sign(pair, message)))
+        per_thread.append(checks)
+    wrong, answered = [], []
+
+    def work(checks):
+        for check in checks:
+            verifier.submit(*check)
+        for key, message, sig in checks:
+            answer = verifier.verdict(key, message, sig)
+            answered.append(answer is not None)
+            if answer != (key == pair.public):
+                wrong.append((key, bytes(message[:2])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with crypto.Verifier() as verifier, verifier.ahead(4):
+            workers = [threading.Thread(target=work, args=(c,)) for c in per_thread]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not verifier._helper.is_alive()
+    assert not wrong and answered == [True] * 4 * 40
 
 
 @pytest.mark.parametrize("child,ready", [

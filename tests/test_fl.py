@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_running_average_is_the_list_average_bitwise(params):
     assert folded.round == listed.round == 4
 
 
+def test_a_wide_fold_is_bitwise_the_list_average_and_holds_no_full_size_temporary():
+    dim = 3 * fl._DIGEST_CHUNK + 5   # crosses every chunk boundary
+    rng = np.random.default_rng(8)
+    models = [fl.ModelVector(rng.normal(0, 1, dim), 2, f"c{i}") for i in range(3)]
+    kept = [m.values.copy() for m in models]
+    total = fl.RunningAverage(3, dim)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for m in models:
+            total.add(m, 1.5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim / 2
+    expected = _list_average(models, [1.5] * 3)
+    assert total.result().values.tobytes() == expected.tobytes()
+    assert all(np.array_equal(m.values, k) for m, k in zip(models, kept))
+
+
 def test_running_average_takes_exactly_its_planned_updates():
     m = fl.ModelVector(np.ones(3), 2, "a")
     total = fl.RunningAverage(2, 3)
@@ -178,6 +199,29 @@ def test_local_train_is_deterministic_and_round_sensitive():
     assert a.round == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-310, 1e300, 1e304]),
+              st.floats(0, 1e304, allow_nan=False)),
+    st.integers(0, 255),
+    st.integers(1, 3000),
+)
+def test_a_delta_drawn_ahead_trains_bitwise_as_local_train(seed, scale, rnd, dim):
+    base = fl.ModelVector(np.random.default_rng(dim).normal(0, 1, dim), rnd)
+    oracle = base.values + np.random.default_rng((seed, rnd)).normal(0.0, scale, dim)
+    trained = fl.local_train(base, seed, scale, rnd)
+    ahead = fl.local_train(base, seed, scale, rnd, delta=fl.delta_job(seed, scale, rnd, dim)())
+    assert trained.values.tobytes() == ahead.values.tobytes() == oracle.tobytes()
+    assert trained.round == ahead.round == rnd
+
+
+def test_a_delta_of_another_dimension_is_refused():
+    base = fl.ModelVector(np.zeros(4), 1)
+    with pytest.raises(ValueError):
+        fl.local_train(base, 1, 0.1, 1, delta=fl.delta_job(1, 0.1, 1, 1)())
+
+
 # --- serialization ----------------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
@@ -221,6 +265,27 @@ def test_deserializing_a_writable_buffer_is_zero_copy(values, round):
     # a read-only input is left as it was: its values are copied
     assert not np.shares_memory(copied.values, np.frombuffer(blob, np.uint8))
     assert fl.serialize_model(copied) == blob
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda n: arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)))),
+    st.integers(0, 2**32 - 1),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40).filter(
+        lambda t: len(t.encode()) <= 255),
+)
+def test_the_wire_bytes_digest_is_the_model_digest(values, round, tag):
+    # a receiver hashes a task model's wire bytes before decoding swaps them
+    wire = bytearray(fl.serialize_model(fl.ModelVector(values, round, tag)))
+    digest = hashlib.sha256(wire).digest()
+    assert fl.model_digest(memoryview(wire)) == digest
+    decoded = fl.deserialize_model(wire)
+    assert fl.model_digest(decoded) == digest
+    assert decoded.values.tobytes() == values.tobytes() and decoded.tag == tag
 
 
 def test_model_digest_hashes_the_serialization_across_chunks():

@@ -26,6 +26,9 @@ CONFIGS = {
         participants=3, rounds=4, ratchet_range=2, seed=19, replay_attack=True,
         tamper_attack=True, mitm_key_swap=True, free_ride=True,
     ),
+    # a window of one participant: each task goes out before the last update
+    # is handled, and wide checks run on the verifier's helper thread
+    "wide": dict(participants=3, rounds=4, ratchet_range=2, model_dim=2**16, seed=23),
 }
 
 GOLDEN = {
@@ -93,6 +96,15 @@ GOLDEN = {
         "transcript-client-2.txt": "bee839d34d316daccc708ace20ba00f75131710f2f0704dfc4a1d8aa45190b4f",
         "transcript-client-3.txt": "d85b95eb696ad9af19241156185427cfab4c90c31f699afb146d6d23b7cd5df6",
         "transcript-server.txt": "b5a93b0258754f47f12d7b9b0099afdc2e351a69f880ad48723c726c50918642",
+    },
+    "wide": {
+        "ledger.txt": "d7c639fac2dc0c80ad220f42bda8db3b15bcc50d06e668f2bcc8c39f7468d378",
+        "metrics.csv": "b5e19af79172854bc4f156c71250fd25ec25d3c1ac3f28f5fcebc53350c4a1ef",
+        "run.json": "284b92223b589b4fc72cd1219f06eb0a8c29770141dfae1c84a6ce7cac2b9a6f",
+        "transcript-client-1.txt": "f7038e091ad751fe46627e9880832951ac37721ffe63c92770c3ce200f498154",
+        "transcript-client-2.txt": "22c320a18d7961c026f295baeea1e0baddcebef140f48ccd50549f3fae9a8e4e",
+        "transcript-client-3.txt": "98117f16d0c0586c15747417c5fff22e506b8613813acd5276a16e07ea8b5167",
+        "transcript-server.txt": "f1b05c709035b48145a6b4a47b06d552b07fe5996d24da68f8bfec911b1529cb",
     },
 }
 

@@ -5,7 +5,9 @@ import json
 import os
 import re
 import runpy
+import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import ready_verifier
-from pqbfl import cli, crypto, fl, harness, protocol
+from pqbfl import cli, crypto, fl, harness, protocol, secp256k1
 from pqbfl.cli import main
 from pqbfl.harness import (
     METRICS_HEADER,
@@ -551,6 +553,97 @@ def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypat
     assert killed.keys() == clean.keys()
     for name in killed:
         assert Path(killed[name]).read_bytes() == Path(clean[name]).read_bytes(), name
+
+
+# --- wide exchanges: the helper thread -----------------------------------------
+
+WIDE = dict(participants=3, rounds=3, ratchet_range=2, model_dim=2**16)
+
+
+def _wide_run(monkeypatch, out_dir, **flags):
+    """Artifacts of one wide run checked by a fresh verifier whose helper may
+    start, and each wide check's verdict: True or False from the helper,
+    None if it was checked otherwise."""
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    verdict, verdicts = crypto.Verifier.verdict, []
+
+    def recording(self, public, message, signature):
+        out = verdict(self, public, message, signature)
+        if len(message) > 2**16:
+            verdicts.append(out)
+        return out
+
+    with crypto.Verifier() as verifier, monkeypatch.context() as m:
+        m.setattr(crypto, "verifier", verifier)
+        m.setattr(crypto.Verifier, "verdict", recording)
+        metrics = run_simulation(SimConfig(seed=29, **WIDE, **flags))
+    paths = write_outputs(metrics, str(out_dir))
+    return {name: Path(path).read_bytes() for name, path in paths.items()}, metrics, verdicts
+
+
+@pytest.mark.parametrize("scenario", [None, *SCENARIO_FLAGS])
+def test_a_wide_run_sends_ahead_with_the_artifacts_of_one_window(scenario, monkeypatch, tmp_path):
+    flags = {SCENARIO_FLAGS[scenario]: True} if scenario else {}
+    ahead, metrics, verdicts = _wide_run(monkeypatch, tmp_path / "ahead", **flags)
+    assert True in verdicts   # the helper answered checks
+    monkeypatch.setattr(harness, "WAVE_BYTES", 2**40)   # one window of every participant
+    windowed, _, none_ahead = _wide_run(monkeypatch, tmp_path / "windowed", **flags)
+    assert not any(v is not None for v in none_ahead)
+    assert ahead == windowed
+    assert metrics.all_attacks_rejected() and verify_transcripts(str(tmp_path / "ahead")) == []
+
+
+@pytest.mark.parametrize("scenario,outcome", [("tamper", "BadSignature"),
+                                              ("replay", "ReplayDetected")])
+def test_an_injected_wide_copy_is_checked_in_process_and_refused(
+    scenario, outcome, monkeypatch, tmp_path
+):
+    checked, verify_digest = [], secp256k1.verify_digest
+
+    def in_process(public, digest, signature):
+        if threading.current_thread() is threading.main_thread():
+            checked.append(digest)
+        return verify_digest(public, digest, signature)
+
+    monkeypatch.setattr(secp256k1, "verify_digest", in_process)
+    _, metrics, verdicts = _wide_run(monkeypatch, tmp_path, **{SCENARIO_FLAGS[scenario]: True})
+    (record,) = metrics.attacks
+    assert (record.outcome, record.rejected) == (outcome, True)
+    assert isinstance(getattr(protocol, outcome)(), harness.EXPECTED[scenario])
+    # each round's first task is checked at once, here; of the others only
+    # the injected copy gets no verdict from the helper
+    p, r = WIDE["participants"], WIDE["rounds"]
+    assert verdicts.count(None) == r + 1 and verdicts.count(True) == (2 * p - 1) * r
+    assert len(checked) >= 1
+
+
+def test_the_helper_starts_only_for_a_wide_exchange_of_two_or_more(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    with crypto.Verifier() as verifier:
+        monkeypatch.setattr(crypto, "verifier", verifier)
+        run_simulation(SimConfig(participants=1, rounds=2, ratchet_range=1, model_dim=2**16))
+        run_simulation(SimConfig(participants=3, rounds=2, ratchet_range=1, model_dim=32))
+        assert started == [] and verifier._helper is None
+        run_simulation(SimConfig(participants=2, rounds=2, ratchet_range=1, model_dim=2**16))
+        assert started == ["pqbfl-helper"] and verifier._helper.is_alive()
+    assert not verifier._helper.is_alive()   # joined at close
+    code = (
+        "import threading\n"
+        "import pqbfl.__main__, pqbfl.cli, pqbfl.harness, pqbfl.protocol\n"
+        "from pqbfl import crypto, harness\n"
+        "assert threading.active_count() == 1\n"
+        "harness.run_simulation(harness.SimConfig(participants=1, rounds=2, model_dim=2**16))\n"
+        "assert threading.active_count() == 1 and crypto.verifier._helper is None\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crypto.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 # --- fault injection ---------------------------------------------------------
