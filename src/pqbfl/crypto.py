@@ -24,11 +24,12 @@ A signature check may already have been made when `verify` is called.
 Inside a `Verifier.wave` of two or more envelopes, each envelope's check is
 submitted to `verifier`, whose child process checks it on a second core, as
 soon as the envelope exists; inside a `Verifier.ahead` exchange of wide
-envelopes, its helper thread hashes and checks each one instead.  `verify`
-takes the helper's verdict for the very buffer submitted, or hashes its
-message and takes the child's answer for exactly that (key, digest,
-signature), and checks in-process otherwise.  All of them check with
-`secp256k1.verify_digest`, so the answer is the same either way.
+envelopes, its helper thread hashes and checks each one instead, and
+hashes what `Verifier.digest` is given.  `verify` takes the helper's
+verdict for the very buffer submitted, or hashes its message and takes the
+child's answer for exactly that (key, digest, signature), and checks
+in-process otherwise.  All of them check with `secp256k1.verify_digest`, so
+the answer is the same either way.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses, nonces and signed messages; SHA-384 inside HKDF for key
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import ctypes
+import functools
 import hashlib
 import os
 import queue
@@ -46,6 +49,7 @@ import select
 import subprocess
 import sys
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -238,6 +242,30 @@ def _address(buffer) -> int:
     return np.frombuffer(buffer, np.uint8).__array_interface__["data"][0]
 
 
+# glibc's mallopt parameters, and the values wide exchanges set: the largest
+# mmap threshold glibc takes on 64-bit, and a trim threshold above it
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 256 * 2**20
+
+
+@functools.cache
+def _keep_freed_buffers() -> None:
+    """Once per process: have the C allocator keep freed model-sized buffers
+    mapped for reuse, not return them to the kernel, so that each wide round
+    does not fault in fresh pages.  Setting either threshold turns off glibc's
+    dynamic thresholds, so both are set: with the trim threshold alone, each
+    buffer above the default mmap threshold would still be mapped afresh.
+    Does nothing where there is no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):   # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _check(public: bytes, message, signature: bytes) -> bool:
     """One signature check, hashing included, as the helper thread makes it."""
     return secp256k1.verify_digest(public, hashlib.sha256(message).digest(), signature)
@@ -306,17 +334,19 @@ class Verifier:
     dominates its check, and SHA-256 releases the GIL, so a thread overlaps
     it with this one.  `ahead(size)` opens one exchange of `size` wide
     envelopes.  Inside it, `submit` hands the helper each check, which it
-    hashes and checks with the same `secp256k1.verify_digest`, and `run` any
-    other job (the harness draws training noise there).  `verdict` returns
-    the helper's answer for the very buffer submitted: the same object, at
-    the same address and of the same length, with the same key and signature,
-    once; anything else gets None and is checked by `take` or in-process.
-    The verdict is matched by buffer, not hashed again, which relies on one
-    invariant: no wire buffer is written after its send returns (the channel
-    builds a new buffer for every copy it injects).  Verdicts not taken by
-    the end of the exchange are dropped.  The helper starts on the first
+    hashes and checks with the same `secp256k1.verify_digest`, `digest` a
+    SHA-256 (an update's commitment), and `run` any other job (the harness
+    draws training noise there); each job starts as soon as it is queued.
+    `verdict` returns the helper's answer for the very buffer submitted: the
+    same object, at the same address and of the same length, with the same
+    key and signature, once; anything else gets None and is checked by
+    `take` or in-process.  The verdict is matched by buffer, not hashed
+    again, which relies on one invariant: no wire buffer is written after
+    its send returns (the channel builds a new buffer for every copy it
+    injects).  Verdicts not taken by the end of the exchange are dropped.  The helper starts on the first
     `ahead` exchange of two or more, only where a second CPU is usable, and
-    is joined at exit; an exchange of one is checked in-process.
+    is joined at exit; an exchange of one is checked in-process.  Where it
+    starts, freed buffers are kept mapped from then on (see `ahead`).
 
     `close`, also run at exit, closes the child's pipes, waits for the child
     and joins the helper.  Threads may share a verifier: one lock keeps each
@@ -366,10 +396,15 @@ class Verifier:
     @contextlib.contextmanager
     def ahead(self, size: int):
         """One exchange of `size` wide envelopes: if `size` is two or more,
-        hand their checks, and the jobs `run` is given, to the helper thread,
-        and drop the verdicts not taken by its end."""
+        hand their checks, and the jobs `run` and `digest` are given, to the
+        helper thread, and drop the verdicts not taken by its end.  Where the
+        helper starts, the C allocator is also told, once per process, to keep
+        freed buffers mapped (`_keep_freed_buffers`): a wide exchange frees
+        and allocates model-sized buffers all the time, and otherwise faults
+        in fresh pages for each."""
         with self._lock:
             if size > 1 and self._helper is None and not self._closed and _usable_cpus() > 1:
+                _keep_freed_buffers()
                 self._helper = threading.Thread(
                     target=_serve_jobs, args=(self._jobs,), name="pqbfl-helper", daemon=True)
                 self._helper.start()
@@ -388,18 +423,34 @@ class Verifier:
 
     def run(self, call) -> _Job:
         """`call()` on the helper thread inside an `ahead` exchange, or here
-        otherwise; the job's `result()` waits for it and returns its value."""
+        otherwise; the job's `result()` waits for it and returns its value.
+        A queued job starts at once: this thread releases the GIL once after
+        queuing it, so the helper need not wait for this thread's next GIL
+        release (AES-GCM, for one, holds the GIL throughout)."""
         job = _Job(call)
         with self._lock:
-            if self.helping:
+            queued = self.helping
+            if queued:
                 self._jobs.put(job)
-                return job
-        return job.run()
+        if not queued:
+            return job.run()
+        time.sleep(0)   # releases the GIL: the helper takes the job now
+        return job
+
+    def digest(self, data) -> _Job:
+        """The SHA-256 of `data`, as `digest` takes it: made by the helper
+        thread inside an `ahead` exchange, while this thread goes on (SHA-256
+        releases the GIL), and here otherwise.  The job's `result()` waits
+        for it and returns it."""
+        if self.helping:
+            return self.run(lambda: hashlib.sha256(data).digest())
+        return _Job(lambda: digest(data)).run()
 
     def submit(self, public, message, signature) -> None:
         """Hand one check to the helper, inside an `ahead` exchange, or to
         the child, if a wave is open and the child has started; the request
-        is made before this returns."""
+        is made before this returns.  A check handed to the helper starts at
+        once, as a job `run` queues does."""
         if not self.accepting or len(public) > 255 or len(signature) > 255:
             return
         if self.helping:
@@ -407,10 +458,13 @@ class Verifier:
             job = _Job(lambda: _check(public, message, signature))
             buffer = getattr(message, "obj", message)
             with self._lock:
-                if self.helping:
+                queued = self.helping
+                if queued:
                     self._jobs.put(job)
                     self._verdicts.setdefault(id(buffer), []).append(
                         (buffer, _address(message), len(message), public, signature, job))
+            if queued:
+                time.sleep(0)   # releases the GIL: the helper takes the check now
             return
         check = (bytes(public), hashlib.sha256(message).digest(), bytes(signature))
         with self._lock:   # a request and its place in `_sent` must agree

@@ -453,7 +453,10 @@ class _Party:
         straight into them."""
         if now is None:
             now = self.clock.now()
-        blob = envelope_bytes(msg_type, round, payload, self._sig, now)
+        return self._sent(envelope_bytes(msg_type, round, payload, self._sig, now))
+
+    def _sent(self, blob: bytearray) -> bytearray:
+        """Count one signed envelope sent, and return it."""
         self.counters.sign += 1
         self.counters.offchain_bytes += len(blob)
         return blob
@@ -487,8 +490,8 @@ class _Party:
     def _seal(
         self, key: ratchet.ModelKey, round: int, direction: int, plaintext
     ) -> _Sealed:
-        """`plaintext` to be sealed under `key` by the envelope that encodes it."""
-        key.mark_used(direction)
+        """`plaintext` to be sealed under `key` by the envelope that encodes
+        it; the caller marks `key` used in `direction`."""
         aad = seal_aad(self.project_id, round, round, direction)
         return _Sealed(key.key, seal_nonce(round, direction), aad, plaintext)
 
@@ -710,6 +713,7 @@ class Server(_Party):
         if self._task is None or key is None:
             raise SessionNotReady("no task open for this participant")
         plaintext, published = self._task
+        key.mark_used(DIR_TASK)
         sealed = self._seal(key, self.round, DIR_TASK, plaintext)
         return self._send(MSG_TASK, self.round, sealed, published)
 
@@ -915,7 +919,18 @@ class Participant(_Party):
         return model
 
     def send_update(self, model: fl.ModelVector) -> bytes:
-        """Commit the local update on chain and seal it to the server."""
+        """Commit the local update on chain and seal it to the server.
+
+        The update's commitment hash is handed to `crypto.verifier.digest`,
+        which takes it on the helper thread inside an `ahead` exchange, while
+        this thread seals and signs the envelope; then the update transaction
+        is posted with that hash.  Nothing between writes to the ledger, so
+        blocks keep their order.  Only once the transaction is accepted is
+        the key marked used and the envelope counted: a refused transaction
+        raises its `LedgerError` and leaves the key, the `sign` and
+        `offchain_bytes` counters, the ratchet and the open task as they
+        were (the keygen and encapsulation of a rotation are already made
+        and counted)."""
         if self._active is None:
             raise NoActiveTask("no task to answer")
         rnd = self.last_round
@@ -932,11 +947,17 @@ class Participant(_Party):
             project_id=self.project_id, task_id=rnd, round=rnd,
             model=fl.WireModel(model), kem_ciphertext=ct, dh_public=dh_pub,
         ).encode()
-        h_info = crypto.digest(plaintext)
+        hashed = crypto.verifier.digest(plaintext)
+        blob = envelope_bytes(
+            MSG_UPDATE, rnd, self._seal(key, rnd, DIR_UPDATE, plaintext), self._sig,
+            self.clock.now(),
+        )
+        h_info = hashed.result()
         event = self.ledger.update_model(
             self.address, rnd, h_info, h_ct_key, self.project_id, rnd
         )
-        blob = self._send(MSG_UPDATE, rnd, self._seal(key, rnd, DIR_UPDATE, plaintext))
+        key.mark_used(DIR_UPDATE)
+        self._sent(blob)
         if rotation is not None:
             self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
             self.ratchet = ratchet.advance_asymmetric(self.ratchet, *rotation)

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import platform
 import re
 import runpy
+import signal
 import subprocess
 import sys
 import threading
@@ -27,6 +29,7 @@ from pqbfl.harness import (
     verify_transcripts,
     write_outputs,
 )
+from pqbfl.ledger import Ledger
 
 COUNTER_COLUMNS = METRICS_HEADER[2:]
 
@@ -519,6 +522,7 @@ def test_a_round_holds_the_same_model_copies_at_any_participant_count(monkeypatc
     assert four - one < 1
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
 def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypatch, tmp_path):
     cfg = small(participants=3, rounds=4)
     train, trained = fl.local_train, []
@@ -531,6 +535,13 @@ def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypat
 
     def train_then_kill(*args, **kwargs):
         trained.append(None)
+        if len(trained) == 4:   # round 2, first participant: every task is sent
+            # read the answers to the task checks, then stop the child, so
+            # that the first update's check stays in flight until the kill
+            with verifier._lock:
+                while any(check is not None for check in verifier._sent):
+                    assert verifier._receive(verifier.TIMEOUT)
+            os.kill(verifier._proc.pid, signal.SIGSTOP)
         if len(trained) == 5:   # round 2, second participant: checks are in flight
             assert verifier.is_alive() and verifier._sent
             verifier._proc.kill()
@@ -584,11 +595,30 @@ def _wide_run(monkeypatch, out_dir, **flags):
 @pytest.mark.parametrize("scenario", [None, *SCENARIO_FLAGS])
 def test_a_wide_run_sends_ahead_with_the_artifacts_of_one_window(scenario, monkeypatch, tmp_path):
     flags = {SCENARIO_FLAGS[scenario]: True} if scenario else {}
+    hashed, committed = [], []   # (on the helper, SHA-256) of each hash job; update commitments
+    run, update_model = crypto._Job.run, Ledger.update_model
+
+    def recording_run(job):
+        out = run(job)
+        if isinstance(job._value, bytes):
+            hashed.append((threading.current_thread().name == "pqbfl-helper", job._value))
+        return out
+
+    def recording_update(ledger, sender, round, h_info, *rest):
+        committed.append(h_info)
+        return update_model(ledger, sender, round, h_info, *rest)
+
+    monkeypatch.setattr(crypto._Job, "run", recording_run)
+    monkeypatch.setattr(Ledger, "update_model", recording_update)
     ahead, metrics, verdicts = _wide_run(monkeypatch, tmp_path / "ahead", **flags)
     assert True in verdicts   # the helper answered checks
+    # every update commitment was hashed on the helper, beside its seal
+    assert committed and all((True, h) in hashed for h in committed)
+    hashed.clear()
     monkeypatch.setattr(harness, "WAVE_BYTES", 2**40)   # one window of every participant
     windowed, _, none_ahead = _wide_run(monkeypatch, tmp_path / "windowed", **flags)
     assert not any(v is not None for v in none_ahead)
+    assert hashed and not any(on_helper for on_helper, _ in hashed)
     assert ahead == windowed
     assert metrics.all_attacks_rejected() and verify_transcripts(str(tmp_path / "ahead")) == []
 
@@ -634,16 +664,57 @@ def test_the_helper_starts_only_for_a_wide_exchange_of_two_or_more(monkeypatch):
         run_simulation(SimConfig(participants=2, rounds=2, ratchet_range=1, model_dim=2**16))
         assert started == ["pqbfl-helper"] and verifier._helper.is_alive()
     assert not verifier._helper.is_alive()   # joined at close
+    # in a fresh process: mallopt, spied on through ctypes, is called once
+    # per process, where the first helper starts, and never on import
     code = (
-        "import threading\n"
+        "import ctypes, threading\n"
+        "import cryptography, numpy\n"
+        "calls = []\n"
+        "class Libc:\n"
+        "    def __init__(self, name):\n"
+        "        self.mallopt = lambda param, value: calls.append((param, value)) or 1\n"
+        "ctypes.CDLL = Libc\n"
         "import pqbfl.__main__, pqbfl.cli, pqbfl.harness, pqbfl.protocol\n"
         "from pqbfl import crypto, harness\n"
-        "assert threading.active_count() == 1\n"
-        "harness.run_simulation(harness.SimConfig(participants=1, rounds=2, model_dim=2**16))\n"
+        "assert threading.active_count() == 1 and calls == []\n"
+        "crypto._usable_cpus = lambda: 2\n"
+        "def run(participants, dim):\n"
+        "    harness.run_simulation(harness.SimConfig(\n"
+        "        participants=participants, rounds=2, ratchet_range=1, model_dim=dim))\n"
+        "run(1, 2**16)\n"
+        "run(3, 32)\n"
         "assert threading.active_count() == 1 and crypto.verifier._helper is None\n"
+        "assert calls == []\n"
+        "run(2, 2**16)\n"
+        "assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]\n"
+        "crypto.verifier.close()\n"
+        "crypto.verifier = crypto.Verifier()\n"
+        "run(2, 2**16)\n"
+        "assert crypto.verifier._helper is not None and len(calls) == 2\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(crypto.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+def test_a_warm_wide_run_faults_in_almost_no_fresh_pages():
+    # with glibc's dynamic thresholds, which hand freed model buffers back
+    # to the kernel, the second run took about 3,500 minor faults
+    code = (
+        "import resource\n"
+        "from pqbfl import crypto, harness\n"
+        "crypto._usable_cpus = lambda: 2\n"
+        "config = harness.SimConfig(participants=3, rounds=3, ratchet_range=2, model_dim=2**16)\n"
+        "harness.run_simulation(config)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "harness.run_simulation(config)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crypto.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 1000
 
 
 # --- fault injection ---------------------------------------------------------

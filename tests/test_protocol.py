@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import establish, run_round
 from pqbfl import crypto, fl, protocol, ratchet
 from pqbfl.crypto import AuthFailure, DeterministicRng
+from pqbfl.ledger import DeadlineExceeded
 from pqbfl.protocol import (
     BadReference,
     BadSignature,
@@ -454,6 +456,45 @@ def test_update_requires_open_task():
     server, (p,), _, clock, model = establish(rounds=2, length=5, seed=b"noact")
     with pytest.raises(protocol.NoActiveTask):
         p.send_update(fl.local_train(model, 1, 0.01, 1))
+
+
+@pytest.mark.parametrize("helping", [True, False])
+def test_a_refused_update_transaction_leaves_the_participant_as_it_was(helping, monkeypatch):
+    # round 1 rotates keys, so the refused update carries a fresh key reply
+    server, (p,), ledger, clock, model = establish(
+        rounds=2, length=1, seed=b"refused", deadline_window=100
+    )
+    clock.advance(60)
+    server.publish_round(model)
+    got = p.handle_task(server.send_task(p.address))
+    local = fl.local_train(got, 1, 0.01, 1)
+    clock.advance(101)   # past the task's deadline: the contract refuses the update
+    key, active, state, blocks = p._active["key"], dict(p._active), p.ratchet, len(ledger.blocks)
+    hashed_on = []
+    run = crypto._Job.run
+
+    def recording(job):
+        out = run(job)
+        if isinstance(job._value, bytes):
+            hashed_on.append(threading.current_thread() is threading.main_thread())
+        return out
+
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(crypto._Job, "run", recording)
+    with crypto.Verifier() as verifier:
+        monkeypatch.setattr(crypto, "verifier", verifier)
+        with verifier.ahead(2 if helping else 1):
+            assert verifier.helping == helping
+            counters = p.counters.snapshot()
+            with pytest.raises(DeadlineExceeded):
+                p.send_update(local)
+    assert hashed_on == [not helping]   # the commitment was hashed on the helper
+    # the rotation's keygen and encapsulation were made before the refusal
+    assert p.counters.snapshot() == dict(counters, keygen=counters["keygen"] + 1,
+                                         encap=counters["encap"] + 1)
+    assert key._used == {protocol.DIR_TASK}
+    assert p._active == active and p._active["key"] is key and p.ratchet is state
+    assert len(ledger.blocks) == blocks and p.transcript[-1].direction == "s2p"
 
 
 def test_update_from_stranger_rejected():
