@@ -20,16 +20,10 @@ A peer's public keys can be checked before anything uses them: `kem_check`
 runs the ML-KEM length and modulus checks and `dh_check` decodes the P-256
 point, each raising ValueError.
 
-A signature check may already have been made when `verify` is called.
-Inside a `Verifier.wave` of two or more envelopes, each envelope's check is
-submitted to `verifier`, whose child process checks it on a second core, as
-soon as the envelope exists; inside a `Verifier.ahead` exchange of wide
-envelopes, its helper thread hashes and checks each one instead, and
-hashes what `Verifier.digest` is given.  `verify` takes the helper's
-verdict for the very buffer submitted, or hashes its message and takes the
-child's answer for exactly that (key, digest, signature), and checks
-in-process otherwise.  All of them check with `secp256k1.verify_digest`, so
-the answer is the same either way.
+A signature check may already have been made on a second core when `verify`
+is called (see `Verifier`): `verify` returns the answer of the handle it is
+given, or checks in-process if it has none.  Both check with
+`secp256k1.verify_digest`, so the answer is the same either way.
 
 Roles of the two hash functions are fixed: SHA-256 for 32-byte commitments,
 addresses, nonces and signed messages; SHA-384 inside HKDF for key
@@ -52,8 +46,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -210,18 +202,13 @@ def sign(pair: SigKeyPair, message: bytes) -> bytes:
     return secp256k1.sign(int.from_bytes(pair.secret, "big"), message)
 
 
-def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+def verify(public: bytes, message: bytes, signature: bytes, check=None) -> bool:
     """True iff the signature over SHA-256 of `message` is valid; malformed
-    inputs count as invalid.  If `verifier` was handed this exact check, its
-    helper thread's or its child's answer is returned; otherwise the check
-    runs here."""
-    answer = verifier.verdict(public, message, signature)
-    if answer is None:
-        digest = hashlib.sha256(message).digest()
-        answer = verifier.take(public, digest, signature)
-        if answer is None:
-            answer = secp256k1.verify_digest(public, digest, signature)
-    return answer
+    inputs count as invalid.  `check` is the handle `Verifier.submit` gave
+    for this very check, if any: its answer is returned, or, if it has none,
+    the check runs here."""
+    answer = None if check is None else check.result()
+    return _check(public, message, signature) if answer is None else answer
 
 
 # the verifier child: a fresh interpreter that imports only `secp256k1` (and
@@ -235,11 +222,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _address(buffer) -> int:
-    """Where the first byte of a bytes-like object lies in memory."""
-    return np.frombuffer(buffer, np.uint8).__array_interface__["data"][0]
 
 
 # glibc's mallopt parameters, and the values wide exchanges set: the largest
@@ -267,7 +249,8 @@ def _keep_freed_buffers() -> None:
 
 
 def _check(public: bytes, message, signature: bytes) -> bool:
-    """One signature check, hashing included, as the helper thread makes it."""
+    """One signature check, hashing included, as the helper thread and
+    `verify` make it."""
     return secp256k1.verify_digest(public, hashlib.sha256(message).digest(), signature)
 
 
@@ -310,43 +293,61 @@ def _serve_jobs(jobs: queue.SimpleQueue) -> None:
         job.run()
 
 
+class _Answer:
+    """The child's answer to one check, set as answers arrive; `result()`
+    waits for it, and is None if the child is abandoned first."""
+
+    __slots__ = ("_verifier", "value")
+
+    def __init__(self, verifier: "Verifier"):
+        self._verifier, self.value = verifier, None
+
+    def result(self) -> bool | None:
+        verifier = self._verifier
+        with verifier._lock:
+            while self.value is None and not verifier._closed:
+                if not verifier._receive(verifier.TIMEOUT):
+                    verifier._abandon()
+        return self.value
+
+
 class Verifier:
     """Signature checks made ahead of their handlers, on a second core.
 
-    Small envelopes go to one child process.  `wave(size)` opens one exchange
-    of `size` envelopes.  The child starts on the first wave of two or more,
-    and only where a second CPU is usable; a wave of one is checked
-    in-process.  Inside a wave, `submit` sends the child a check as raw bytes
-    (the key, the SHA-256 of the signed message and the signature), once per
-    distinct check in flight, and the child answers each with one byte, in
-    order.  `take` returns the answer to exactly that check, once per copy
-    submitted (the server sends every participant the same announcement); a
-    check never submitted, or already taken, gets None and runs in-process.
-    Answers not taken by the end of a wave are dropped.
+    `exchange(size, wide)` opens one exchange of `size` envelopes.  Inside
+    an exchange of two or more, `submit` hands each check to the helper
+    thread if the envelopes are wide, and to the child process otherwise,
+    and returns its handle: `result()` waits for the answer and returns it,
+    or None, and then the check runs in-process.  A check neither takes gets
+    no handle.
+
+    Small envelopes go to one child process.  It starts on the first small
+    exchange of two or more, and only where a second CPU is usable; until it
+    has said it is ready, checks stay in-process.  `submit` sends the child
+    a check as raw bytes (the key, the SHA-256 of the signed message and the
+    signature), and the child answers each with one byte, in order.
+    Byte-identical checks of one exchange share one request and one handle:
+    the server sends every participant the same announcement.
 
     At most `MAX_PENDING` checks are in flight: a request is at most
     2 + 255 + 32 + 255 bytes, so they fit one 64 KiB pipe and their answers
     another, and neither side can block on a full pipe.  A child that closes
     its pipe, sends a byte that is no answer, or stays silent for `TIMEOUT`
-    seconds is killed, and every pending and later check runs in-process.
+    seconds is killed; every pending handle then answers None, and later
+    checks run in-process.
 
     Wide envelopes go to one helper thread instead: hashing a wide message
     dominates its check, and SHA-256 releases the GIL, so a thread overlaps
-    it with this one.  `ahead(size)` opens one exchange of `size` wide
-    envelopes.  Inside it, `submit` hands the helper each check, which it
-    hashes and checks with the same `secp256k1.verify_digest`, `digest` a
-    SHA-256 (an update's commitment), and `run` any other job (the harness
-    draws training noise there); each job starts as soon as it is queued.
-    `verdict` returns the helper's answer for the very buffer submitted: the
-    same object, at the same address and of the same length, with the same
-    key and signature, once; anything else gets None and is checked by
-    `take` or in-process.  The verdict is matched by buffer, not hashed
-    again, which relies on one invariant: no wire buffer is written after
-    its send returns (the channel builds a new buffer for every copy it
-    injects).  Verdicts not taken by the end of the exchange are dropped.  The helper starts on the first
-    `ahead` exchange of two or more, only where a second CPU is usable, and
-    is joined at exit; an exchange of one is checked in-process.  Where it
-    starts, freed buffers are kept mapped from then on (see `ahead`).
+    it with this one.  Inside a wide exchange, `submit` hands the helper
+    each check, which it hashes and checks with the same
+    `secp256k1.verify_digest`, and the handle is its job; `digest` hands it
+    a SHA-256 (an update's commitment), and `run` any other job (the harness
+    draws training noise there).  Each job starts as soon as it is queued.
+    Checks the helper has not started by the end of the exchange are
+    cancelled, and their handles answer None.  The helper starts on the
+    first wide exchange of two or more, only where a second CPU is usable,
+    and is joined at exit.  Where it starts, freed buffers are kept mapped
+    from then on (see `exchange`).
 
     `close`, also run at exit, closes the child's pipes, waits for the child
     and joins the helper.  Threads may share a verifier: one lock keeps each
@@ -360,13 +361,12 @@ class Verifier:
         self._closed = False
         self._ready = False     # the child has sent secp256k1.READY
         self.accepting = False  # `submit` has somewhere to send a check
-        self._sent: deque = deque()   # distinct checks in flight, oldest first; None once dropped
-        self._answers: dict[tuple, bool] = {}   # the child's answers not yet taken
-        self._copies: dict[tuple, int] = {}     # copies submitted and not taken, per check
-        self._helper: threading.Thread | None = None   # started on the first `ahead`
+        self._sent: deque = deque()   # the child's handles awaiting answers, oldest first
+        self._shared: dict[bytes, _Answer] = {}   # this exchange's child requests and handles
+        self._helper: threading.Thread | None = None   # started on the first wide exchange
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self.helping = False    # an `ahead` exchange is open and the helper is usable
-        self._verdicts: dict[int, list] = {}    # id(buffer) -> its pending helper checks
+        self.helping = False    # a wide exchange is open and the helper is usable
+        self._checks: list[_Job] = []   # this exchange's helper checks
         self._lock = threading.RLock()
 
     def __enter__(self) -> "Verifier":
@@ -379,50 +379,33 @@ class Verifier:
         return self._proc is not None and self._proc.poll() is None
 
     @contextlib.contextmanager
-    def wave(self, size: int):
-        """One exchange of `size` envelopes: accept submissions inside it if
-        `size` is two or more, and drop the answers not taken by its end."""
+    def exchange(self, size: int, wide: bool):
+        """One exchange of `size` envelopes, `wide` or not.  Where the helper
+        starts, the C allocator is also told, once per process, to keep freed
+        buffers mapped (`_keep_freed_buffers`): a wide exchange frees and
+        allocates model-sized buffers all the time, and otherwise faults in
+        fresh pages for each."""
         with self._lock:
-            self.accepting = size > 1 and self._start()
-        try:
-            yield
-        finally:
-            with self._lock:
-                self.accepting = False
-                self._answers.clear()
-                self._copies.clear()
-                self._sent = deque([None] * len(self._sent))
-
-    @contextlib.contextmanager
-    def ahead(self, size: int):
-        """One exchange of `size` wide envelopes: if `size` is two or more,
-        hand their checks, and the jobs `run` and `digest` are given, to the
-        helper thread, and drop the verdicts not taken by its end.  Where the
-        helper starts, the C allocator is also told, once per process, to keep
-        freed buffers mapped (`_keep_freed_buffers`): a wide exchange frees
-        and allocates model-sized buffers all the time, and otherwise faults
-        in fresh pages for each."""
-        with self._lock:
-            if size > 1 and self._helper is None and not self._closed and _usable_cpus() > 1:
+            self.helping = size > 1 and wide and not self._closed and _usable_cpus() > 1
+            if self.helping and self._helper is None:
                 _keep_freed_buffers()
                 self._helper = threading.Thread(
                     target=_serve_jobs, args=(self._jobs,), name="pqbfl-helper", daemon=True)
                 self._helper.start()
                 atexit.register(self.close)
-            self.accepting = self.helping = (
-                size > 1 and self._helper is not None and not self._closed)
+            self.accepting = self.helping or (size > 1 and not wide and self._start())
         try:
             yield
         finally:
             with self._lock:
                 self.accepting = self.helping = False
-                for pending in self._verdicts.values():
-                    for *_, job in pending:
-                        job.cancel()
-                self._verdicts.clear()
+                for job in self._checks:
+                    job.cancel()
+                self._checks.clear()
+                self._shared.clear()
 
     def run(self, call) -> _Job:
-        """`call()` on the helper thread inside an `ahead` exchange, or here
+        """`call()` on the helper thread inside a wide exchange, or here
         otherwise; the job's `result()` waits for it and returns its value.
         A queued job starts at once: this thread releases the GIL once after
         queuing it, so the helper need not wait for this thread's next GIL
@@ -439,100 +422,52 @@ class Verifier:
 
     def digest(self, data) -> _Job:
         """The SHA-256 of `data`, as `digest` takes it: made by the helper
-        thread inside an `ahead` exchange, while this thread goes on (SHA-256
+        thread inside a wide exchange, while this thread goes on (SHA-256
         releases the GIL), and here otherwise.  The job's `result()` waits
         for it and returns it."""
         if self.helping:
             return self.run(lambda: hashlib.sha256(data).digest())
         return _Job(lambda: digest(data)).run()
 
-    def submit(self, public, message, signature) -> None:
-        """Hand one check to the helper, inside an `ahead` exchange, or to
-        the child, if a wave is open and the child has started; the request
-        is made before this returns.  A check handed to the helper starts at
-        once, as a job `run` queues does."""
+    def submit(self, public, message, signature) -> _Job | _Answer | None:
+        """The handle of one check handed to the helper or the child, as the
+        open exchange says, or None if neither takes it.  The request is made
+        before this returns; a check handed to the helper starts at once, as
+        a job `run` queues does."""
         if not self.accepting or len(public) > 255 or len(signature) > 255:
-            return
+            return None
+        public, signature = bytes(public), bytes(signature)
         if self.helping:
-            public, signature = bytes(public), bytes(signature)
-            job = _Job(lambda: _check(public, message, signature))
-            buffer = getattr(message, "obj", message)
-            with self._lock:
-                queued = self.helping
-                if queued:
-                    self._jobs.put(job)
-                    self._verdicts.setdefault(id(buffer), []).append(
-                        (buffer, _address(message), len(message), public, signature, job))
-            if queued:
-                time.sleep(0)   # releases the GIL: the helper takes the check now
-            return
-        check = (bytes(public), hashlib.sha256(message).digest(), bytes(signature))
+            job = self.run(lambda: _check(public, message, signature))
+            self._checks.append(job)
+            return job
+        request = (bytes([len(public), len(signature)]) + public
+                   + hashlib.sha256(message).digest() + signature)
         with self._lock:   # a request and its place in `_sent` must agree
-            if check in self._copies:   # in flight or answered: one answer serves every copy
-                self._copies[check] += 1
-                return
+            if request in self._shared:   # in flight or answered: one answer serves every copy
+                return self._shared[request]
             if not self._ready and not self._receive(0):
-                return   # still starting: this check stays in-process
+                return None   # still starting: this check stays in-process
             while len(self._sent) >= self.MAX_PENDING:
                 if not self._receive(self.TIMEOUT):
                     return self._abandon()
             if self._closed:
-                return
+                return None
             try:   # unbuffered: a blocking write writes it all
-                self._proc.stdin.write(bytes([len(check[0]), len(check[2])]) + b"".join(check))
+                self._proc.stdin.write(request)
             except OSError:
                 return self._abandon()
-            self._sent.append(check)
-            self._copies[check] = 1
-
-    def verdict(self, public, message, signature) -> bool | None:
-        """The helper's answer to this check, waiting for it if it is still
-        running; None unless this very buffer was submitted with this key and
-        signature, and its verdict not yet taken."""
-        if not self._verdicts:
-            return None   # nothing in flight: the caller checks otherwise
-        buffer = getattr(message, "obj", message)
-        with self._lock:
-            pending = self._verdicts.get(id(buffer), [])
-            for k, (held, at, size, key, sig, job) in enumerate(pending):
-                if (held is buffer and size == len(message) and key == public
-                        and sig == signature and at == _address(message)):
-                    del pending[k]
-                    if not pending:
-                        del self._verdicts[id(buffer)]
-                    break
-            else:
-                return None
-        return job.result()   # None if it was cancelled: checked otherwise
-
-    def take(self, public, digest: bytes, signature) -> bool | None:
-        """The child's answer to this check, waiting for it if it is in
-        flight; None if it was not submitted or the child is gone."""
-        if not self._copies:
-            return None   # nothing in flight: the caller checks in-process
-        check = (bytes(public), digest, bytes(signature))
-        with self._lock:
-            if check not in self._copies:
-                return None
-            while check not in self._answers:
-                if check not in self._sent:
-                    return None
-                if not self._receive(self.TIMEOUT):
-                    self._abandon()
-            answer = self._answers[check]
-            self._copies[check] -= 1
-            if not self._copies[check]:
-                del self._copies[check], self._answers[check]
-            return answer
+            handle = self._shared[request] = _Answer(self)
+            self._sent.append(handle)
+            return handle
 
     def close(self) -> None:
         """Close the child's pipes and wait for it to exit, and join the
-        helper; later checks run in-process."""
+        helper; pending handles of the child answer None, and later checks
+        run in-process."""
         with self._lock:
             self._closed, self.accepting, self.helping = True, False, False
             self._sent.clear()
-            self._answers.clear()
-            self._copies.clear()
             atexit.unregister(self.close)
             if self._helper is not None and self._helper.is_alive():
                 self._jobs.put(None)   # after the jobs queued: the helper ends
@@ -566,9 +501,9 @@ class Verifier:
         self.close()
 
     def _receive(self, timeout: float) -> bool:
-        """Read the answers that arrive within `timeout` seconds; False if
-        none did.  A child that closed its pipe or sent a byte that is no
-        answer is abandoned."""
+        """Read the answers that arrive within `timeout` seconds and set
+        their handles, in request order; False if none did.  A child that
+        closed its pipe or sent a byte that is no answer is abandoned."""
         if self._closed:
             return False
         out = self._proc.stdout
@@ -584,13 +519,12 @@ class Verifier:
             self._abandon()
             return False
         for answer in data:
-            check = self._sent.popleft()
-            if check is not None:
-                self._answers[check] = answer == 1
+            self._sent.popleft().value = answer == 1
         return True
 
 
-# the one verifier `verify` consults; its child starts with the first wave
+# the one verifier the harness hands checks to; its child starts with the
+# first small exchange of two or more
 verifier = Verifier()
 
 

@@ -8,20 +8,12 @@ from the config seed, and the clock is simulated.  Every session takes each
 round together, and metrics are snapshotted at round boundaries, so output
 files are reproducible byte for byte.
 
-Each exchange goes out in waves over windows of participants: the server
-sends a window's envelopes, each participant handles its own and replies,
-then the server handles the replies in participant order.  A window holds as
-many participants as its envelopes fit `WAVE_BYTES`, so small models make
-one window of every participant and wide ones a window of one.  Within a
-window every envelope's signature check is handed to `crypto.verifier` as
-soon as the envelope exists, so a child process checks the wave on a second
-core while this one signs and handles.  Windows of one, with more than one
-participant, are sent ahead instead: the server sends participant i+1's
-envelope before it handles participant i's reply, and the verifier's helper
-thread checks each envelope, and draws each participant's training noise,
-while this thread works on another participant.  The order of channel
-carries, ledger blocks, folds, transcript rows, counters and injections is
-the same either way and at any window size, so every artifact is too.
+Each exchange goes out over windows of participants (see `_exchange`), and
+every envelope's signature check is handed to `crypto.verifier` as soon as
+the envelope exists; its handle travels beside the envelope to the receiving
+handler.  The order of channel carries, ledger blocks, folds, transcript
+rows, counters and injections is the same at any window size, so every
+artifact is too.
 
 Every delivery is envelope wire bytes handed from a send call through
 `Channel.carry` straight to the receiving handler.  The channel's fault
@@ -287,12 +279,19 @@ class Channel:
         payload[pos] ^= 1 << bit
         return replace(env, payload=bytes(payload)).encode()
 
-    def carry(self, phase: str, blob: bytes, round: int, victim: int, deliver, forge=None):
+    def carry(self, phase: str, blob: bytes, round: int, victim: int, deliver, forge=None,
+              check=None):
         """Deliver `blob` for participant `victim` and return the handler's result.
 
         `phase` is "establish" (key announcement), "response", "task" or
         "update"; `deliver` is the receiving handler and `forge` builds the
-        key-swapped announcement a `mitm_key_swap` plan injects.
+        key-swapped announcement a `mitm_key_swap` plan injects.  `check`,
+        the handle of `blob`'s signature check (`protocol.submit_check`), goes
+        to the handler with `blob` alone: every injected copy is delivered
+        without it, so its signature is checked in-process.  Without a handle
+        the handler is called with the blob alone, so a one-argument handler
+        (as `perfbench/selftest.py` swaps in) still takes every delivery that
+        has none.
         """
         if "free_ride" in self.plans:
             self.scan_for_leak(blob)
@@ -304,7 +303,7 @@ class Channel:
             self._attempt("mitm_key_swap", phase, round, victim, forged, deliver)
         if self.plans.get("tamper") == target:
             self._attempt("tamper", phase, round, victim, self._flip_payload_bit(blob), deliver)
-        result = deliver(blob)
+        result = deliver(blob) if check is None else deliver(blob, check)
         if self.plans.get("replay") == target:
             self._attempt("replay", phase, round, victim, blob, deliver)
         return result
@@ -342,57 +341,50 @@ class Channel:
 def _exchange(participants: int, send, answer, handle) -> None:
     """One exchange between the server and every participant.  `send(i)`
     makes the server's envelope to participant i; `answer(i, inbox)` has
-    participant i take it with `inbox.popleft()`, so that no one else keeps
-    it, and returns its reply or None; `handle(i, reply)` has the server
-    handle the reply.  Each step runs in participant order.
+    participant i take it and its check's handle with `inbox.popleft()`, so
+    that no one else keeps them, and returns its reply or None;
+    `handle(i, reply, check)` has the server handle the reply.  Each step
+    runs in participant order.
 
     A window holds as many participants as their envelopes fit `WAVE_BYTES`,
     judged by the first envelope (every envelope of an exchange has the same
-    length), at least one.  A window of two or more is one verifier wave:
-    its envelopes are sent and submitted for checking, then answered, then
-    the replies handled.  Windows of one run as one `ahead` exchange, whose
-    checks the verifier's helper thread makes, and the server sends
-    participant i+1's envelope before it handles participant i's reply, so
-    each check overlaps another participant's work.  Every envelope is
-    submitted as soon as it exists, except an `ahead` exchange's first,
-    which is needed at once.  Either way the channel carries envelope i,
-    reply i, envelope i+1, ... in the same order."""
-    inbox = deque([send(0)])
-    window = max(1, WAVE_BYTES // len(inbox[0]))
-    if window == 1:
-        # the first envelope is checked here, while the helper draws its
-        # participant's noise
-        with crypto.verifier.ahead(participants):
-            for i in range(participants):
-                reply = answer(i, inbox)
-                if reply is not None:
-                    protocol.submit_check(reply)
-                if i + 1 < participants:
-                    inbox.append(send(i + 1))
-                    protocol.submit_check(inbox[0])
-                if reply is not None:
-                    handle(i, reply)
-                del reply   # before the next participant's copies exist
-        return
-    for start in range(0, participants, window):
-        stop = min(participants, start + window)
-        if start:
-            inbox.append(send(start))
-        with crypto.verifier.wave(stop - start):
-            protocol.submit_check(inbox[0])
+    length), at least one: every participant for a small model, one for a
+    wide one.  For each window the server sends the rest of its envelopes,
+    its participants answer, the server sends the next window's first
+    envelope, and then it handles the window's replies.  Every envelope's
+    check is submitted as soon as the envelope exists, so the verifier's
+    child (small envelopes) or helper thread (windows of one) checks it
+    while this thread works on other participants; only a wide exchange's
+    first envelope is checked here, as it is needed at once.  The channel
+    carries participant i+1's envelope only after participant i's reply is
+    made, so a wide round sends task i+1 before it handles update i."""
+
+    def post(i):
+        blob = send(i)
+        inbox.append((blob, protocol.submit_check(blob)))
+
+    first = send(0)
+    window = max(1, WAVE_BYTES // len(first))
+    inbox = deque()
+    with crypto.verifier.exchange(participants, wide=window == 1):
+        # a wide exchange's first envelope is checked here, while the helper
+        # draws its participant's noise
+        inbox.append((first, None if window == 1 else protocol.submit_check(first)))
+        del first
+        for start in range(0, participants, window):
+            stop = min(participants, start + window)
             for i in range(start + 1, stop):
-                inbox.append(send(i))
-                protocol.submit_check(inbox[-1])
+                post(i)
             replies = deque()
             for i in range(start, stop):
                 reply = answer(i, inbox)
                 if reply is not None:
-                    replies.append((i, reply))
-                    protocol.submit_check(reply)
+                    replies.append((i, reply, protocol.submit_check(reply)))
+                del reply   # before the next participant's copies exist
+            if stop < participants:
+                post(stop)
             while replies:
-                i, reply = replies.popleft()
-                handle(i, reply)
-                del reply
+                handle(*replies.popleft())
 
 
 def run_simulation(config: SimConfig) -> RunMetrics:
@@ -404,12 +396,11 @@ def run_simulation(config: SimConfig) -> RunMetrics:
     never desynchronizes the rotation schedule because only the final round's
     update is withheld and rotations never occur on the final round.
 
-    Establishment and every round are one `_exchange` each (see the module
-    docstring): the server sends a window's announcements or tasks, each
-    participant handles its own (and, in a round, trains) and replies, then
-    the server handles the replies in participant order.  A wide model's
-    window is one participant, and the next task goes out before the last
-    update is handled, so a round holds the same model copies at any P,
+    Establishment and every round are one `_exchange` each, in which each
+    participant handles its announcement or task (and, in a round, trains)
+    and replies.  A wide model's window is one participant, and the next task
+    goes out before the last update is handled, so a round holds the same
+    model copies at any P,
     `ROUND_MODEL_COPIES` at its peak: the task plaintext, the running sum
     and three in flight (a send's local model, payload and envelope; an
     update's envelope and plaintext beside the next task's envelope; or a
@@ -493,13 +484,15 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         )
 
     def take_keys(i, inbox):
+        blob, check = inbox.popleft()
         return channel.carry(
-            "establish", inbox.popleft(), 0, i, members[i].handle_keys, forge=forge_announcement,
+            "establish", blob, 0, i, members[i].handle_keys, forge=forge_announcement, check=check,
         )
 
     _exchange(
         config.participants, lambda i: server.send_keys(members[i].address), take_keys,
-        lambda i, reply: channel.carry("response", reply, 0, i, server.handle_key_response),
+        lambda i, reply, check: channel.carry(
+            "response", reply, 0, i, server.handle_key_response, check=check),
     )
     snapshot(0)
 
@@ -522,7 +515,9 @@ def run_simulation(config: SimConfig) -> RunMetrics:
             if crypto.verifier.helping:   # draw the delta while the task opens
                 drawn = crypto.verifier.run(
                     fl.delta_job(train_seeds[i], config.noise_scale, rnd, config.model_dim))
-            got = channel.carry("task", inbox.popleft(), rnd, i, members[i].handle_task)
+            blob, check = inbox.popleft()
+            got = channel.carry("task", blob, rnd, i, members[i].handle_task, check=check)
+            del blob   # before training makes the local model
             local = fl.local_train(got, train_seeds[i], config.noise_scale, rnd, tag=names[i],
                                    delta=None if drawn is None else drawn.result())
             del got, drawn
@@ -532,8 +527,8 @@ def run_simulation(config: SimConfig) -> RunMetrics:
                 channel.shown.append(fl.serialize_model(local))
             return members[i].send_update(local)
 
-        def fold(i, reply):
-            total.add(channel.carry("update", reply, rnd, i, server.handle_update)[1])
+        def fold(i, reply, check):
+            total.add(channel.carry("update", reply, rnd, i, server.handle_update, check=check)[1])
 
         _exchange(
             config.participants, lambda i: server.send_task(members[i].address), train, fold,

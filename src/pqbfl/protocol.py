@@ -46,9 +46,9 @@ on-chain registration itself rather than copies of its fields.
 
 A signature check may already have been made when a handler asks for it:
 `submit_check` hands an envelope's check to `crypto.verifier` as soon as the
-envelope exists, and the handler's `crypto.verify` then takes the helper
-thread's or the child's answer for exactly that check (see `crypto`).  No
-send writes a wire buffer after it returns, which the helper relies on.
+envelope exists and returns a handle, which travels beside the envelope; each
+handler takes it as `check` and passes it to `crypto.verify`, which returns
+its answer or checks in-process (see `crypto`).
 
 Operation counters: `keygen`, `encap`, `decap`, `sign`, `verify` count those
 primitives directly; of all counters only `verify` and `offchain_recv_bytes`
@@ -361,14 +361,16 @@ def _signed(env: SignedEnvelope, blob) -> memoryview:
     return memoryview(blob)[: len(blob) - _LENGTH.size - len(env.signature)]
 
 
-def submit_check(blob) -> None:
+def submit_check(blob):
     """Hand the signature check of the envelope `blob` to `crypto.verifier`
-    ahead of its delivery, if a wave or an `ahead` exchange is open; the
-    receiving handler's `crypto.verify` then takes the answer to that exact
-    check."""
-    if crypto.verifier.accepting:
-        env = SignedEnvelope.decode(blob)
-        crypto.verifier.submit(env.sender_public, _signed(env, blob), env.signature)
+    ahead of its delivery, if an exchange is open, and return its handle for
+    the receiving handler's `check`; None if it was not handed over.  No
+    wire buffer is written after its send returns: the helper thread may
+    still be hashing this one while this thread goes on."""
+    if not crypto.verifier.accepting:
+        return None
+    env = SignedEnvelope.decode(blob)
+    return crypto.verifier.submit(env.sender_public, _signed(env, blob), env.signature)
 
 
 def build_envelope(
@@ -462,12 +464,13 @@ class _Party:
         return blob
 
     def _check(
-        self, env: SignedEnvelope, blob, sender: bytes, msg_type: int, what: str
+        self, env: SignedEnvelope, blob, sender: bytes, msg_type: int, what: str, check=None
     ) -> None:
         """Freshness, address binding, signature and type.  Raises; never mutates.
 
         `blob` is the wire bytes `env` was decoded from; the signature is
-        checked over their `_signed` prefix.
+        checked over their `_signed` prefix, with the handle `check` that
+        `submit_check` gave for `blob`, if any.
         """
         if env.version != WIRE_VERSION:
             raise MalformedMessage(f"unsupported wire version {env.version}")
@@ -481,7 +484,7 @@ class _Party:
             raise BadSignature("declared key does not match sender address")
         if env.sender_address != sender:
             raise BadSignature("sender is not the expected peer")
-        if not crypto.verify(env.sender_public, _signed(env, blob), env.signature):
+        if not crypto.verify(env.sender_public, _signed(env, blob), env.signature, check):
             raise BadSignature("envelope signature invalid")
         self.counters.verify += 1
         if env.msg_type != msg_type:
@@ -623,7 +626,7 @@ class Server(_Party):
         )
         return blob
 
-    def handle_key_response(self, blob: bytes) -> None:
+    def handle_key_response(self, blob: bytes, check=None) -> None:
         """Complete establishment for the responding participant."""
         self.counters.offchain_recv_bytes += len(blob)
         env = SignedEnvelope.decode(blob)
@@ -631,7 +634,7 @@ class Server(_Party):
         if session is None:
             raise UnknownClient("response from unregistered address")
         reg = session.registration
-        self._check(env, blob, reg.client, MSG_KEY_RESPONSE, "a key response")
+        self._check(env, blob, reg.client, MSG_KEY_RESPONSE, "a key response", check)
         if session.ratchet is not None:
             raise ReplayDetected("session already established")
         msg = KeyResponse.decode(env.payload)
@@ -717,14 +720,14 @@ class Server(_Party):
         sealed = self._seal(key, self.round, DIR_TASK, plaintext)
         return self._send(MSG_TASK, self.round, sealed, published)
 
-    def handle_update(self, blob: bytes) -> tuple[bytes, fl.ModelVector]:
+    def handle_update(self, blob: bytes, check=None) -> tuple[bytes, fl.ModelVector]:
         """Verify, open, and absorb one participant's sealed update."""
         self.counters.offchain_recv_bytes += len(blob)
         env = SignedEnvelope.decode(blob)
         session = self.sessions.get(env.sender_address)
         if session is None or session.ratchet is None:
             raise UnknownClient("update from an unknown session")
-        self._check(env, blob, session.registration.client, MSG_UPDATE, "an update")
+        self._check(env, blob, session.registration.client, MSG_UPDATE, "an update", check)
         if env.round <= session.last_update_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.round:
@@ -835,14 +838,14 @@ class Participant(_Party):
         self.counters.encap += 1
         return ct, (ss_kem, crypto.dh_agree(dh, server_dh_public))
 
-    def handle_keys(self, blob: bytes) -> bytes:
+    def handle_keys(self, blob: bytes, check=None) -> bytes:
         """Check the announced keys against the chain and derive the root key."""
         self.counters.offchain_recv_bytes += len(blob)
         env = SignedEnvelope.decode(blob)
         if self.project_id is None:
             raise SessionNotReady("join a project first")
         self._check(
-            env, blob, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement"
+            env, blob, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement", check
         )
         if self.ratchet is not None:
             raise ReplayDetected("session already established")
@@ -874,13 +877,13 @@ class Participant(_Party):
         )
         return out
 
-    def handle_task(self, blob: bytes) -> fl.ModelVector:
+    def handle_task(self, blob: bytes, check=None) -> fl.ModelVector:
         """Verify a round's task against the chain and return the global model."""
         self.counters.offchain_recv_bytes += len(blob)
         env = SignedEnvelope.decode(blob)
         if self.ratchet is None:
             raise SessionNotReady("session not established")
-        self._check(env, blob, self.server_address, MSG_TASK, "a task")
+        self._check(env, blob, self.server_address, MSG_TASK, "a task", check)
         if env.round <= self.last_round:
             raise ReplayDetected(f"round {env.round} already processed")
         if env.round != self.last_round + 1:
@@ -922,7 +925,7 @@ class Participant(_Party):
         """Commit the local update on chain and seal it to the server.
 
         The update's commitment hash is handed to `crypto.verifier.digest`,
-        which takes it on the helper thread inside an `ahead` exchange, while
+        which takes it on the helper thread inside a wide exchange, while
         this thread seals and signs the envelope; then the update transaction
         is posted with that hash.  Nothing between writes to the ledger, so
         blocks keep their order.  Only once the transaction is accepted is

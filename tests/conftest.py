@@ -51,7 +51,7 @@ def ready_verifier(monkeypatch) -> crypto.Verifier:
     `with`."""
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
     verifier = crypto.Verifier()
-    with verifier.wave(2):
+    with verifier.exchange(2, wide=False):
         assert verifier._receive(verifier.TIMEOUT) and verifier._ready
     return verifier
 

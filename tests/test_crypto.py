@@ -377,20 +377,24 @@ def _check_table():
 
 
 def test_the_child_and_the_in_process_check_agree(monkeypatch):
-    # each check goes twice, as the server sends every participant the same
-    # announcement: each copy gets one answer
     table = _check_table()
     with ready_verifier(monkeypatch) as verifier:
-        with verifier.wave(len(table)):
-            for key, msg, sig, _ in [*table.values(), *table.values()]:
-                verifier.submit(key, msg, sig)
-            time.sleep(0.2)   # let every answer arrive before the first take
+        with verifier.exchange(len(table), wide=False):
+            handles = {name: verifier.submit(key, msg, sig)
+                       for name, (key, msg, sig, _) in table.items()}
+            time.sleep(0.2)   # let every answer arrive before the first result
             for name, (key, msg, sig, valid) in table.items():
                 digest = hashlib.sha256(msg).digest()
                 assert secp256k1.verify_digest(key, digest, sig) is valid, name
-                assert verifier.take(key, digest, sig) is valid, name
-                assert verifier.take(key, digest, sig) is valid, name
-                assert verifier.take(key, digest, sig) is None, name
+                # a handle keeps its answer, however often it is asked
+                assert handles[name].result() is valid, name
+                assert handles[name].result() is valid, name
+                assert crypto.verify(key, msg, sig, handles[name]) is valid, name
+            # a key or signature longer than a request's length byte is not
+            # handed over: it is checked here
+            key, msg, sig, _ = table["valid"]
+            assert verifier.submit(key + bytes(191), msg, sig) is None
+            assert verifier.submit(key, msg, sig + bytes(256 - len(sig))) is None
     assert not verifier.is_alive()
 
 
@@ -412,16 +416,13 @@ def test_the_child_checks_each_distinct_check_once_and_answers_every_copy(monkey
     table = _check_table()
     with ready_verifier(monkeypatch) as verifier:
         verifier._proc.stdin = pipe = _CountingPipe(verifier._proc.stdin)
-        with verifier.wave(4):
-            for key, msg, sig, _ in [table["valid"]] * 3 + [table["truncated DER"]] * 2:
-                verifier.submit(key, msg, sig)
-            assert pipe.requests == 2
-            for name, copies in (("valid", 3), ("truncated DER", 2)):
-                key, msg, sig, valid = table[name]
-                digest = hashlib.sha256(msg).digest()
-                assert [verifier.take(key, digest, sig) for _ in range(copies + 1)] == (
-                    [valid] * copies + [None])
-            # every copy taken: the same check is asked again
+        copies = [table["valid"]] * 3 + [table["truncated DER"]] * 2
+        with verifier.exchange(len(copies), wide=False):
+            handles = [verifier.submit(key, msg, sig) for key, msg, sig, _ in copies]
+            assert pipe.requests == 2 and len(set(map(id, handles))) == 2
+            assert [handle.result() for handle in handles] == [True] * 3 + [False] * 2
+        # a later exchange asks the same check again
+        with verifier.exchange(2, wide=False):
             verifier.submit(*table["valid"][:3])
             assert pipe.requests == 3
         verifier._proc.stdin = pipe.pipe
@@ -438,32 +439,30 @@ def test_the_helper_answers_only_the_very_buffer_submitted(monkeypatch):
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
     pair, message, sig = _wide_message()
     with crypto.Verifier() as verifier:
-        monkeypatch.setattr(crypto, "verifier", verifier)
-        with verifier.ahead(2):
+        with verifier.exchange(2, wide=True):
             assert verifier.helping
-            prefix = memoryview(message)[:-1]
-            verifier.submit(pair.public, prefix, sig)
-            verifier.submit(pair.public, message, sig)
-            # an equal copy, a view at another offset, another key or
-            # signature: none is the submitted check
-            assert verifier.verdict(pair.public, bytes(prefix), sig) is None
-            assert verifier.verdict(pair.public, memoryview(message)[1:], sig) is None
-            assert verifier.verdict(pair.public[:-1] + b"\x00", prefix, sig) is None
-            assert verifier.verdict(pair.public, prefix, sig[:-1]) is None
-            # the submitted prefix is answered once, through a new view of it
-            assert verifier.verdict(pair.public, memoryview(message)[:-1], sig) is False
-            assert verifier.verdict(pair.public, memoryview(message)[:-1], sig) is None
-            assert verifier.verdict(pair.public, message, sig) is True
-            assert crypto.verify(pair.public, message, sig)   # taken: checked here
-            verifier.submit(pair.public, message, sig)
-        assert not verifier._verdicts   # untaken verdicts end with the exchange
-        assert verifier.verdict(pair.public, message, sig) is None
+            prefix = verifier.submit(pair.public, memoryview(message)[:-1], sig)
+            whole = verifier.submit(pair.public, message, sig)
+            # each handle answers its own check, however often it is asked
+            assert prefix.result() is False and prefix.result() is False
+            assert whole.result() is True
+            assert crypto.verify(pair.public, message, sig, whole)
+            assert not crypto.verify(pair.public, memoryview(message)[:-1], sig, prefix)
+            # a check the helper has not started by the end of the exchange
+            # is cancelled: its handle has no answer, and it is checked here
+            held = threading.Event()
+            verifier.run(held.wait)
+            cancelled = verifier.submit(pair.public, message, sig)
+        held.set()
+        assert cancelled.result() is None
+        assert crypto.verify(pair.public, message, sig, cancelled)
+        assert verifier.submit(pair.public, message, sig) is None   # no exchange open
         assert verifier.run(lambda: 7).result() == 7   # outside an exchange: run here
     assert not verifier._helper.is_alive()   # joined at close
 
 
 def test_threads_sharing_the_helper_each_get_their_own_verdicts(monkeypatch):
-    # distinct buffers, alternately valid and invalid, taken while other
+    # distinct buffers, alternately valid and invalid, answered while other
     # threads submit; a short switch interval makes threads interleave often
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
     pair = crypto.sig_keygen(crypto.DeterministicRng(b"signer"))
@@ -479,10 +478,9 @@ def test_threads_sharing_the_helper_each_get_their_own_verdicts(monkeypatch):
     wrong, answered = [], []
 
     def work(checks):
-        for check in checks:
-            verifier.submit(*check)
-        for key, message, sig in checks:
-            answer = verifier.verdict(key, message, sig)
+        handles = [verifier.submit(*check) for check in checks]
+        for (key, message, _), handle in zip(checks, handles):
+            answer = handle.result()
             answered.append(answer is not None)
             if answer != (key == pair.public):
                 wrong.append((key, bytes(message[:2])))
@@ -490,7 +488,7 @@ def test_threads_sharing_the_helper_each_get_their_own_verdicts(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with crypto.Verifier() as verifier, verifier.ahead(4):
+        with crypto.Verifier() as verifier, verifier.exchange(4, wide=True):
             workers = [threading.Thread(target=work, args=(c,)) for c in per_thread]
             for worker in workers:
                 worker.start()
@@ -514,15 +512,18 @@ def test_a_silent_child_leaves_its_checks_in_process(child, ready, monkeypatch):
     key, msg, sig, _ = _check_table()["valid"]
     monkeypatch.setattr(crypto.Verifier, "TIMEOUT", 0.5)
     with crypto.Verifier() as verifier:
-        monkeypatch.setattr(crypto, "verifier", verifier)
-        with verifier.wave(2):
+        with verifier.exchange(2, wide=False):
             if ready:   # however slowly the stub starts
                 assert verifier._receive(30) and verifier._ready
-            verifier.submit(key, msg, sig)
+            check = verifier.submit(key, msg, sig)
+            assert (check is not None) is ready
             start = time.perf_counter()
-            assert crypto.verify(key, msg, sig)
+            assert crypto.verify(key, msg, sig, check)
             assert time.perf_counter() - start < verifier.TIMEOUT + 2
             assert verifier.is_alive() is not ready
+            if ready:   # killed: the pending handle has no answer
+                assert check.result() is None
+            assert verifier.submit(key, msg, sig) is None
     assert not verifier.is_alive()
     assert crypto.verify(key, msg, sig)
 
@@ -534,11 +535,9 @@ def test_a_wave_larger_than_both_pipes_completes(monkeypatch):
     answers = []
     with ready_verifier(monkeypatch) as verifier:
         def wave():
-            with verifier.wave(len(checks)):
-                for check in checks:
-                    verifier.submit(*check)
-                for key, msg, sig in checks:
-                    answers.append(verifier.take(key, hashlib.sha256(msg).digest(), sig))
+            with verifier.exchange(len(checks), wide=False):
+                handles = [verifier.submit(*check) for check in checks]
+                answers.extend(handle.result() for handle in handles)
         worker = threading.Thread(target=wave)
         worker.start()
         worker.join(timeout=60)
@@ -560,10 +559,9 @@ def test_threads_sharing_a_verifier_each_get_their_own_answers(monkeypatch):
     wrong, answered = [], []
 
     def work(checks):
-        for check in checks:
-            verifier.submit(*check)
-        for key, msg, sig in checks:
-            answer = verifier.take(key, hashlib.sha256(msg).digest(), sig)
+        handles = [verifier.submit(*check) for check in checks]
+        for (key, msg, _), handle in zip(checks, handles):
+            answer = None if handle is None else handle.result()
             answered.append(answer is not None)
             if answer is not None and answer != (key == pair.public):
                 wrong.append((key, msg))
@@ -571,7 +569,7 @@ def test_threads_sharing_a_verifier_each_get_their_own_answers(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ready_verifier(monkeypatch) as verifier, verifier.wave(2):
+        with ready_verifier(monkeypatch) as verifier, verifier.exchange(2, wide=False):
             workers = [threading.Thread(target=work, args=(c,)) for c in per_thread]
             for worker in workers:
                 worker.start()

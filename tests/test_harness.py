@@ -526,11 +526,11 @@ def test_a_round_holds_the_same_model_copies_at_any_participant_count(monkeypatc
 def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypatch, tmp_path):
     cfg = small(participants=3, rounds=4)
     train, trained = fl.local_train, []
-    take, answered = crypto.Verifier.take, []   # (child answered, before the kill)
+    result, answered, pending = crypto._Answer.result, [], []
 
-    def counting_take(*args):
-        out = take(*args)
-        answered.append((out is not None, len(trained) < 5))
+    def counting_result(handle):   # (handle, its answer, asked before the kill)
+        out = result(handle)
+        answered.append((handle, out, len(trained) < 5))
         return out
 
     def train_then_kill(*args, **kwargs):
@@ -539,11 +539,12 @@ def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypat
             # read the answers to the task checks, then stop the child, so
             # that the first update's check stays in flight until the kill
             with verifier._lock:
-                while any(check is not None for check in verifier._sent):
+                while verifier._sent:
                     assert verifier._receive(verifier.TIMEOUT)
             os.kill(verifier._proc.pid, signal.SIGSTOP)
         if len(trained) == 5:   # round 2, second participant: checks are in flight
-            assert verifier.is_alive() and verifier._sent
+            pending.extend(verifier._sent)
+            assert verifier.is_alive() and pending
             verifier._proc.kill()
             verifier._proc.wait(timeout=10)
         return train(*args, **kwargs)
@@ -551,11 +552,14 @@ def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypat
     with ready_verifier(monkeypatch) as verifier:
         monkeypatch.setattr(crypto, "verifier", verifier)
         monkeypatch.setattr(fl, "local_train", train_then_kill)
-        monkeypatch.setattr(crypto.Verifier, "take", counting_take)
+        monkeypatch.setattr(crypto._Answer, "result", counting_result)
         killed = write_outputs(run_simulation(cfg), str(tmp_path / "killed"))
         assert len(trained) == cfg.participants * cfg.rounds
     assert not verifier.is_alive()
-    assert (True, True) in answered and (True, False) not in answered
+    assert any(out is not None for _, out, before in answered if before)
+    # every check in flight at the kill has no answer, and is checked here
+    killed_checks = [out for handle, out, _ in answered if handle in pending]
+    assert killed_checks and all(out is None for out in killed_checks)
     monkeypatch.setattr(fl, "local_train", train)
     with crypto.Verifier() as in_process:
         in_process.close()   # never starts a child: every check runs here
@@ -576,17 +580,16 @@ def _wide_run(monkeypatch, out_dir, **flags):
     start, and each wide check's verdict: True or False from the helper,
     None if it was checked otherwise."""
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
-    verdict, verdicts = crypto.Verifier.verdict, []
+    verify, verdicts = crypto.verify, []
 
-    def recording(self, public, message, signature):
-        out = verdict(self, public, message, signature)
+    def recording(public, message, signature, check=None):
         if len(message) > 2**16:
-            verdicts.append(out)
-        return out
+            verdicts.append(check.result() if isinstance(check, crypto._Job) else None)
+        return verify(public, message, signature, check)
 
     with crypto.Verifier() as verifier, monkeypatch.context() as m:
         m.setattr(crypto, "verifier", verifier)
-        m.setattr(crypto.Verifier, "verdict", recording)
+        m.setattr(crypto, "verify", recording)
         metrics = run_simulation(SimConfig(seed=29, **WIDE, **flags))
     paths = write_outputs(metrics, str(out_dir))
     return {name: Path(path).read_bytes() for name, path in paths.items()}, metrics, verdicts
@@ -645,6 +648,57 @@ def test_an_injected_wide_copy_is_checked_in_process_and_refused(
     p, r = WIDE["participants"], WIDE["rounds"]
     assert verdicts.count(None) == r + 1 and verdicts.count(True) == (2 * p - 1) * r
     assert len(checked) >= 1
+
+
+@pytest.mark.parametrize("shape", [dict(participants=3, rounds=3, ratchet_range=2), WIDE],
+                         ids=["child", "helper"])
+def test_only_the_honest_copy_carries_its_check_handle(shape, monkeypatch):
+    # the child is ready before the run, so every honest check can be
+    # handed over; only a wide exchange's first task is checked at once
+    injecting, calls = [], []   # (injected, delivered with a handle) per crypto.verify call
+    attempt, verify = harness.Channel._attempt, crypto.verify
+
+    def spy_attempt(channel, *args):
+        injecting.append(True)
+        try:
+            return attempt(channel, *args)
+        finally:
+            injecting.pop()
+
+    def spy_verify(public, message, signature, check=None):
+        calls.append((bool(injecting), check is not None))
+        return verify(public, message, signature, check)
+
+    with ready_verifier(monkeypatch) as verifier:
+        monkeypatch.setattr(crypto, "verifier", verifier)
+        monkeypatch.setattr(harness.Channel, "_attempt", spy_attempt)
+        monkeypatch.setattr(crypto, "verify", spy_verify)
+        metrics = run_simulation(SimConfig(
+            seed=31, **shape, replay_attack=True, tamper_attack=True, mitm_key_swap=True))
+    # a tampered copy checked with the honest copy's handle would pass its
+    # signature check and fail only at the AEAD, as an AuthFailure
+    assert {r.scenario: r.outcome for r in metrics.attacks} == {
+        "mitm_key_swap": "CommitmentMismatch", "tamper": "BadSignature",
+        "replay": "ReplayDetected"}
+    assert [handed for injected, handed in calls if injected] == [False] * 3
+    honest = [handed for injected, handed in calls if not injected]
+    first = shape["rounds"] if shape is WIDE else 0
+    assert honest.count(False) == first and len(honest) == 2 * shape["participants"] * (
+        shape["rounds"] + 1)
+
+
+@pytest.mark.parametrize("budget", [600, 3000, 4400])
+def test_an_exchange_over_several_windows_keeps_the_artifacts_of_one(budget, monkeypatch, tmp_path):
+    # at dim 8 an announcement is 1,445 bytes, a task 292 and a rotation task
+    # 1,549: these budgets split five participants into windows of one to
+    # three, with a last window of one or two
+    cfg = small(participants=5, rounds=3, replay_attack=True, tamper_attack=True)
+    one = write_outputs(run_simulation(cfg), str(tmp_path / "one"))
+    monkeypatch.setattr(harness, "WAVE_BYTES", budget)
+    split = write_outputs(run_simulation(cfg), str(tmp_path / "split"))
+    assert one.keys() == split.keys()
+    for name in one:
+        assert Path(one[name]).read_bytes() == Path(split[name]).read_bytes(), name
 
 
 def test_the_helper_starts_only_for_a_wide_exchange_of_two_or_more(monkeypatch):

@@ -483,7 +483,7 @@ def test_a_refused_update_transaction_leaves_the_participant_as_it_was(helping, 
     monkeypatch.setattr(crypto._Job, "run", recording)
     with crypto.Verifier() as verifier:
         monkeypatch.setattr(crypto, "verifier", verifier)
-        with verifier.ahead(2 if helping else 1):
+        with verifier.exchange(2 if helping else 1, wide=True):
             assert verifier.helping == helping
             counters = p.counters.snapshot()
             with pytest.raises(DeadlineExceeded):
