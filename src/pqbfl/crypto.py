@@ -305,7 +305,7 @@ class _Answer:
     def result(self) -> bool | None:
         verifier = self._verifier
         with verifier._lock:
-            while self.value is None and not verifier._closed:
+            while self.value is None and not verifier._gone:
                 if not verifier._receive(verifier.TIMEOUT):
                     verifier._abandon()
         return self.value
@@ -334,7 +334,7 @@ class Verifier:
     another, and neither side can block on a full pipe.  A child that closes
     its pipe, sends a byte that is no answer, or stays silent for `TIMEOUT`
     seconds is killed; every pending handle then answers None, and later
-    checks run in-process.
+    small checks run in-process.  Only the child ends: the helper goes on.
 
     Wide envelopes go to one helper thread instead: hashing a wide message
     dominates its check, and SHA-256 releases the GIL, so a thread overlaps
@@ -358,7 +358,8 @@ class Verifier:
 
     def __init__(self):
         self._proc: subprocess.Popen | None = None
-        self._closed = False
+        self._closed = False    # `close` has run: neither the child nor the helper starts again
+        self._gone = False      # the child is closed or abandoned: small checks stay here
         self._ready = False     # the child has sent secp256k1.READY
         self.accepting = False  # `submit` has somewhere to send a check
         self._sent: deque = deque()   # the child's handles awaiting answers, oldest first
@@ -451,7 +452,7 @@ class Verifier:
             while len(self._sent) >= self.MAX_PENDING:
                 if not self._receive(self.TIMEOUT):
                     return self._abandon()
-            if self._closed:
+            if self._gone:
                 return None
             try:   # unbuffered: a blocking write writes it all
                 self._proc.stdin.write(request)
@@ -462,25 +463,30 @@ class Verifier:
             return handle
 
     def close(self) -> None:
-        """Close the child's pipes and wait for it to exit, and join the
-        helper; pending handles of the child answer None, and later checks
+        """Join the helper and end the child (`_end_child`); later checks
         run in-process."""
         with self._lock:
             self._closed, self.accepting, self.helping = True, False, False
-            self._sent.clear()
             atexit.unregister(self.close)
             if self._helper is not None and self._helper.is_alive():
                 self._jobs.put(None)   # after the jobs queued: the helper ends
                 self._helper.join(self.TIMEOUT)
-            if self._proc is None or self._proc.stdin.closed:
-                return
-            self._proc.stdin.close()   # end of input: the child exits
-            self._proc.stdout.close()
-            try:
-                self._proc.wait(timeout=self.TIMEOUT)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+            self._end_child()
+
+    def _end_child(self) -> None:
+        """Close the child's pipes and wait for it to exit; its pending
+        handles answer None, and later small checks run in-process."""
+        self._gone = True
+        self._sent.clear()
+        if self._proc is None or self._proc.stdin.closed:
+            return
+        self._proc.stdin.close()   # end of input: the child exits
+        self._proc.stdout.close()
+        try:
+            self._proc.wait(timeout=self.TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def _start(self) -> bool:
         if self._proc is None and not self._closed and _usable_cpus() > 1:
@@ -490,21 +496,24 @@ class Verifier:
                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0,
                 )
             except OSError:
-                self._closed = True
+                self._gone = True
             else:
                 atexit.register(self.close)
-        return self._proc is not None and not self._closed
+        return self._proc is not None and not self._gone
 
     def _abandon(self) -> None:
+        """Kill the child and end it, under the lock its caller holds; the
+        helper goes on."""
         if self.is_alive():
             self._proc.kill()
-        self.close()
+        self.accepting = self.helping   # a small exchange hands the child nothing more
+        self._end_child()
 
     def _receive(self, timeout: float) -> bool:
         """Read the answers that arrive within `timeout` seconds and set
         their handles, in request order; False if none did.  A child that
         closed its pipe or sent a byte that is no answer is abandoned."""
-        if self._closed:
+        if self._gone:
             return False
         out = self._proc.stdout
         if not select.select([out], [], [], timeout)[0]:

@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random   # numpy 2 loads it lazily: load it here, not inside a run
 
 GLOBAL_TAG = "global"
 _MAX_TAG = 255

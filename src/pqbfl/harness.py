@@ -547,7 +547,7 @@ def run_simulation(config: SimConfig) -> RunMetrics:
         transcripts["server"].extend(
             f"session={name} {row.format()}" for row in server.sessions[p.address].transcript
         )
-        transcripts[name] = [row.format() for row in p.transcript]
+        transcripts[name] = [row.format() for row in p.session.transcript]
 
     return RunMetrics(
         config=config,

@@ -40,9 +40,11 @@ each fault is `MalformedMessage`: decoding refuses a key of the wrong width,
 the sender's signing key included, and a `fresh` byte other than 0 or 1, so
 for key messages that comes before the reference and commitment checks; then
 a KEM key must pass the FIPS 203 modulus check and an ECDH key must be a
-P-256 point.  Each session fact is stored once: a session is established
-exactly when it holds a ratchet, and the server keeps a participant's
-on-chain registration itself rather than copies of its fields.
+P-256 point.  Both ends keep a session in one record, `_Session`, which
+stores each session fact once, and each receive rule is stated once for
+both: `_Party` holds every handler's prologue, the key messages' reference
+check and the commits that open and close a round, and `_check_rotation`
+checks rotation material wherever it arrives.
 
 A signature check may already have been made when a handler asks for it:
 `submit_check` hands an envelope's check to `crypto.verifier` as soon as the
@@ -430,14 +432,47 @@ def _check_keys(msg) -> None:
         raise MalformedMessage(f"invalid key: {exc}") from None
 
 
+def _check_rotation(msg, first: bytes, expected: bool, committed: bytes, mismatch: str) -> None:
+    """Check a message's key pair, `first` and its `dh_public`: present
+    exactly when `expected`, and then hashing to its on-chain commitment
+    `committed` (else `mismatch`) and valid (`_check_keys`)."""
+    if bool(first) != expected:
+        raise CommitmentMismatch("key rotation material missing or unexpected")
+    if expected:
+        if crypto.digest(first + msg.dh_public) != committed:
+            raise CommitmentMismatch(mismatch)
+        _check_keys(msg)
+
+
 # --- parties ---------------------------------------------------------------
 
 _SEALED = {DIR_TASK: ("task", TaskPayload), DIR_UPDATE: ("update", UpdatePayload)}
+_KEY_MESSAGES = {MSG_KEY_ANNOUNCEMENT: ("announcement", KeyAnnouncement),
+                 MSG_KEY_RESPONSE: ("response", KeyResponse)}
+
+
+@dataclass
+class _Session:
+    """One end's record of a session.  `registration` is the peer's: the
+    client's at the server, the project's at a participant.  A session is
+    established exactly when it holds a `ratchet`.  `key` is the open round's
+    model key, and `fresh` the server keys its task carries, if any; `round`
+    is the latest round accepted from the peer."""
+
+    peer: bytes
+    registration: RegClientEvent | RegProjectEvent
+    ratchet: ratchet.RatchetState | None = None
+    key: ratchet.ModelKey | None = None
+    round: int = 0
+    fresh: tuple[bytes, bytes] | None = None
+    transcript: list[TranscriptRow] = field(default_factory=list)
 
 
 class _Party:
     """What the server and a participant share: a signer, a clock, counters,
-    and the one send path, receive check and seal/open pair of both sides."""
+    the one send path and seal/open pair, and the receive rules of both.
+    Each end finds a sender's session (`_session_of`) and refuses a delivery
+    with none (`_NO_SESSION`, by message type) its own way."""
 
     def __init__(self, rng, ledger, clock, config, max_skew):
         self.rng = rng
@@ -462,6 +497,59 @@ class _Party:
         self.counters.sign += 1
         self.counters.offchain_bytes += len(blob)
         return blob
+
+    def _receive(self, blob, msg_type: int, what: str, check) -> tuple[SignedEnvelope, _Session]:
+        """Every handler's prologue: count and decode `blob`, find its session,
+        `_check` it and refuse a replay.  A key message needs a session and
+        replays once it is established; a round message needs an established
+        session and replays at or below its `round`."""
+        self.counters.offchain_recv_bytes += len(blob)
+        env = SignedEnvelope.decode(blob)
+        session = self._session_of(env.sender_address)
+        key_message = msg_type in _KEY_MESSAGES
+        if session is None or (not key_message and session.ratchet is None):
+            error, text = self._NO_SESSION[msg_type]
+            raise error(text)
+        self._check(env, blob, session.peer, msg_type, what, check)
+        if key_message:
+            if session.ratchet is not None:
+                raise ReplayDetected("session already established")
+        elif env.round <= session.round:
+            raise ReplayDetected(f"round {env.round} already processed")
+        return env, session
+
+    def _key_message(self, env: SignedEnvelope, session: _Session):
+        """The key message `env` carries, once it names this project and the
+        block of the session's registration."""
+        what, codec = _KEY_MESSAGES[env.msg_type]
+        msg = codec.decode(env.payload)
+        if msg.project_id != self.project_id:
+            raise BadReference(f"{what} for a different project")
+        if msg.registration_block != session.registration.block:
+            raise BadReference(f"{what} references the wrong registration")
+        return msg
+
+    def _open_round(self, session: _Session, state, key, fresh, h_info: bytes, block: int) -> None:
+        """Open a round: the session takes its chain `state`, model `key` and
+        `fresh` keys, and the `s2p` row."""
+        session.ratchet, session.key, session.fresh = state, key, fresh
+        self.counters.derive += 2
+        session.transcript.append(
+            TranscriptRow(key.round, key.epoch, key.step, "s2p", h_info, block)
+        )
+
+    def _close_round(self, session: _Session, rotation, h_info: bytes, block: int) -> None:
+        """Close the open round on its update: mark the key used, take the
+        asymmetric step on a rotation reply's secrets, if any, record the
+        round, clear the key and fresh keys, and append the `p2s` row."""
+        key = session.key
+        key.mark_used(DIR_UPDATE)
+        if rotation is not None:
+            session.ratchet = ratchet.advance_asymmetric(session.ratchet, *rotation)
+        session.round, session.key, session.fresh = key.round, None, None
+        session.transcript.append(
+            TranscriptRow(key.round, key.epoch, key.step, "p2s", h_info, block)
+        )
 
     def _check(
         self, env: SignedEnvelope, blob, sender: bytes, msg_type: int, what: str, check=None
@@ -525,17 +613,11 @@ class _Party:
 
 # --- server ----------------------------------------------------------------
 
-@dataclass
-class _ServerSession:
-    registration: RegClientEvent
-    ratchet: ratchet.RatchetState | None = None   # set once established
-    current_key: ratchet.ModelKey | None = None
-    last_update_round: int = 0
-    transcript: list[TranscriptRow] = field(default_factory=list)
-
-
 class Server(_Party):
     """Project owner: registers, establishes sessions, runs rounds, scores."""
+
+    _NO_SESSION = {MSG_KEY_RESPONSE: (UnknownClient, "response from unregistered address"),
+                   MSG_UPDATE: (UnknownClient, "update from an unknown session")}
 
     def __init__(
         self,
@@ -558,7 +640,7 @@ class Server(_Party):
         self.capacity = capacity
         self.rounds_planned = rounds_planned
         self.deadline_window = deadline_window
-        self.sessions: dict[bytes, _ServerSession] = {}
+        self.sessions: dict[bytes, _Session] = {}
         self.round = 0
         self.finished = False
         self.registration_block: int | None = None
@@ -566,6 +648,9 @@ class Server(_Party):
         self._dh: crypto.DhKeyPair | None = None
         self._task: tuple[bytearray, int] | None = None   # open round's plaintext, publish time
         self._task_dim = 0   # the latest task model's dimension, which updates must match
+
+    def _session_of(self, address: bytes) -> _Session | None:
+        return self.sessions.get(address)
 
     # hybrid exchange -------------------------------------------------------
 
@@ -603,7 +688,7 @@ class Server(_Party):
         for ev in self.ledger.clients(self.project_id):
             if ev.client in self.sessions:
                 continue
-            self.sessions[ev.client] = _ServerSession(ev)
+            self.sessions[ev.client] = _Session(ev.client, ev)
             fresh.append(ev.client)
         return fresh
 
@@ -628,21 +713,9 @@ class Server(_Party):
 
     def handle_key_response(self, blob: bytes, check=None) -> None:
         """Complete establishment for the responding participant."""
-        self.counters.offchain_recv_bytes += len(blob)
-        env = SignedEnvelope.decode(blob)
-        session = self.sessions.get(env.sender_address)
-        if session is None:
-            raise UnknownClient("response from unregistered address")
-        reg = session.registration
-        self._check(env, blob, reg.client, MSG_KEY_RESPONSE, "a key response", check)
-        if session.ratchet is not None:
-            raise ReplayDetected("session already established")
-        msg = KeyResponse.decode(env.payload)
-        if msg.project_id != self.project_id:
-            raise BadReference("response for a different project")
-        if msg.registration_block != reg.block:
-            raise BadReference("response references the wrong registration")
-        if crypto.digest(msg.dh_public) != reg.h_key:
+        env, session = self._receive(blob, MSG_KEY_RESPONSE, "a key response", check)
+        msg = self._key_message(env, session)
+        if crypto.digest(msg.dh_public) != session.registration.h_key:
             raise CommitmentMismatch("ECDH key does not match the registered commitment")
         _check_keys(msg)
         secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
@@ -679,6 +752,7 @@ class Server(_Party):
                 )
         rotate = self.config.rotates(rnd, self.rounds_planned)
         fresh_kem, fresh_dh, h_keys = self._new_keys() if rotate else (None, None, b"")
+        fresh = (fresh_kem.public, fresh_dh.public) if rotate else None
         plaintext = TaskPayload(
             project_id=self.project_id,
             task_id=rnd,
@@ -693,12 +767,8 @@ class Server(_Party):
             self.address, rnd, h_info, h_keys, self.project_id, rnd, self.deadline_window
         )
         for session in self.sessions.values():
-            session.ratchet, key = ratchet.advance_symmetric(session.ratchet)
-            self.counters.derive += 2
-            session.current_key = key
-            session.transcript.append(
-                TranscriptRow(rnd, key.epoch, key.step, "s2p", h_info, event.block)
-            )
+            state, key = ratchet.advance_symmetric(session.ratchet)
+            self._open_round(session, state, key, fresh, h_info, event.block)
         if rotate:
             self.counters.key_material_bytes += _KEY_ANNOUNCE_BYTES * len(self.sessions)
             self._kem, self._dh = fresh_kem, fresh_dh
@@ -712,7 +782,7 @@ class Server(_Party):
         and sign it with the publish time; its key seals it once."""
         if participant not in self.sessions:
             raise UnknownClient("participant has not registered")
-        key = self.sessions[participant].current_key
+        key = self.sessions[participant].key
         if self._task is None or key is None:
             raise SessionNotReady("no task open for this participant")
         plaintext, published = self._task
@@ -721,21 +791,15 @@ class Server(_Party):
         return self._send(MSG_TASK, self.round, sealed, published)
 
     def handle_update(self, blob: bytes, check=None) -> tuple[bytes, fl.ModelVector]:
-        """Verify, open, and absorb one participant's sealed update."""
-        self.counters.offchain_recv_bytes += len(blob)
-        env = SignedEnvelope.decode(blob)
-        session = self.sessions.get(env.sender_address)
-        if session is None or session.ratchet is None:
-            raise UnknownClient("update from an unknown session")
-        self._check(env, blob, session.registration.client, MSG_UPDATE, "an update", check)
-        if env.round <= session.last_update_round:
-            raise ReplayDetected(f"round {env.round} already processed")
+        """Verify, open, and absorb one participant's sealed update; it
+        carries a rotation reply exactly when its task carried fresh keys."""
+        env, session = self._receive(blob, MSG_UPDATE, "an update", check)
         if env.round != self.round:
             raise ProtocolError(f"update for round {env.round}, current is {self.round}")
-        chain = self.ledger.update(self.project_id, env.round, session.registration.client)
+        chain = self.ledger.update(self.project_id, env.round, session.peer)
         if chain is None:
             raise BadReference("no on-chain update transaction for this round")
-        key = session.current_key
+        key = session.key
         if key is None or key.round != env.round:
             raise SessionNotReady("no model key staged for this round")
         msg, model, _ = self._open(key, env, DIR_UPDATE, chain.h_info)
@@ -745,24 +809,13 @@ class Server(_Party):
             )
         if model.round != env.round:
             raise MalformedMessage(f"update model labelled round {model.round}, not {env.round}")
-        rotating = self.config.rotates(env.round, self.rounds_planned)
-        if rotating != bool(msg.kem_ciphertext):
-            raise CommitmentMismatch("key rotation material missing or unexpected")
-        if rotating:
-            if crypto.digest(msg.kem_ciphertext + msg.dh_public) != chain.h_ct_key:
-                raise CommitmentMismatch("rotation reply does not match the on-chain hash")
-            _check_keys(msg)
-            secrets = self._agree(msg.kem_ciphertext, msg.dh_public)
+        rotating = session.fresh is not None
+        _check_rotation(msg, msg.kem_ciphertext, rotating, chain.h_ct_key,
+                        "rotation reply does not match the on-chain hash")
+        secrets = self._agree(msg.kem_ciphertext, msg.dh_public) if rotating else None
         # all checks passed; commit state changes
-        key.mark_used(DIR_UPDATE)
-        if rotating:
-            session.ratchet = ratchet.advance_asymmetric(session.ratchet, *secrets)
-        session.last_update_round = env.round
-        session.current_key = None
-        session.transcript.append(
-            TranscriptRow(env.round, key.epoch, key.step, "p2s", chain.h_info, chain.block)
-        )
-        return session.registration.client, model
+        self._close_round(session, secrets, chain.h_info, chain.block)
+        return session.peer, model
 
     def feedback(self, global_model: fl.ModelVector) -> list[FeedbackEvent]:
         """Close the round: anchor the new global model and score 1 each
@@ -778,7 +831,7 @@ class Server(_Party):
                 self.address, self.round, self.project_id, self.round,
                 addr, 1, terminate, h_model, h_keys,
             )
-            for addr, s in self.sessions.items() if s.last_update_round == self.round
+            for addr, s in self.sessions.items() if s.round == self.round
         ]
 
     def finish(self):
@@ -793,6 +846,9 @@ class Server(_Party):
 class Participant(_Party):
     """Registered client: establishes a session, trains, returns sealed updates."""
 
+    _NO_SESSION = {MSG_KEY_ANNOUNCEMENT: (SessionNotReady, "join a project first"),
+                   MSG_TASK: (SessionNotReady, "session not established")}
+
     def __init__(
         self,
         rng: crypto.DeterministicRng,
@@ -804,19 +860,18 @@ class Participant(_Party):
         super().__init__(rng, ledger, clock, config, max_skew)
         self._dh: crypto.DhKeyPair | None = None
         self.project_id: int | None = None
-        self.server_address: bytes | None = None
         self.registration_block: int | None = None
-        self.ratchet: ratchet.RatchetState | None = None   # set once established
-        self.last_round = 0
-        self.transcript: list[TranscriptRow] = []
-        self._active: dict | None = None       # open task awaiting an update
+        self.session: _Session | None = None   # set by `join`
+
+    def _session_of(self, address: bytes) -> _Session | None:
+        return self.session
 
     def join(self, project_id: int) -> RegClientEvent:
         """Locate the project on chain and register a key commitment for it."""
         if self.project_id is not None:
             raise ProtocolError("already joined a project")
         try:
-            server = self.ledger.registration(project_id).server
+            project = self.ledger.registration(project_id)
         except UnknownProject:
             raise BadReference(f"no project {project_id} on chain") from None
         self._dh = crypto.dh_keygen(self.rng)
@@ -825,8 +880,8 @@ class Participant(_Party):
             self.address, project_id, crypto.digest(self._dh.public)
         )
         self.project_id = project_id
-        self.server_address = server
         self.registration_block = event.block
+        self.session = _Session(project.server, project)
         return event
 
     def _encapsulate(
@@ -840,24 +895,10 @@ class Participant(_Party):
 
     def handle_keys(self, blob: bytes, check=None) -> bytes:
         """Check the announced keys against the chain and derive the root key."""
-        self.counters.offchain_recv_bytes += len(blob)
-        env = SignedEnvelope.decode(blob)
-        if self.project_id is None:
-            raise SessionNotReady("join a project first")
-        self._check(
-            env, blob, self.server_address, MSG_KEY_ANNOUNCEMENT, "a key announcement", check
-        )
-        if self.ratchet is not None:
-            raise ReplayDetected("session already established")
-        msg = KeyAnnouncement.decode(env.payload)
-        if msg.project_id != self.project_id:
-            raise BadReference("announcement for a different project")
-        reg = self.ledger.registration(self.project_id)
-        if msg.registration_block != reg.block:
-            raise BadReference("announcement references the wrong registration")
-        if crypto.digest(msg.kem_public + msg.dh_public) != reg.h_keys:
-            raise CommitmentMismatch("announced keys do not match the on-chain commitment")
-        _check_keys(msg)
+        env, session = self._receive(blob, MSG_KEY_ANNOUNCEMENT, "a key announcement", check)
+        msg = self._key_message(env, session)
+        _check_rotation(msg, msg.kem_public, True, session.registration.h_keys,
+                        "announced keys do not match the on-chain commitment")
         ct, secrets = self._encapsulate(msg.kem_public, msg.dh_public, self._dh)
         reply = KeyResponse(
             project_id=self.project_id,
@@ -867,28 +908,20 @@ class Participant(_Party):
         ).encode()
         out = self._send(MSG_KEY_RESPONSE, 0, reply)
         self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
-        self.ratchet = ratchet.init_root(*secrets, self.config)
+        session.ratchet = ratchet.init_root(*secrets, self.config)
         self._dh = None   # the root key consumed it; a later capture must not find it
-        self.transcript.append(
-            TranscriptRow(0, 1, 0, "s2p", crypto.digest(env.payload), msg.registration_block)
-        )
-        self.transcript.append(
-            TranscriptRow(0, 1, 0, "p2s", crypto.digest(reply), self.registration_block)
+        session.transcript += (
+            TranscriptRow(0, 1, 0, "s2p", crypto.digest(env.payload), msg.registration_block),
+            TranscriptRow(0, 1, 0, "p2s", crypto.digest(reply), self.registration_block),
         )
         return out
 
     def handle_task(self, blob: bytes, check=None) -> fl.ModelVector:
         """Verify a round's task against the chain and return the global model."""
-        self.counters.offchain_recv_bytes += len(blob)
-        env = SignedEnvelope.decode(blob)
-        if self.ratchet is None:
-            raise SessionNotReady("session not established")
-        self._check(env, blob, self.server_address, MSG_TASK, "a task", check)
-        if env.round <= self.last_round:
-            raise ReplayDetected(f"round {env.round} already processed")
-        if env.round != self.last_round + 1:
+        env, session = self._receive(blob, MSG_TASK, "a task", check)
+        if env.round != session.round + 1:
             raise ProtocolError(f"task skips to round {env.round}")
-        if self._active is not None:
+        if session.key is not None:
             raise ProtocolError("previous task still open")
         chain = self.ledger.task(self.project_id, env.round)
         if chain is None:
@@ -896,29 +929,19 @@ class Participant(_Party):
         if self.clock.now() > chain.time + chain.deadline_window:
             raise StaleDeadline(f"task deadline passed at {chain.time + chain.deadline_window}")
         try:
-            new_state, key = ratchet.advance_symmetric(self.ratchet)
+            new_state, key = ratchet.advance_symmetric(session.ratchet)
         except ratchet.EpochExhausted as exc:
             raise ProtocolError(f"round {env.round} task skips the key rotation: {exc}") from None
         msg, model, h_model = self._open(key, env, DIR_TASK, chain.h_info)
         if h_model != self.ledger.current_model(self.project_id):
             raise CommitmentMismatch("task model is not the anchored global model")
-        if bool(msg.kem_public) != bool(chain.h_keys):
-            raise CommitmentMismatch("key rotation material missing or unexpected")
-        if msg.kem_public:
-            if crypto.digest(msg.kem_public + msg.dh_public) != chain.h_keys:
-                raise CommitmentMismatch("fresh keys do not match the on-chain commitment")
-            _check_keys(msg)
+        _check_rotation(msg, msg.kem_public, bool(chain.h_keys), chain.h_keys,
+                        "fresh keys do not match the on-chain commitment")
         # all checks passed; commit state changes
-        self.ratchet = new_state
-        self.counters.derive += 2
         key.mark_used(DIR_TASK)
-        self.last_round = env.round
-        self._active = {
-            "key": key, "fresh": (msg.kem_public, msg.dh_public) if msg.kem_public else None,
-        }
-        self.transcript.append(
-            TranscriptRow(env.round, key.epoch, key.step, "s2p", chain.h_info, chain.block)
-        )
+        session.round = env.round
+        fresh = (msg.kem_public, msg.dh_public) if msg.kem_public else None
+        self._open_round(session, new_state, key, fresh, chain.h_info, chain.block)
         return model
 
     def send_update(self, model: fl.ModelVector) -> bytes:
@@ -929,21 +952,21 @@ class Participant(_Party):
         this thread seals and signs the envelope; then the update transaction
         is posted with that hash.  Nothing between writes to the ledger, so
         blocks keep their order.  Only once the transaction is accepted is
-        the key marked used and the envelope counted: a refused transaction
+        the round closed and the envelope counted: a refused transaction
         raises its `LedgerError` and leaves the key, the `sign` and
         `offchain_bytes` counters, the ratchet and the open task as they
         were (the keygen and encapsulation of a rotation are already made
         and counted)."""
-        if self._active is None:
+        session = self.session
+        if session is None or session.key is None:
             raise NoActiveTask("no task to answer")
-        rnd = self.last_round
-        key: ratchet.ModelKey = self._active["key"]
+        rnd, key = session.round, session.key
         ct = dh_pub = h_ct_key = b""
         rotation = None
-        if self._active["fresh"] is not None:
+        if session.fresh is not None:
             fresh_dh = crypto.dh_keygen(self.rng)
             self.counters.keygen += 1
-            ct, rotation = self._encapsulate(*self._active["fresh"], fresh_dh)
+            ct, rotation = self._encapsulate(*session.fresh, fresh_dh)
             dh_pub = fresh_dh.public
             h_ct_key = crypto.digest(ct + dh_pub)
         plaintext = UpdatePayload(
@@ -959,13 +982,8 @@ class Participant(_Party):
         event = self.ledger.update_model(
             self.address, rnd, h_info, h_ct_key, self.project_id, rnd
         )
-        key.mark_used(DIR_UPDATE)
         self._sent(blob)
         if rotation is not None:
             self.counters.key_material_bytes += _KEY_RESPONSE_BYTES
-            self.ratchet = ratchet.advance_asymmetric(self.ratchet, *rotation)
-        self.transcript.append(
-            TranscriptRow(rnd, key.epoch, key.step, "p2s", h_info, event.block)
-        )
-        self._active = None
+        self._close_round(session, rotation, h_info, event.block)
         return blob

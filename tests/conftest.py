@@ -73,13 +73,13 @@ def run_round(
     server.publish_round(model)
     if server_log is not None:
         server_log.extend(
-            key_row("server", a, s.current_key) for a, s in server.sessions.items()
+            key_row("server", a, s.key) for a, s in server.sessions.items()
         )
     collected = []
     for i, p in enumerate(participants):
         got = p.handle_task(server.send_task(p.address))
         if participant_logs is not None:
-            participant_logs[i].append(key_row("participant", p.address, p._active["key"]))
+            participant_logs[i].append(key_row("participant", p.address, p.session.key))
         local = fl.local_train(got, train_seed, 0.01, got.round + 1)
         update = p.send_update(local)
         _, received = server.handle_update(update)

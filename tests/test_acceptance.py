@@ -128,8 +128,8 @@ def test_criterion_06_compromise_window():
         clock.advance(60)
         server.publish_round(model)
         got = p.handle_task(server.send_task(p.address))
-        plog.append(key_row("participant", p.address, p._active["key"]))
-        captures[server.round] = p.ratchet   # immutable: later rounds replace it
+        plog.append(key_row("participant", p.address, p.session.key))
+        captures[server.round] = p.session.ratchet   # immutable: later rounds replace it
         local = fl.local_train(got, 7, 0.01, got.round + 1)
         _, received = server.handle_update(p.send_update(local))
         model = fl.aggregate([received])

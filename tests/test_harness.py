@@ -512,7 +512,10 @@ def _round_peaks(config: SimConfig, monkeypatch) -> list[float]:
 
 def test_a_round_holds_the_same_model_copies_at_any_participant_count(monkeypatch):
     # round 1 rotates keys, round 2 is the last; the global model a round
-    # begins with is part of what the run holds, not of the round's peak
+    # begins with is part of what the run holds, not of the round's peak.
+    # One run first, untraced: what a process loads once, such as numpy's
+    # lazily imported `numpy.random`, is not a round's copy
+    run_simulation(small(participants=1, rounds=1))
     one, four = (
         max(_round_peaks(SimConfig(participants=p, rounds=2, ratchet_range=1,
                                    model_dim=2**16), monkeypatch))
@@ -575,10 +578,11 @@ def test_a_run_whose_verifier_child_dies_mid_round_completes_unchanged(monkeypat
 WIDE = dict(participants=3, rounds=3, ratchet_range=2, model_dim=2**16)
 
 
-def _wide_run(monkeypatch, out_dir, **flags):
-    """Artifacts of one wide run checked by a fresh verifier whose helper may
-    start, and each wide check's verdict: True or False from the helper,
-    None if it was checked otherwise."""
+def _wide_run(monkeypatch, out_dir, verifier=None, **flags):
+    """Artifacts of one wide run checked by `verifier`, by default a fresh
+    one, whose helper may start, and each wide check's verdict: True or False
+    from the helper, None if it was checked otherwise.  The verifier is
+    closed at the end."""
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
     verify, verdicts = crypto.verify, []
 
@@ -587,7 +591,7 @@ def _wide_run(monkeypatch, out_dir, **flags):
             verdicts.append(check.result() if isinstance(check, crypto._Job) else None)
         return verify(public, message, signature, check)
 
-    with crypto.Verifier() as verifier, monkeypatch.context() as m:
+    with verifier or crypto.Verifier() as verifier, monkeypatch.context() as m:
         m.setattr(crypto, "verifier", verifier)
         m.setattr(crypto, "verify", recording)
         metrics = run_simulation(SimConfig(seed=29, **WIDE, **flags))
@@ -624,6 +628,26 @@ def test_a_wide_run_sends_ahead_with_the_artifacts_of_one_window(scenario, monke
     assert hashed and not any(on_helper for on_helper, _ in hashed)
     assert ahead == windowed
     assert metrics.all_attacks_rejected() and verify_transcripts(str(tmp_path / "ahead")) == []
+
+
+def test_an_abandoned_verifier_child_leaves_the_helper_working(monkeypatch, tmp_path):
+    # a wide run's establishment exchange is small, so it may use the child;
+    # a child abandoned there ends alone, and every wide round keeps its helper
+    verifier = ready_verifier(monkeypatch)
+    verifier._abandon()
+    assert not verifier.is_alive()
+    with verifier.exchange(3, wide=False):
+        assert not verifier.accepting   # small checks stay in-process
+    pair, message = crypto.sig_keygen(crypto.DeterministicRng(b"helper")), bytes(2**17)
+    with verifier.exchange(3, wide=True):
+        assert verifier.helping
+        handle = verifier.submit(pair.public, message, crypto.sign(pair, message))
+        assert isinstance(handle, crypto._Job) and handle.result() is True
+    abandoned, _, verdicts = _wide_run(monkeypatch, tmp_path / "abandoned", verifier)
+    assert True in verdicts   # the helper answered the run's wide checks
+    assert not verifier.is_alive() and not verifier._helper.is_alive()   # `close` reaped both
+    fresh, _, _ = _wide_run(monkeypatch, tmp_path / "fresh")
+    assert abandoned == fresh
 
 
 @pytest.mark.parametrize("scenario,outcome", [("tamper", "BadSignature"),

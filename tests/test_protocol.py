@@ -35,9 +35,9 @@ from pqbfl.protocol import (
 def test_both_sides_agree_on_root_and_chain():
     server, (p,), _, _, _ = establish()
     session = server.sessions[p.address]
-    assert session.ratchet.root_key == p.ratchet.root_key
-    assert session.ratchet.chain_key == p.ratchet.chain_key
-    assert session.ratchet is not None and p.ratchet is not None
+    assert session.ratchet.root_key == p.session.ratchet.root_key
+    assert session.ratchet.chain_key == p.session.ratchet.chain_key
+    assert session.ratchet is not None and p.session.ratchet is not None
 
 
 def test_establishment_operation_counts():
@@ -60,7 +60,7 @@ def test_no_registration_dh_pair_survives_establishment():
     assert held()
     server.admit_clients()
     server.handle_key_response(p.handle_keys(server.send_keys(p.address)))
-    assert p.ratchet is not None and held() == []
+    assert p.session.ratchet is not None and held() == []
 
 
 def test_announcement_key_swap_is_caught():
@@ -253,7 +253,7 @@ def test_a_task_is_sealed_when_taken_with_the_publish_time(monkeypatch):
     first, second = (p.address for p in parts)
     blob = server.send_task(first)
     assert SignedEnvelope.decode(blob).timestamp == published
-    assert seals == [server.sessions[first].current_key.key]
+    assert seals == [server.sessions[first].key.key]
     # a second send neither reseals nor signs: the session's key refuses it
     with pytest.raises(ratchet.KeyReuse):
         server.send_task(first)
@@ -315,10 +315,10 @@ def _bad_model(kind):
 def _forged_update(p, ledger, payload, h_ct_key=b""):
     """`payload` committed on chain with `h_ct_key`, sealed under `p`'s open
     round key and signed by `p`, like an honest update."""
-    rnd, plaintext = p.last_round, payload.encode()
+    rnd, plaintext = p.session.round, payload.encode()
     ledger.update_model(p.address, rnd, crypto.digest(plaintext), h_ct_key, 1, rnd)
     sealed = crypto.aead_seal(
-        p._active["key"].key, protocol.seal_nonce(rnd, protocol.DIR_UPDATE),
+        p.session.key.key, protocol.seal_nonce(rnd, protocol.DIR_UPDATE),
         protocol.seal_aad(1, rnd, rnd, protocol.DIR_UPDATE), plaintext,
     )
     return p._send(protocol.MSG_UPDATE, rnd, sealed)
@@ -332,13 +332,10 @@ def test_bad_model_in_authentic_task_is_malformed(kind, monkeypatch):
         m.setattr(fl, "WireModel", _bad_model(kind))
         server.publish_round(model)
 
-    def state():
-        return (p.ratchet, p.last_round, p._active, list(p.transcript), p.counters.derive)
-
-    before = state()
+    before = _state(p)
     with pytest.raises(MalformedMessage):
         p.handle_task(server.send_task(p.address))
-    assert state() == before
+    assert _state(p) == before
 
 
 @pytest.mark.parametrize("kind", ["nan", "short"])
@@ -348,16 +345,10 @@ def test_bad_model_in_authentic_update_is_malformed(kind):
     server.publish_round(model)
     local = fl.local_train(p.handle_task(server.send_task(p.address)), 1, 0.01, 1)
     blob = _forged_update(p, ledger, UpdatePayload(1, 1, 1, _bad_model(kind)(local)))
-    session = server.sessions[p.address]
-
-    def state():
-        return (session.ratchet, session.current_key, session.last_update_round,
-                list(session.transcript))
-
-    before = state()
+    before = _state(server, p.address)
     with pytest.raises(MalformedMessage):
         server.handle_update(blob)
-    assert state() == before
+    assert _state(server, p.address) == before
     # the honest update still lands under the same round key
     sender, got = server.handle_update(p.send_update(local))
     assert sender == p.address and np.array_equal(got.values, local.values)
@@ -469,7 +460,8 @@ def test_a_refused_update_transaction_leaves_the_participant_as_it_was(helping, 
     got = p.handle_task(server.send_task(p.address))
     local = fl.local_train(got, 1, 0.01, 1)
     clock.advance(101)   # past the task's deadline: the contract refuses the update
-    key, active, state, blocks = p._active["key"], dict(p._active), p.ratchet, len(ledger.blocks)
+    session = p.session
+    key, fresh, state, blocks = session.key, session.fresh, session.ratchet, len(ledger.blocks)
     hashed_on = []
     run = crypto._Job.run
 
@@ -493,8 +485,8 @@ def test_a_refused_update_transaction_leaves_the_participant_as_it_was(helping, 
     assert p.counters.snapshot() == dict(counters, keygen=counters["keygen"] + 1,
                                          encap=counters["encap"] + 1)
     assert key._used == {protocol.DIR_TASK}
-    assert p._active == active and p._active["key"] is key and p.ratchet is state
-    assert len(ledger.blocks) == blocks and p.transcript[-1].direction == "s2p"
+    assert session.key is key and session.fresh == fresh and session.ratchet is state
+    assert len(ledger.blocks) == blocks and session.transcript[-1].direction == "s2p"
 
 
 def test_update_from_stranger_rejected():
@@ -545,15 +537,14 @@ def _counts(party):
     return counts
 
 
-def _participant_state(p):
-    return (p.ratchet, p.last_round, p._active, list(p.transcript), p.rng._counter, _counts(p))
-
-
-def _session_state(server, addr):
-    s = server.sessions[addr]
-    used = set(s.current_key._used) if s.current_key is not None else None
-    return (s.ratchet, s.current_key, used, s.last_update_round, list(s.transcript),
-            _counts(server))
+def _state(party, address=None):
+    """A session record as it stands, its open key's uses included, with its
+    party's draws and counters: the participant's one session, or the
+    server's session with `address`."""
+    s = party.session if address is None else party.sessions[address]
+    used = None if s.key is None else set(s.key._used)
+    record = dict(vars(s), transcript=list(s.transcript), used=used)
+    return record, party.rng._counter, _counts(party)
 
 
 @pytest.mark.parametrize("kind", ["short kem", "unreduced kem", "not a point"])
@@ -565,10 +556,10 @@ def test_bad_keys_in_authentic_announcement_are_malformed(kind, monkeypatch):
     p.join(1)
     server.admit_clients()
     blob = server.send_keys(p.address)
-    before = _participant_state(p)
+    before = _state(p)
     with pytest.raises(MalformedMessage):
         p.handle_keys(blob)
-    assert _participant_state(p) == before
+    assert _state(p) == before
 
 
 @pytest.mark.parametrize("kind", ["not a point", "short ciphertext"])
@@ -587,10 +578,10 @@ def test_bad_keys_in_authentic_key_response_are_malformed(kind, monkeypatch):
             protocol.MSG_KEY_RESPONSE, 0,
             replace(msg, kem_ciphertext=msg.kem_ciphertext[:10]).encode(), p._sig, clock.now(),
         ).encode()
-    before = _session_state(server, p.address)
+    before = _state(server, p.address)
     with pytest.raises(MalformedMessage):
         server.handle_key_response(response)
-    assert _session_state(server, p.address) == before
+    assert _state(server, p.address) == before
 
 
 @pytest.mark.parametrize("kind", ["short kem", "unreduced kem", "not a point"])
@@ -600,10 +591,10 @@ def test_bad_fresh_keys_in_authentic_task_are_malformed(kind, monkeypatch):
     with monkeypatch.context() as m:
         _bad_public_keys(m, kind)
         server.publish_round(model)   # a rotation round
-    before = _participant_state(p)
+    before = _state(p)
     with pytest.raises(MalformedMessage):
         p.handle_task(server.send_task(p.address))
-    assert _participant_state(p) == before
+    assert _state(p) == before
 
 
 @pytest.mark.parametrize("kind", ["not a point", "short ciphertext"])
@@ -612,7 +603,7 @@ def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
     clock.advance(60)
     server.publish_round(model)   # a rotation round
     local = fl.local_train(p.handle_task(server.send_task(p.address)), 1, 0.01, 1)
-    ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
+    ct, _ = crypto.kem_encap(p.session.fresh[0], bytes(32))
     dh_public = crypto.dh_keygen(DeterministicRng(b"fresh")).public
     if kind == "not a point":
         dh_public = NOT_A_POINT
@@ -622,15 +613,15 @@ def test_bad_rotation_reply_in_authentic_update_is_malformed(kind):
         p, ledger, UpdatePayload(1, 1, 1, fl.WireModel(local), ct, dh_public),
         crypto.digest(ct + dh_public),
     )
-    before = _session_state(server, p.address)
+    before = _state(server, p.address)
     for _ in range(2):   # a second delivery is rejected the same way
         with pytest.raises(MalformedMessage):
             server.handle_update(blob)
-        assert _session_state(server, p.address) == before
+        assert _state(server, p.address) == before
     # the honest reply still lands under the same round key and rotates
     sender, got = server.handle_update(p.send_update(local))
     assert sender == p.address and np.array_equal(got.values, local.values)
-    assert server.sessions[p.address].ratchet == p.ratchet
+    assert server.sessions[p.address].ratchet == p.session.ratchet
 
 
 @pytest.mark.parametrize(
@@ -650,7 +641,7 @@ def test_bad_sender_key_is_malformed_in_every_handler(sender_public):
         assert state() == before
         return handler(blob)   # the honest copy still lands
 
-    participant, session = lambda: _participant_state(p), lambda: _session_state(server, p.address)
+    participant, session = lambda: _state(p), lambda: _state(server, p.address)
     response = refused(p.handle_keys, server.send_keys(p.address), participant)
     refused(server.handle_key_response, response, session)
     clock.advance(60)
@@ -689,7 +680,7 @@ def _open_task(server, p, clock, model):
 def _forged_task(server, p, ledger, clock, payload, h_keys):
     """`payload` as the next round's task: committed on chain with `h_keys`,
     sealed under `p`'s next key and signed by the server."""
-    _, key = ratchet.advance_symmetric(p.ratchet)
+    _, key = ratchet.advance_symmetric(p.session.ratchet)
     rnd, plaintext = key.round, payload.encode()
     ledger.publish_task(server.address, rnd, crypto.digest(plaintext), h_keys, 1, rnd, 600)
     sealed = crypto.aead_seal(
@@ -760,7 +751,7 @@ def _rotation_reply_off_its_commitment(server, p, ledger, clock, model):
     model = run_round(server, [p], clock, model)
     # round 2 rotates
     local = fl.local_train(_open_task(server, p, clock, model), 1, 0.01, 2)
-    ct, _ = crypto.kem_encap(p._active["fresh"][0], bytes(32))
+    ct, _ = crypto.kem_encap(p.session.fresh[0], bytes(32))
     dh = crypto.dh_keygen(DeterministicRng(b"fresh")).public
     payload = UpdatePayload(1, 2, 2, fl.WireModel(local), ct, dh)
     return server.handle_update, _forged_update(p, ledger, payload, crypto.digest(b"other"))
@@ -842,7 +833,7 @@ def _announcement_for_another_project(server, p, ledger, clock, model):
 
 
 def _server_state(server):
-    sessions = [_session_state(server, a) for a in server.sessions]
+    sessions = [_state(server, a) for a in server.sessions]
     return sessions, server.round, len(server.ledger.blocks)
 
 
@@ -877,7 +868,7 @@ REJECTED = [
 def test_a_rejected_delivery_leaves_its_receiver_as_it_was(case, exc, fragment):
     server, (p,), ledger, clock, model = establish(capacity=2, seed=b"refused")
     handler, arg = case(server, p, ledger, clock, model)
-    state = _server_state if handler.__self__ is server else _participant_state
+    state = _server_state if handler.__self__ is server else _state
     before = state(handler.__self__)
     with pytest.raises(exc, match=fragment) as info:
         handler(arg)
@@ -898,7 +889,7 @@ def test_rotation_on_last_round_of_epoch_only():
     )
     assert tasks == [(1, False), (2, True), (3, False), (4, True), (5, False)]
     assert server.sessions[p.address].ratchet.epoch == 3
-    assert p.ratchet.epoch == 3
+    assert p.session.ratchet.epoch == 3
 
 
 def test_no_rotation_when_no_rounds_remain():
@@ -911,7 +902,7 @@ def test_no_rotation_when_no_rounds_remain():
         if type(b.event).__name__ == "TaskEvent"
     )
     assert tasks == [(1, False), (2, True), (3, False), (4, False)]
-    assert p.ratchet.epoch == 2
+    assert p.session.ratchet.epoch == 2
 
 
 def test_epoch_boundary_round_numbers():
@@ -963,11 +954,11 @@ def test_task_past_an_exhausted_epoch_refused_state_intact():
         model = run_round(server, parts, clock, model)
     (p,) = parts
     ledger.publish_task(server.address, 3, crypto.digest(b"x"), b"", 1, 3, 600)
-    before = _participant_state(p)
+    before = _state(p)
     with pytest.raises(ProtocolError, match="skips the key rotation") as info:
         p.handle_task(_server_task(server, clock, 3))
     assert type(info.value) is ProtocolError
-    assert _participant_state(p) == before
+    assert _state(p) == before
 
 
 # --- wire codecs ------------------------------------------------------------------
